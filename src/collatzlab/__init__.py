@@ -11,15 +11,14 @@ from .actions import (Action, ActionSeq, ModelId, Trace, action_function,
                       apply, apply_seq, evaluate_exact, inverse_seq, is_legal,
                       parse_seq, validate_trace)
 from .catalog import Claim, build_claims
-from .errors import (BudgetExceeded, CollatzlabError, DepthExceeded,
-                     DomainViolation, GuardViolation, IllegalEdge, ParseError,
-                     UnknownClaim)
+from .errors import (CollatzlabError, DepthExceeded, DomainViolation,
+                     GuardViolation, IllegalEdge, ParseError, UnknownClaim)
 from .experiments import DeloopReport, cycle_census, delooping_experiment
 from .models import (BoundedGraph, EdgeClass, bounded_graph, classify_edge,
                      drop_edge_classes, predecessors, successors, to_dot)
 from .search import (Path, SearchBounds, Unreachable, all_reach_one,
                      bfs_reach, bfs_reach_bidirectional, bfs_until,
-                     default_bounds, stats_csv, stopping_stats, trajectory)
+                     stats_csv, stopping_stats, trajectory)
 from .ternary import Ternary, from_ternary, parse_ternary, to_ternary
 from .verify import (Failure, VerifyReport, all_claim_ids, run_any_claim,
                      verify_claim, verify_cluster, verify_descending,
@@ -32,14 +31,14 @@ __all__ = [
     "apply_seq", "evaluate_exact", "inverse_seq", "is_legal", "parse_seq",
     "validate_trace",
     "Claim", "build_claims",
-    "BudgetExceeded", "CollatzlabError", "DepthExceeded", "DomainViolation",
-    "GuardViolation", "IllegalEdge", "ParseError", "UnknownClaim",
+    "CollatzlabError", "DepthExceeded", "DomainViolation", "GuardViolation",
+    "IllegalEdge", "ParseError", "UnknownClaim",
     "DeloopReport", "cycle_census", "delooping_experiment",
     "BoundedGraph", "EdgeClass", "bounded_graph", "classify_edge",
     "drop_edge_classes", "predecessors", "successors", "to_dot",
     "Path", "SearchBounds", "Unreachable", "all_reach_one", "bfs_reach",
-    "bfs_reach_bidirectional", "bfs_until", "default_bounds", "stats_csv",
-    "stopping_stats", "trajectory",
+    "bfs_reach_bidirectional", "bfs_until", "stats_csv", "stopping_stats",
+    "trajectory",
     "Ternary", "from_ternary", "parse_ternary", "to_ternary",
     "Failure", "VerifyReport", "all_claim_ids", "run_any_claim",
     "verify_claim", "verify_cluster", "verify_descending", "verify_edge_loop",

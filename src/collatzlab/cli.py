@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 clean, 1 verified finding (a claim failure or an unexpected
-cycle), 2 usage error. Identical invocations produce byte-identical output;
-timing is only emitted behind --timing.
+Exit codes: 0 clean, 1 verified finding (a claim failure, an unexpected
+cycle, a trajectory not at 1 within --max-depth), 2 usage error. Identical
+invocations produce byte-identical output; timing only appears with --timing.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from . import verify as verify_mod
 from .actions import ModelId
 from .catalog import build_claims
-from .errors import UnknownClaim
+from .errors import DepthExceeded, UnknownClaim
 from .experiments import cycle_census, delooping_experiment
 from .models import bounded_graph, to_dot
 from .search import (SearchBounds, Unreachable, bfs_reach, stats_csv,
@@ -52,10 +52,6 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("COLLATZLAB_WORKERS", "1"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collatzlab",
@@ -77,10 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="a_range", metavar="LO..HI")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--max-value", type=positive_int, default=None)
-    p.add_argument("--max-depth", type=positive_int, default=64)
+    p.add_argument("--max-depth", type=positive_int, default=None,
+                   help="path-length cap; needs --max-value (default 64)")
     p.add_argument("--timing", action="store_true",
                    help="include wall_ms in reports (non-deterministic)")
-    p.add_argument("--workers", type=positive_int, default=_default_workers())
+    # A string default goes through type=, so a bad env value is a usage error.
+    p.add_argument("--workers", type=positive_int,
+                   default=os.environ.get("COLLATZLAB_WORKERS", "1"),
+                   help="worker processes (default: $COLLATZLAB_WORKERS or 1)")
 
     p = sub.add_parser("reach", help="bounded BFS between two values")
     p.add_argument("--model", type=parse_model, required=True)
@@ -117,10 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _search_bounds(args, start_hint=1):
+def _search_bounds(args):
     if args.max_value is None:
         return None
-    return SearchBounds(max_value=args.max_value, max_depth=args.max_depth)
+    return SearchBounds(max_value=args.max_value, max_depth=args.max_depth or 64)
 
 
 def _emit_reports(reports, fmt, timing, out):
@@ -142,12 +142,6 @@ def _emit_reports(reports, fmt, timing, out):
                 out.write(f"  A={failure.input}: {failure.reason}\n")
 
 
-def _run_claim_chunk(claim_id, lo, hi, max_value, max_depth):
-    bounds = (SearchBounds(max_value=max_value, max_depth=max_depth)
-              if max_value else None)
-    return verify_mod.run_any_claim(claim_id, range(lo, hi + 1), bounds)
-
-
 def _merge_reports(parts):
     head = parts[0]
     for other in parts[1:]:
@@ -162,6 +156,9 @@ def _merge_reports(parts):
 
 
 def cmd_verify(args, out) -> int:
+    if args.max_depth is not None and args.max_value is None:
+        print("error: --max-depth needs --max-value", file=sys.stderr)
+        return EXIT_USAGE
     claims = build_claims()
     if args.claim == "all":
         ids = verify_mod.all_claim_ids(claims)
@@ -173,31 +170,25 @@ def cmd_verify(args, out) -> int:
             print(f"unknown claim(s): {', '.join(unknown)}", file=sys.stderr)
             print("available: " + ", ".join(sorted(known)), file=sys.stderr)
             return EXIT_USAGE
-    reports = []
-    for claim_id in ids:
-        reports.append(_run_claim_whole(args, claim_id))
+    bounds = _search_bounds(args)
+    reports = [_run_claim_whole(args, claim_id, bounds) for claim_id in ids]
     _emit_reports(reports, args.format, args.timing, out)
     return EXIT_FINDING if any(r.failed for r in reports) else EXIT_OK
 
 
-def _run_claim_whole(args, claim_id):
+def _run_claim_whole(args, claim_id, bounds):
     rng = args.a_range
     workers = args.workers
     if workers <= 1 or len(rng) < 2 * workers:
-        return _run_claim_chunk(claim_id, rng.start, rng[-1],
-                                args.max_value, args.max_depth)
+        return verify_mod.run_any_claim(claim_id, rng, bounds)
     import concurrent.futures
 
     chunk = (len(rng) + workers - 1) // workers
-    spans = [(rng.start + i * chunk,
-              min(rng.start + (i + 1) * chunk - 1, rng[-1]))
-             for i in range(workers) if rng.start + i * chunk <= rng[-1]]
+    pieces = [rng[i:i + chunk] for i in range(0, len(rng), chunk)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            _run_claim_chunk,
-            [claim_id] * len(spans), [lo for lo, _ in spans],
-            [hi for _, hi in spans], [args.max_value] * len(spans),
-            [args.max_depth] * len(spans)))
+        parts = list(pool.map(verify_mod.run_any_claim,
+                              [claim_id] * len(pieces), pieces,
+                              [bounds] * len(pieces)))
     return _merge_reports(parts)
 
 
@@ -282,6 +273,9 @@ def main(argv=None, out=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args, out)
+    except DepthExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FINDING
     except (UnknownClaim, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

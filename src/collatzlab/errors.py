@@ -56,10 +56,6 @@ class UnknownClaim(CollatzlabError):
         )
 
 
-class BudgetExceeded(CollatzlabError):
-    """A bounded search ran out of value / depth / state budget."""
-
-
 class DepthExceeded(CollatzlabError):
     """Deterministic iteration did not reach 1 within the step cap."""
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .actions import Action, ModelId, is_legal, action_function
-from .models import EdgeClass, bounded_graph, classify_edge, drop_edge_classes
+from .actions import Action, ModelId
+from .models import (INTEGER_SUCCESSORS, EdgeClass, bounded_graph,
+                     drop_edge_classes, edge_class)
+from .search import SearchBounds, Unreachable, bfs
 
 
 def _canonical_cycle(nodes):
@@ -109,18 +111,18 @@ _PHASE_DROPS = {
 }
 
 
-def _phase_successors(x, dropped):
-    out = []
-    for a in (Action.T, Action.B, Action.F):
-        if not is_legal(a, x, ModelId.MS):
-            continue
-        if a is Action.F and classify_edge(x, a, ModelId.MS) in dropped:
-            continue
-        out.append((a, action_function(a, x)))
-    return out
+def _phase_step(dropped):
+    """MS moves minus the F-edges of the dropped classes."""
+    succ = INTEGER_SUCCESSORS[ModelId.MS]
+
+    def step(x):
+        return [(a, y) for a, y in succ(x)
+                if a is not Action.F or edge_class(x, a) not in dropped]
+
+    return step
 
 
-def _reaches_known(n, dropped, cap, ok, max_depth=512, max_states=200_000):
+def _reaches_known(n, step, bounds, ok):
     """Does n reach 1 (or a value already known to) under the phase edges?
 
     Fast path: the deterministic M0 walk, legal in every phase, until the
@@ -129,28 +131,14 @@ def _reaches_known(n, dropped, cap, ok, max_depth=512, max_states=200_000):
     """
     x = n
     steps = 0
-    while x <= cap and steps <= max_depth:
+    while x <= bounds.max_value and steps <= bounds.max_depth:
         if x == 1 or (x < n and ok[x]):
             return True
         x = 3 * x + 1 if x % 2 else x // 2
         steps += 1
-    # Bounded BFS under the phase guard set.
-    parents = {n: None}
-    frontier = [n]
-    for _ in range(max_depth):
-        if not frontier or len(parents) > max_states:
-            break
-        nxt = []
-        for v in frontier:
-            for _, y in _phase_successors(v, dropped):
-                if y > cap or y in parents:
-                    continue
-                if y == 1 or (y < n and ok[y]):
-                    return True
-                parents[y] = v
-                nxt.append(y)
-        frontier = nxt
-    return False
+    result = bfs(ModelId.MS, step, n, lambda y: y == 1 or (y < n and ok[y]),
+                 bounds)
+    return not isinstance(result, Unreachable)
 
 
 def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> DeloopReport:
@@ -164,7 +152,8 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
     if max_value < 16:
         raise ValueError(f"max_value must be >= 16, got {max_value}")
     t0 = time.perf_counter()
-    cap = max_value * search_headroom
+    bounds = SearchBounds(max_value=max_value * search_headroom,
+                          max_depth=512, max_states=200_000)
 
     phase3_edges = bounded_graph(
         ModelId.MS, max_value,
@@ -176,11 +165,12 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
     for phase, dropped in _PHASE_DROPS.items():
         result = PhaseResult(phase=phase,
                              dropped=tuple(c.value for c in dropped))
+        step = _phase_step(dropped)
         ok = bytearray(max_value + 1)
         ok[1] = 1
         result.reached = 1
         for n in range(2, max_value + 1):
-            if _reaches_known(n, dropped, cap, ok):
+            if _reaches_known(n, step, bounds, ok):
                 ok[n] = 1
                 result.reached += 1
             else:

@@ -14,6 +14,7 @@ from .actions import Action, ModelId, action_function, is_legal
 from .errors import IllegalEdge
 
 ACTION_ORDER = (Action.T, Action.B, Action.F, Action.D)
+_T, _B, _F, _D = ACTION_ORDER
 
 
 class EdgeClass(enum.Enum):
@@ -24,25 +25,55 @@ class EdgeClass(enum.Enum):
     OTHER = "OTHER"
 
 
+def _succ_m0(x):
+    return [(_T, 3 * x + 1)] if x % 2 else [(_B, x // 2)]
+
+
+def _succ_ms(x):
+    out = [(_T, 3 * x + 1)] if x % 2 else [(_B, x // 2)]
+    if x % 3 == 1 and x > 1:
+        out.append((_F, (x - 1) // 3))
+    return out
+
+
+def _succ_m1(x):
+    out = [(_T, 3 * x + 1)]
+    if x % 2 == 0:
+        out.append((_B, x // 2))
+    if x % 3 == 1 and x > 1:
+        out.append((_F, (x - 1) // 3))
+    out.append((_D, 2 * x))
+    return out
+
+
+def _pred_m1(x):
+    # All legal in M1: T and D always are, 2x is even, 3x + 1 > 1 is 1 mod 3.
+    out = [(_T, (x - 1) // 3)] if x % 3 == 1 and x > 1 else []
+    out += [(_B, 2 * x), (_F, 3 * x + 1)]
+    if x % 2 == 0:
+        out.append((_D, x // 2))
+    return out
+
+
+# Guard tables of the integer models as step functions of an integer x >= 1.
+INTEGER_SUCCESSORS = {ModelId.M0: _succ_m0, ModelId.MS: _succ_ms,
+                      ModelId.M1: _succ_m1}
+INTEGER_PREDECESSORS = {ModelId.M1: _pred_m1}
+
+
 def successors(x, model: ModelId):
     """All guard-legal moves out of x, in T,B,F,D order."""
     if model is ModelId.M2:
         # Graph mode: F needs x > 1 so values stay positive.
-        out = [(Action.T, action_function(Action.T, x)),
-               (Action.B, action_function(Action.B, x))]
-        if x > 1:
-            out.append((Action.F, action_function(Action.F, x)))
-        out.append((Action.D, action_function(Action.D, x)))
-        return out
-    return [
-        (a, action_function(a, x))
-        for a in ACTION_ORDER
-        if is_legal(a, x, model)
-    ]
+        return [(a, action_function(a, x)) for a in ACTION_ORDER
+                if a is not _F or x > 1]
+    return INTEGER_SUCCESSORS[model](x)
 
 
 def predecessors(x, model: ModelId):
     """All (action, y) with x among successors(y, model); same order."""
+    if model is ModelId.M1:
+        return _pred_m1(x)
     out = []
     for a in ACTION_ORDER:
         y = _preimage(a, x)
@@ -77,6 +108,11 @@ def classify_edge(x: int, action: Action, model: ModelId) -> EdgeClass:
     """E1/E4 for F-edges with the stated residues, OTHER for the rest."""
     if not is_legal(action, x, model):
         raise IllegalEdge(f"{action} is not a legal move at {x} under {model}")
+    return edge_class(x, action)
+
+
+def edge_class(x: int, action: Action) -> EdgeClass:
+    """classify_edge without the legality check, for moves known legal."""
     if action is Action.F:
         if x % 6 == 1:
             return EdgeClass.E1

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .actions import ActionSeq, ModelId, apply_seq
 from .errors import DepthExceeded
-from .models import predecessors, successors
+from .models import (INTEGER_PREDECESSORS, INTEGER_SUCCESSORS, predecessors,
+                     successors)
 
 
 @dataclass(frozen=True)
@@ -25,11 +27,6 @@ class SearchBounds:
     def __post_init__(self):
         if self.max_value < 1 or self.max_depth < 1 or self.max_states < 1:
             raise ValueError("all bounds must be >= 1")
-
-
-def default_bounds(start: int) -> SearchBounds:
-    """Default macro-verification budget: values up to 2^20 x input."""
-    return SearchBounds(max_value=max(start, 1) * 2**20)
 
 
 @dataclass(frozen=True)
@@ -95,31 +92,39 @@ def _build_path(model, start, parents, end):
                 end=end, values=tuple(values))
 
 
-def bfs_reach(model: ModelId, start: int, target: int, bounds: SearchBounds,
-              forbidden_edges=frozenset()):
-    """Shortest path from start to target by plain breadth-first search.
+def _step_fns(model):
+    """(successors, predecessors) of a model as functions of x alone."""
+    return (INTEGER_SUCCESSORS.get(model) or partial(successors, model=model),
+            INTEGER_PREDECESSORS.get(model)
+            or partial(predecessors, model=model))
 
-    Deterministic: frontier kept in discovery order, successors expanded in
-    T,B,F,D order. forbidden_edges is a set of (value, action) moves to
-    skip (used by the edge-loop check).
+
+def bfs(model: ModelId, step, start: int, accept, bounds: SearchBounds,
+        forbidden_edges=frozenset()):
+    """One-way BFS kernel: shortest walk from start to an accepted value.
+
+    step(x) lists the (action, y) moves out of x; the frontier keeps
+    discovery order. Moves above bounds.max_value and (value, action)
+    pairs in forbidden_edges are skipped. Returns Path or Unreachable.
     """
-    if start == target:
+    if accept(start):
         return _empty_path(model, start)
     parents = {start: None}
     frontier = [start]
+    max_value = bounds.max_value
     exhausted = False
     for _ in range(bounds.max_depth):
         if not frontier:
             break
         nxt = []
         for x in frontier:
-            for action, y in successors(x, model):
-                if (x, action) in forbidden_edges:
+            for action, y in step(x):
+                if y > max_value or y in parents:
                     continue
-                if y > bounds.max_value or y in parents:
+                if forbidden_edges and (x, action) in forbidden_edges:
                     continue
                 parents[y] = (x, action)
-                if y == target:
+                if accept(y):
                     return _build_path(model, start, parents, y)
                 nxt.append(y)
         if len(parents) > bounds.max_states:
@@ -129,6 +134,17 @@ def bfs_reach(model: ModelId, start: int, target: int, bounds: SearchBounds,
     else:
         exhausted = bool(frontier)
     return Unreachable(bound_exhausted=exhausted)
+
+
+def bfs_reach(model: ModelId, start: int, target: int, bounds: SearchBounds,
+              forbidden_edges=frozenset()):
+    """Shortest path from start to target by plain breadth-first search.
+
+    Successors are expanded in T,B,F,D order. forbidden_edges is a set of
+    (value, action) moves to skip (used by the edge-loop check).
+    """
+    return bfs(model, _step_fns(model)[0], start, lambda y: y == target,
+               bounds, forbidden_edges)
 
 
 def bfs_reach_bidirectional(model: ModelId, start: int, target: int,
@@ -142,6 +158,8 @@ def bfs_reach_bidirectional(model: ModelId, start: int, target: int,
     """
     if start == target:
         return _empty_path(model, start)
+    succ, pred = _step_fns(model)
+    max_value = bounds.max_value
     fwd = {start: None}       # value -> (prev, action): prev --action--> value
     bwd = {target: None}      # value -> (action, nxt): value --action--> nxt
     fwd_frontier = [start]
@@ -152,8 +170,8 @@ def bfs_reach_bidirectional(model: ModelId, start: int, target: int,
         if len(fwd_frontier) <= len(bwd_frontier):
             nxt = []
             for x in fwd_frontier:
-                for action, y in successors(x, model):
-                    if y > bounds.max_value or y in fwd:
+                for action, y in succ(x):
+                    if y > max_value or y in fwd:
                         continue
                     fwd[y] = (x, action)
                     if y in bwd:
@@ -163,8 +181,8 @@ def bfs_reach_bidirectional(model: ModelId, start: int, target: int,
         else:
             nxt = []
             for x in bwd_frontier:
-                for action, y in predecessors(x, model):
-                    if y > bounds.max_value or y in bwd:
+                for action, y in pred(x):
+                    if y > max_value or y in bwd:
                         continue
                     bwd[y] = (action, x)
                     if y in fwd:
@@ -197,32 +215,8 @@ def _join(model, start, target, fwd, bwd, meet):
 def bfs_until(model: ModelId, start: int, accept, bounds: SearchBounds,
               forbidden_edges=frozenset()):
     """BFS from start until accept(value) holds; shortest such witness."""
-    if accept(start):
-        return _empty_path(model, start)
-    parents = {start: None}
-    frontier = [start]
-    exhausted = False
-    for _ in range(bounds.max_depth):
-        if not frontier:
-            break
-        nxt = []
-        for x in frontier:
-            for action, y in successors(x, model):
-                if (x, action) in forbidden_edges:
-                    continue
-                if y > bounds.max_value or y in parents:
-                    continue
-                parents[y] = (x, action)
-                if accept(y):
-                    return _build_path(model, start, parents, y)
-                nxt.append(y)
-        if len(parents) > bounds.max_states:
-            exhausted = True
-            break
-        frontier = nxt
-    else:
-        exhausted = bool(frontier)
-    return Unreachable(bound_exhausted=exhausted)
+    return bfs(model, _step_fns(model)[0], start, accept, bounds,
+               forbidden_edges)
 
 
 def collatz_step(x: int) -> int:

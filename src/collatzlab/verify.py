@@ -42,10 +42,6 @@ class VerifyReport:
     bounds: dict = field(default_factory=dict)
     wall_ms: float = 0.0
 
-    @property
-    def total(self):
-        return self.passed + self.failed + self.skipped
-
     def record_pass(self):
         self.passed += 1
 
@@ -101,8 +97,8 @@ def build_witness(claim: catalog.Claim, a: int,
     """Execute a claim's witness construction for one A.
 
     Returns the full guard-checked Path; raises Guard/DomainViolation on an
-    illegal scripted step and BudgetExceeded-style Unreachable results are
-    surfaced as ValueError with a tagged message.
+    illegal scripted step. An Unreachable search segment is surfaced as a
+    ValueError tagged budget-exceeded or unreachable-within-bounds.
     """
     start = claim.input_fn(a)
     value = start
@@ -237,13 +233,6 @@ def verify_succession(offset: int, x_range: range) -> VerifyReport:
             nonpositive += 1
     report.bounds = {"nonpositive_intermediate_inputs": nonpositive}
     report.wall_ms = (time.perf_counter() - t0) * 1000
-    return report
-
-
-def verify_attaching(a_range: range) -> VerifyReport:
-    """The TT attachment: every A lands on 9A+4, a 5-cluster member."""
-    report = verify_claim("T.attach", a_range)
-    report.claim_id = "T.attach"
     return report
 
 
@@ -412,8 +401,10 @@ def run_any_claim(claim_id: str, a_range: range,
         return verify_succession(int(claim_id[6:]), a_range)
     if claim_id.startswith("T.cluster-"):
         kind = claim_id[len("T.cluster-"):]
-        value_bound = (search_bounds.max_value if search_bounds else 2**20)
-        return verify_cluster(kind, a_range, value_bound=value_bound)
+        if search_bounds is None:
+            return verify_cluster(kind, a_range)
+        return verify_cluster(kind, a_range, value_bound=search_bounds.max_value,
+                              max_depth=search_bounds.max_depth)
     if claim_id == "T.descend-ms":
         return verify_descending(ModelId.MS, a_range, search_bounds)
     if claim_id == "L.descend-m1":

@@ -116,3 +116,55 @@ def test_bad_usage():
     assert code == 2
     code, _ = run(["nope"])
     assert code == 2
+
+
+def test_traj_depth_budget_is_a_finding_not_a_traceback(capsys):
+    code, text = run(["traj", "27", "--max-depth", "5"])
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err == "error: 27 did not reach 1 within 5 steps\n"
+
+
+def test_workers_env_must_be_a_positive_integer(monkeypatch, capsys):
+    argv = ["verify", "--claim", "L.10-11", "--range", "1..5"]
+    for bad in ("abc", "0"):
+        monkeypatch.setenv("COLLATZLAB_WORKERS", bad)
+        code, text = run(argv)
+        assert code == 2, bad
+        assert text == ""
+        assert "positive integer required" in capsys.readouterr().err
+    monkeypatch.setenv("COLLATZLAB_WORKERS", "2")
+    assert run(argv)[0] == 0
+
+
+def test_verify_max_depth_needs_max_value(capsys):
+    code, text = run(["verify", "--claim", "L.10-11", "--range", "1..5",
+                      "--max-depth", "3"])
+    assert code == 2
+    assert text == ""
+    assert "--max-depth needs --max-value" in capsys.readouterr().err
+    # --max-value alone keeps the old depth default of 64
+    code, text = run(["verify", "--claim", "L.descend-m1", "--range", "2..3",
+                      "--max-value", "1000"])
+    assert code == 0
+    assert json.loads(text)["bounds"] == {"max_value": 1000, "max_depth": 64,
+                                          "max_states": 1_000_000}
+
+
+def test_verify_cluster_honours_max_depth():
+    code, text = run(["verify", "--claim", "T.cluster-five", "--range", "1..3",
+                      "--max-value", "1048576", "--max-depth", "1"])
+    data = json.loads(text)
+    assert data["bounds"] == {"max_value": 1048576, "max_depth": 1}
+    # one search layer cannot join 9k+r to the hub 9k+4
+    assert code == 1 and data["pass"] == 0
+
+
+def test_search_bounds_from_args():
+    from argparse import Namespace
+
+    from collatzlab.cli import _search_bounds
+    assert _search_bounds(Namespace(max_value=None, max_depth=7)) is None
+    bounds = _search_bounds(Namespace(max_value=50, max_depth=7))
+    assert (bounds.max_value, bounds.max_depth) == (50, 7)

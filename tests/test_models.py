@@ -1,14 +1,15 @@
 """Graph views of the models: adjacency, edge classes, bounded graphs, DOT."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collatzlab.actions import Action, ModelId, apply
+from collatzlab.actions import Action, ModelId, action_function, apply, is_legal
 from collatzlab.errors import IllegalEdge
-from collatzlab.models import (EdgeClass, bounded_graph, classify_edge,
-                               drop_edge_classes, predecessors, successors,
-                               to_dot)
+from collatzlab.models import (ACTION_ORDER, INTEGER_PREDECESSORS,
+                               INTEGER_SUCCESSORS, EdgeClass, _preimage,
+                               bounded_graph, classify_edge, drop_edge_classes,
+                               predecessors, successors, to_dot)
 
 positives = st.integers(min_value=1, max_value=10**5)
 integer_models = st.sampled_from([ModelId.M0, ModelId.MS, ModelId.M1])
@@ -50,6 +51,48 @@ def test_predecessor_successor_duality(x, model):
         assert (action, x) in successors(y, model)
     for action, y in successors(x, model):
         assert (action, x) in predecessors(y, model)
+
+
+def guard_table_successors(x, model):
+    """Reference: the guard table applied action by action."""
+    return [(a, action_function(a, x)) for a in ACTION_ORDER
+            if is_legal(a, x, model)]
+
+
+def guard_table_predecessors(x, model):
+    """Reference: every integer preimage that is a guard-legal move."""
+    out = []
+    for a in ACTION_ORDER:
+        y = _preimage(a, x)
+        if isinstance(y, int) and y >= 1 and is_legal(a, y, model):
+            out.append((a, y))
+    return out
+
+
+def assert_step_functions_match_guard_tables(x):
+    for model, step in INTEGER_SUCCESSORS.items():
+        expected = guard_table_successors(x, model)
+        assert step(x) == expected, (x, model)
+        assert successors(x, model) == expected, (x, model)
+    for model, step in INTEGER_PREDECESSORS.items():
+        expected = guard_table_predecessors(x, model)
+        assert step(x) == expected, (x, model)
+        assert predecessors(x, model) == expected, (x, model)
+
+
+def test_step_functions_match_guard_tables_exhaustively():
+    assert set(INTEGER_SUCCESSORS) == {ModelId.M0, ModelId.MS, ModelId.M1}
+    assert set(INTEGER_PREDECESSORS) == {ModelId.M1}
+    for x in range(1, 2 * 10**4 + 1):
+        assert_step_functions_match_guard_tables(x)
+
+
+@given(st.integers(min_value=1, max_value=2**70))
+@example(1)  # F guard x > 1: no F out of 1, no T into 1
+@example(4)  # smallest x with an F move (to 1)
+@settings(max_examples=500)
+def test_step_functions_match_guard_tables_on_big_values(x):
+    assert_step_functions_match_guard_tables(x)
 
 
 def test_m2_graph_mode_stays_positive():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collatzlab.actions import ModelId
+from collatzlab.actions import Action, ModelId
 from collatzlab.errors import DepthExceeded
 from collatzlab.search import (Path, SearchBounds, Unreachable, all_reach_one,
                                bfs_reach, bfs_reach_bidirectional, bfs_until,
@@ -119,3 +119,62 @@ def test_all_reach_one_small():
 def test_path_render():
     path = bfs_reach(ModelId.MS, 7, 1, SearchBounds(max_value=100))
     assert path.render() == "7 -F-> 2 -B-> 1"
+
+
+# Renderings recorded with the guard-table search loops that predate the
+# integer step functions; any change in expansion order changes them.
+GOLDEN_CLUSTER_PATHS = {
+    (9, 13): "9 -T-> 28 -B-> 14 -B-> 7 -F-> 2 -D-> 4 -T-> 13",
+    (13, 9): "13 -F-> 4 -B-> 2 -T-> 7 -D-> 14 -D-> 28 -F-> 9",
+    (21, 22): "21 -T-> 64 -B-> 32 -B-> 16 -B-> 8 -B-> 4 -B-> 2 -T-> 7 "
+              "-T-> 22",
+    (22, 21): "22 -F-> 7 -F-> 2 -D-> 4 -D-> 8 -D-> 16 -D-> 32 -D-> 64 "
+              "-F-> 21",
+    (71, 67): "71 -D-> 142 -F-> 47 -D-> 94 -F-> 31 -F-> 10 -B-> 5 -T-> 16 "
+              "-B-> 8 -B-> 4 -B-> 2 -T-> 7 -T-> 22 -T-> 67",
+    (67, 71): "67 -F-> 22 -F-> 7 -F-> 2 -D-> 4 -T-> 13 -T-> 40 -B-> 20 "
+              "-B-> 10 -T-> 31 -T-> 94 -B-> 47 -T-> 142 -B-> 71",
+    (455, 454): "455 -D-> 910 -F-> 303 -D-> 606 -D-> 1212 -T-> 3637 "
+                "-T-> 10912 -B-> 5456 -B-> 2728 -B-> 1364 -B-> 682 "
+                "-F-> 227 -D-> 454",
+    (454, 455): "454 -B-> 227 -T-> 682 -T-> 2047 -D-> 4094 -D-> 8188 "
+                "-F-> 2729 -D-> 5458 -F-> 1819 -F-> 606 -B-> 303 -T-> 910 "
+                "-B-> 455",
+    (1108, 1111): "1108 -D-> 2216 -D-> 4432 -F-> 1477 -F-> 492 -B-> 246 "
+                  "-B-> 123 -T-> 370 -T-> 1111",
+    (1111, 1108): "1111 -F-> 370 -F-> 123 -D-> 246 -D-> 492 -T-> 1477 "
+                  "-T-> 4432 -B-> 2216 -B-> 1108",
+}
+
+
+def test_golden_bidirectional_cluster_paths():
+    bounds = SearchBounds(max_value=2**20, max_depth=64)
+    for (start, target), rendered in GOLDEN_CLUSTER_PATHS.items():
+        path = bfs_reach_bidirectional(ModelId.M1, start, target, bounds)
+        assert path.render() == rendered, (start, target)
+        assert path.validate()
+
+
+def test_golden_one_way_paths():
+    blocked = bfs_reach(ModelId.MS, 7, 1, SearchBounds(max_value=1000),
+                        forbidden_edges={(7, Action.F), (2, Action.B)})
+    assert blocked.render() == ("7 -T-> 22 -B-> 11 -T-> 34 -B-> 17 -T-> 52 "
+                                "-B-> 26 -B-> 13 -F-> 4 -F-> 1")
+    # T.edge-loop's one passing even A up to 1000: 94 => 283 without 283 -F-> 94
+    loop = bfs_reach(ModelId.MS, 94, 283,
+                     SearchBounds(max_value=94 * 2**10, max_depth=48,
+                                  max_states=20_000),
+                     forbidden_edges={(283, Action.F)})
+    assert loop.render() == (
+        "94 -B-> 47 -T-> 142 -B-> 71 -T-> 214 -B-> 107 -T-> 322 "
+        "-B-> 161 -T-> 484 -B-> 242 -B-> 121 -T-> 364 -B-> 182 -B-> 91 "
+        "-T-> 274 -B-> 137 -T-> 412 -B-> 206 -B-> 103 -T-> 310 -B-> 155 "
+        "-T-> 466 -B-> 233 -T-> 700 -B-> 350 -B-> 175 -T-> 526 -B-> 263 "
+        "-T-> 790 -B-> 395 -T-> 1186 -B-> 593 -T-> 1780 -B-> 890 "
+        "-B-> 445 -T-> 1336 -B-> 668 -B-> 334 -B-> 167 -T-> 502 "
+        "-B-> 251 -T-> 754 -B-> 377 -T-> 1132 -B-> 566 -B-> 283")
+    for model in (ModelId.MS, ModelId.M1):
+        down = bfs_until(model, 27, lambda v: v < 27,
+                         SearchBounds(max_value=10**6))
+        assert down.render() == ("27 -T-> 82 -B-> 41 -T-> 124 -B-> 62 -B-> 31 "
+                                 "-F-> 10")
