@@ -20,9 +20,7 @@ from .search import (Path, SearchBounds, Unreachable, all_reach_one,
                      bfs_reach, bfs_reach_bidirectional, bfs_until,
                      stats_csv, stopping_stats, trajectory)
 from .ternary import Ternary, from_ternary, parse_ternary, to_ternary
-from .verify import (Failure, VerifyReport, all_claim_ids, run_any_claim,
-                     verify_claim, verify_cluster, verify_descending,
-                     verify_edge_loop, verify_succession)
+from .verify import Failure, VerifyReport, all_claim_ids, run_any_claim
 
 __version__ = "0.1.0"
 
@@ -41,7 +39,5 @@ __all__ = [
     "trajectory",
     "Ternary", "from_ternary", "parse_ternary", "to_ternary",
     "Failure", "VerifyReport", "all_claim_ids", "run_any_claim",
-    "verify_claim", "verify_cluster", "verify_descending", "verify_edge_loop",
-    "verify_succession",
     "__version__",
 ]

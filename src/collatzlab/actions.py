@@ -103,7 +103,6 @@ class ActionSeq:
     """An ordered list of actions, first entry applied first."""
 
     steps: tuple[Action, ...]
-    source_text: str | None = None
 
     def __str__(self):
         return self.render()
@@ -134,7 +133,7 @@ def parse_seq(text: str) -> ActionSeq:
         seen = True
     if not seen:
         raise ValueError("empty action sequence")
-    return ActionSeq(tuple(steps), source_text=text)
+    return ActionSeq(tuple(steps))
 
 
 def seq_of(text: str) -> ActionSeq:

@@ -183,15 +183,16 @@ _ODD0 = "A must be odd with last ternary digit 0"
 _ODD1 = "A must be odd with last ternary digit 1"
 _ODD2 = "A must be odd with last ternary digit 2"
 
-APPEND_DEPTH_DEFAULT = 6
+# How many trailing 2s T.append2 appends and T.backspace2 erases.
+APPEND_DEPTH = 6
 
 
-def _append2_expected(a, depth=APPEND_DEPTH_DEFAULT):
+def _append2_expected(a):
     # Appending one '2' maps v to 3v + 2, i.e. v + 1 triples.
-    return (a + 1) * 3**depth - 1
+    return (a + 1) * 3**APPEND_DEPTH - 1
 
 
-def build_claims(append_depth: int = APPEND_DEPTH_DEFAULT) -> dict[str, Claim]:
+def build_claims() -> dict[str, Claim]:
     claims = [
         _simple("L.10-11", "A10 => A11 via TDDFFBBT", 3, 4, SEQ_10_11),
         _simple("L.11-10", "A11 => A10 via FDDTTBBF", 4, 3, SEQ_11_10),
@@ -247,19 +248,19 @@ def build_claims(append_depth: int = APPEND_DEPTH_DEFAULT) -> dict[str, Claim]:
                  "L.22-11.last2", 4, 8, applies=_odd_last(2), skip_reason=_ODD2),
         Claim(
             id="T.append2",
-            description=f"appending a trailing 2, iterated {append_depth} times",
+            description=f"appending a trailing 2, iterated {APPEND_DEPTH} times",
             input_fn=lambda a: a,
-            expected_fn=lambda a: _append2_expected(a, append_depth),
-            build=lambda a: [prim(SEQ_APPEND2)] * append_depth,
+            expected_fn=_append2_expected,
+            build=lambda a: [prim(SEQ_APPEND2)] * APPEND_DEPTH,
             applies=lambda a: a % 3 == 2,
             skip_reason="A must end in ternary digit 2",
         ),
         Claim(
             id="T.backspace2",
-            description=f"erasing a trailing 2, iterated {append_depth} times",
-            input_fn=lambda a: _append2_expected(a, append_depth),
+            description=f"erasing a trailing 2, iterated {APPEND_DEPTH} times",
+            input_fn=_append2_expected,
             expected_fn=lambda a: a,
-            build=lambda a: [prim(SEQ_BACKSPACE2)] * append_depth,
+            build=lambda a: [prim(SEQ_BACKSPACE2)] * APPEND_DEPTH,
             applies=lambda a: a % 3 == 2,
             skip_reason="A must end in ternary digit 2",
         ),

@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=positive_int, default=64)
 
     p = sub.add_parser("cluster", help="cluster connectivity check")
-    p.add_argument("--kind", choices=("five", "three", "nine"), required=True)
+    p.add_argument("--kind", choices=tuple(verify_mod.CLUSTER_MEMBERS),
+                   required=True)
     p.add_argument("--k", type=parse_range, required=True, dest="k_range",
                    metavar="LO..HI")
     p.add_argument("--value-bound", type=positive_int, default=2**20)
@@ -160,36 +161,45 @@ def cmd_verify(args, out) -> int:
         print("error: --max-depth needs --max-value", file=sys.stderr)
         return EXIT_USAGE
     claims = build_claims()
+    known = verify_mod.all_claim_ids(claims)
     if args.claim == "all":
-        ids = verify_mod.all_claim_ids(claims)
+        ids = known
     else:
         ids = [c.strip() for c in args.claim.split(",") if c.strip()]
-        known = set(verify_mod.all_claim_ids(claims))
+        if not ids:
+            print(f"error: no claim id in --claim {args.claim!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         unknown = [c for c in ids if c not in known]
         if unknown:
             print(f"unknown claim(s): {', '.join(unknown)}", file=sys.stderr)
             print("available: " + ", ".join(sorted(known)), file=sys.stderr)
             return EXIT_USAGE
-    bounds = _search_bounds(args)
-    reports = [_run_claim_whole(args, claim_id, bounds) for claim_id in ids]
+    reports = _run_claims(ids, args.a_range, _search_bounds(args),
+                          args.workers)
     _emit_reports(reports, args.format, args.timing, out)
     return EXIT_FINDING if any(r.failed for r in reports) else EXIT_OK
 
 
-def _run_claim_whole(args, claim_id, bounds):
-    rng = args.a_range
-    workers = args.workers
+def _run_claims(ids, rng, bounds, workers):
+    """One report per claim id; one process pool for the whole run.
+
+    With workers > 1 the work units are (claim, range chunk) pairs, and
+    each claim's chunk reports are merged back in range order.
+    """
     if workers <= 1 or len(rng) < 2 * workers:
-        return verify_mod.run_any_claim(claim_id, rng, bounds)
+        return [verify_mod.run_any_claim(c, rng, bounds) for c in ids]
     import concurrent.futures
 
     chunk = (len(rng) + workers - 1) // workers
     pieces = [rng[i:i + chunk] for i in range(0, len(rng), chunk)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(verify_mod.run_any_claim,
-                              [claim_id] * len(pieces), pieces,
-                              [bounds] * len(pieces)))
-    return _merge_reports(parts)
+                              [c for c in ids for _ in pieces],
+                              pieces * len(ids),
+                              [bounds] * (len(ids) * len(pieces))))
+    n = len(pieces)
+    return [_merge_reports(parts[i:i + n]) for i in range(0, len(parts), n)]
 
 
 def cmd_traj(args, out) -> int:
@@ -218,8 +228,8 @@ def cmd_reach(args, out) -> int:
 
 
 def cmd_cluster(args, out) -> int:
-    report = verify_mod.verify_cluster(args.kind, args.k_range,
-                                       value_bound=args.value_bound)
+    report = verify_mod.run_any_claim(f"T.cluster-{args.kind}", args.k_range,
+                                      SearchBounds(max_value=args.value_bound))
     _emit_reports([report], args.format, args.timing, out)
     return EXIT_FINDING if report.failed else EXIT_OK
 

@@ -149,11 +149,14 @@ class BoundedGraph:
 
 
 def bounded_graph(model: ModelId, max_value: int, edge_filter=None) -> BoundedGraph:
-    """Materialize the graph on nodes 1..max_value.
+    """Materialize an integer model's graph (M0, MS, M1) on nodes 1..max_value.
 
     edge_filter(x, action, model) -> bool keeps or drops individual edges;
     edges leading above max_value are always dropped.
     """
+    if model is ModelId.M2:
+        raise ValueError("bounded graphs need an integer model (m0, ms, m1), "
+                         "got m2")
     if max_value < 4:
         raise ValueError(f"max_value must be >= 4, got {max_value}")
     adjacency = {}

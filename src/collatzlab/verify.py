@@ -1,4 +1,9 @@
-"""Range verification of catalog claims, with replayable witnesses."""
+"""Range verification of claims, with replayable witnesses.
+
+Every claim id, catalog lemma or special theorem, is one entry in an
+ordered registry: its model, its bounds dict and a check run once per A.
+run_any_claim is the one loop that turns those checks into a report.
+"""
 
 from __future__ import annotations
 
@@ -92,6 +97,11 @@ def _macro_bounds(current: int, bounds: SearchBounds | None) -> SearchBounds:
                         max_states=200_000)
 
 
+def _search_tag(result: Unreachable) -> str:
+    return ("budget-exceeded" if result.bound_exhausted
+            else "unreachable-within-bounds")
+
+
 def build_witness(claim: catalog.Claim, a: int,
                   search_bounds: SearchBounds | None = None) -> Path:
     """Execute a claim's witness construction for one A.
@@ -116,11 +126,9 @@ def build_witness(claim: catalog.Claim, a: int,
             result = bfs_reach_bidirectional(
                 claim.model, value, target, _macro_bounds(value, search_bounds))
             if isinstance(result, Unreachable):
-                tag = ("budget-exceeded" if result.bound_exhausted
-                       else "unreachable-within-bounds")
                 raise ValueError(
-                    f"{tag}: search segment {value} => {target} "
-                    f"at step {len(actions)}")
+                    f"{_search_tag(result)}: search segment {value} => "
+                    f"{target} at step {len(actions)}")
             actions.extend(result.actions.steps)
             values.extend(result.values[1:])
             value = result.end
@@ -130,110 +138,91 @@ def build_witness(claim: catalog.Claim, a: int,
 
 
 def _check_one(claims, claim, a, search_bounds):
-    """PASS/fail verdict plus witness for one A. Returns (ok, failure)."""
+    """Verdict plus witness for one A: None on PASS, else the Failure."""
     if claim.inverse_of is not None:
         forward = claims[claim.inverse_of]
         try:
             witness = build_witness(forward, a, search_bounds)
         except (GuardViolation, DomainViolation, ValueError) as exc:
-            return False, Failure(a, getattr(exc, "step_index", None),
-                                  f"forward witness failed: {exc}")
+            return Failure(a, getattr(exc, "step_index", None),
+                           f"forward witness failed: {exc}")
         if witness.end != forward.expected_fn(a):
-            return False, Failure(a, None,
-                                  f"forward endpoint {witness.end} != "
-                                  f"{forward.expected_fn(a)}",
-                                  list(witness.values))
+            return Failure(a, None,
+                           f"forward endpoint {witness.end} != "
+                           f"{forward.expected_fn(a)}",
+                           list(witness.values))
         # Replay backward with inverted actions under the same guards.
         try:
             back = apply_seq(inverse_seq(witness.actions), witness.end,
                              claim.model)
         except (GuardViolation, DomainViolation) as exc:
-            return False, Failure(a, exc.step_index,
-                                  f"inverse replay illegal: {exc}",
-                                  list(witness.values))
+            return Failure(a, exc.step_index,
+                           f"inverse replay illegal: {exc}",
+                           list(witness.values))
         if back.start != claim.input_fn(a) or back.end != claim.expected_fn(a):
-            return False, Failure(a, None,
-                                  f"inverse replay ended at {back.end}, "
-                                  f"expected {claim.expected_fn(a)}",
-                                  list(back.values))
-        return True, None
+            return Failure(a, None,
+                           f"inverse replay ended at {back.end}, "
+                           f"expected {claim.expected_fn(a)}",
+                           list(back.values))
+        return None
 
     try:
         witness = build_witness(claim, a, search_bounds)
     except (GuardViolation, DomainViolation) as exc:
-        return False, Failure(a, exc.step_index, str(exc))
+        return Failure(a, exc.step_index, str(exc))
     except ValueError as exc:
-        return False, Failure(a, None, str(exc))
+        return Failure(a, None, str(exc))
     expected = claim.expected_fn(a)
     if witness.end != expected:
-        return False, Failure(a, None,
-                              f"endpoint {witness.end} != expected {expected}",
-                              list(witness.values))
+        return Failure(a, None,
+                       f"endpoint {witness.end} != expected {expected}",
+                       list(witness.values))
     if claim.close_cycle:
         try:
             back = apply_seq(inverse_seq(witness.actions), witness.end,
                              claim.model)
         except (GuardViolation, DomainViolation) as exc:
-            return False, Failure(a, exc.step_index,
-                                  f"cycle-closing replay illegal: {exc}",
-                                  list(witness.values))
+            return Failure(a, exc.step_index,
+                           f"cycle-closing replay illegal: {exc}",
+                           list(witness.values))
         if back.end != witness.start:
-            return False, Failure(a, None,
-                                  f"cycle did not close: {back.end}",
-                                  list(back.values))
-    return True, None
+            return Failure(a, None, f"cycle did not close: {back.end}",
+                           list(back.values))
+    return None
 
 
-def verify_claim(claim_id: str, a_range: range,
-                 search_bounds: SearchBounds | None = None,
-                 claims: dict | None = None) -> VerifyReport:
-    """Check one catalog claim for every A in a_range."""
-    claims = claims if claims is not None else catalog.build_claims()
-    if claim_id not in claims:
-        raise UnknownClaim(claim_id, sorted(claims))
-    claim = claims[claim_id]
-    t0 = time.perf_counter()
-    report = VerifyReport(claim_id=claim_id, model=claim.model.name,
-                          range=(a_range.start, a_range[-1]),
-                          bounds=_bounds_dict(search_bounds))
-    for a in a_range:
+# Per-A checks: check(a, search_bounds) returns None when A is outside the
+# claim's domain (skipped), else the list of failures (empty on PASS).
+
+def _catalog_claim(claims, claim):
+    def check(a, search_bounds):
         if a < claim.min_a or not claim.applies(a):
-            report.record_skip()
-            continue
-        ok, failure = _check_one(claims, claim, a, search_bounds)
-        if ok:
-            report.record_pass()
-        else:
-            report.record_failure(failure)
-    report.wall_ms = (time.perf_counter() - t0) * 1000
-    return report
+            return None
+        failure = _check_one(claims, claim, a, search_bounds)
+        return [failure] if failure else []
+
+    return claim.model, _bounds_dict, check
 
 
-def verify_succession(offset: int, x_range: range) -> VerifyReport:
+def _succession(offset):
     """Exact identity check: the +offset sequence ends at x + offset.
 
     Evaluated over signed exact rationals; intermediates that dip to zero
-    or below are informational, never failures.
+    or below are informational, never failures: they are counted as the
+    loop runs and reported in place of search bounds.
     """
-    if offset not in catalog.SUCCESSION_SEQS:
-        raise ValueError(f"offset must be 1..4, got {offset}")
     seq = catalog.SUCCESSION_SEQS[offset]
-    t0 = time.perf_counter()
-    report = VerifyReport(claim_id=f"T.succ{offset}", model=ModelId.M2.name,
-                          range=(x_range.start, x_range[-1]))
-    nonpositive = 0
-    for x in x_range:
+    tally = {"nonpositive_intermediate_inputs": 0}
+
+    def check(x, search_bounds):
         end, flagged = evaluate_exact(seq, x)
-        if end == x + offset:
-            report.record_pass()
-        else:
-            report.record_failure(Failure(x, None,
-                                          f"ended at {end}, expected {x + offset}"))
         if flagged:
-            nonpositive += 1
-    report.bounds = {"nonpositive_intermediate_inputs": nonpositive}
-    report.wall_ms = (time.perf_counter() - t0) * 1000
-    return report
+            tally["nonpositive_intermediate_inputs"] += 1
+        if end == x + offset:
+            return []
+        return [Failure(x, None, f"ended at {end}, expected {x + offset}")]
+
+    return ModelId.M2, lambda search_bounds: tally, check
 
 
 CLUSTER_MEMBERS = {
@@ -244,55 +233,55 @@ CLUSTER_MEMBERS = {
 CLUSTER_HUB = {"five": 4, "three": 7, "nine": 4}
 
 
-def verify_cluster(kind: str, k_range: range, value_bound: int = 2**20,
-                   max_depth: int = 64) -> VerifyReport:
+def _cluster_bounds(search_bounds):
+    # Value and depth caps only; max_states keeps the search default.
+    if search_bounds is None:
+        return SearchBounds(max_value=2**20)
+    return SearchBounds(max_value=search_bounds.max_value,
+                        max_depth=search_bounds.max_depth)
+
+
+def _cluster_bounds_dict(search_bounds):
+    bounds = _cluster_bounds(search_bounds)
+    return {"max_value": bounds.max_value, "max_depth": bounds.max_depth}
+
+
+def _cluster(kind):
     """Pairwise mutual reachability inside each cluster, by bounded search.
 
     Independent of the scripted lemmas: every member is connected to a hub
     member in both directions by BFS, which yields every ordered pair by
-    path composition.
+    path composition. Each pair that fails is its own failure.
     """
-    if kind not in CLUSTER_MEMBERS:
-        raise ValueError(f"kind must be one of {sorted(CLUSTER_MEMBERS)}")
-    t0 = time.perf_counter()
-    report = VerifyReport(claim_id=f"T.cluster-{kind}", model=ModelId.M1.name,
-                          range=(k_range.start, k_range[-1]),
-                          bounds={"max_value": value_bound,
-                                  "max_depth": max_depth})
     residues = CLUSTER_MEMBERS[kind]
     hub_r = CLUSTER_HUB[kind]
-    bounds = SearchBounds(max_value=value_bound, max_depth=max_depth)
-    for k in k_range:
+
+    def check(k, search_bounds):
         if k < 1:
-            report.record_skip()
-            continue
+            return None
+        bounds = _cluster_bounds(search_bounds)
         hub = 9 * k + hub_r
-        bad = []
+        failures = []
         for r in residues:
             if r == hub_r:
                 continue
             member = 9 * k + r
-            to_hub = bfs_reach_bidirectional(ModelId.M1, member, hub, bounds)
-            if isinstance(to_hub, Unreachable):
-                bad.append((member, hub, to_hub.bound_exhausted))
-            from_hub = bfs_reach_bidirectional(ModelId.M1, hub, member, bounds)
-            if isinstance(from_hub, Unreachable):
-                bad.append((hub, member, from_hub.bound_exhausted))
-        if not bad:
-            report.record_pass()
-        else:
-            for src, dst, exhausted in bad:
-                tag = "budget-exceeded" if exhausted else "unreachable"
-                report.record_failure(
-                    Failure(k, None,
-                            f"{tag}: pair {src} => {dst} with cap {value_bound}"))
-    report.wall_ms = (time.perf_counter() - t0) * 1000
-    return report
+            for src, dst in ((member, hub), (hub, member)):
+                result = bfs_reach_bidirectional(ModelId.M1, src, dst, bounds)
+                if isinstance(result, Unreachable):
+                    tag = ("budget-exceeded" if result.bound_exhausted
+                           else "unreachable")
+                    failures.append(Failure(
+                        k, None, f"{tag}: pair {src} => {dst} "
+                                 f"with cap {bounds.max_value}"))
+        return failures
+
+    return ModelId.M1, _cluster_bounds_dict, check
 
 
 def descending_witness(a: int, model: ModelId,
                        bounds: SearchBounds | None = None):
-    """A guard-legal sequence H with H(a) < a, or None.
+    """A guard-legal Trace whose end is below a, or the search's Unreachable.
 
     Fast paths: halve when even, strip when a = 1 (mod 3); otherwise the
     deterministic M0 walk until the value drops below a (its T/B moves are
@@ -319,96 +308,89 @@ def descending_witness(a: int, model: ModelId,
                        bounds or SearchBounds(max_value=a * 2**20,
                                               max_depth=512))
     if isinstance(result, Unreachable):
-        return None
+        return result
     return apply_seq(result.actions, a, model)
 
 
-def verify_descending(model: ModelId, a_range: range,
-                      search_bounds: SearchBounds | None = None) -> VerifyReport:
+def _descend(model):
     """Descending theorem: some H with H(A) < A exists for every A >= 2."""
-    if model not in (ModelId.MS, ModelId.M1):
-        raise ValueError(f"descending theorem applies to MS/M1, got {model}")
-    t0 = time.perf_counter()
-    claim_id = "T.descend-ms" if model is ModelId.MS else "L.descend-m1"
-    report = VerifyReport(claim_id=claim_id, model=model.name,
-                          range=(a_range.start, a_range[-1]),
-                          bounds=_bounds_dict(search_bounds))
-    for a in a_range:
+    def check(a, search_bounds):
         if a < 2:
-            report.record_skip()
-            continue
-        trace = descending_witness(a, model, search_bounds)
-        if trace is None:
-            report.record_failure(Failure(a, None, "budget-exceeded"))
-        elif trace.end >= a:
-            report.record_failure(Failure(a, None,
-                                          f"witness ends at {trace.end} >= {a}",
-                                          list(trace.values)))
-        else:
-            report.record_pass()
-    report.wall_ms = (time.perf_counter() - t0) * 1000
-    return report
+            return None
+        witness = descending_witness(a, model, search_bounds)
+        if isinstance(witness, Unreachable):
+            return [Failure(a, None, _search_tag(witness))]
+        if witness.end >= a:
+            return [Failure(a, None, f"witness ends at {witness.end} >= {a}",
+                            list(witness.values))]
+        return []
+
+    return model, _bounds_dict, check
 
 
-def verify_edge_loop(a_range: range,
-                     search_bounds: SearchBounds | None = None) -> VerifyReport:
+def _edge_loop(a, search_bounds):
     """Directed reading of the edge-loop theorem for even A.
 
     The F-edge 3A+1 -> A is in a directed MS cycle iff some MS path
     A => 3A+1 avoids that very edge; bounded BFS decides within budget.
     """
-    t0 = time.perf_counter()
-    report = VerifyReport(claim_id="T.edge-loop", model=ModelId.MS.name,
-                          range=(a_range.start, a_range[-1]),
-                          bounds=_bounds_dict(search_bounds))
-    for a in a_range:
-        if a % 2 != 0:
-            report.record_skip()
-            continue
-        target = 3 * a + 1
-        bounds = search_bounds or SearchBounds(max_value=a * 2**10,
-                                               max_depth=48,
-                                               max_states=20_000)
-        result = bfs_reach(ModelId.MS, a, target, bounds,
-                           forbidden_edges={(target, Action.F)})
-        if isinstance(result, Unreachable):
-            tag = ("budget-exceeded" if result.bound_exhausted
-                   else "unreachable-within-bounds")
-            report.record_failure(Failure(a, None, f"{tag}: no MS path "
-                                          f"{a} => {target} avoiding the edge"))
-        else:
-            report.record_pass()
-    report.wall_ms = (time.perf_counter() - t0) * 1000
-    return report
+    if a % 2 != 0 or a < 1:
+        return None
+    target = 3 * a + 1
+    bounds = search_bounds or SearchBounds(max_value=a * 2**10, max_depth=48,
+                                           max_states=20_000)
+    result = bfs_reach(ModelId.MS, a, target, bounds,
+                       forbidden_edges={(target, Action.F)})
+    if isinstance(result, Unreachable):
+        return [Failure(a, None, f"{_search_tag(result)}: no MS path "
+                                 f"{a} => {target} avoiding the edge")]
+    return []
 
 
-# Order in which `verify --claim all` runs everything; deterministic.
+def _registry(claims: dict) -> dict:
+    """Claim id -> (model, bounds-dict function, per-A check).
+
+    Insertion order is the `verify --claim all` order. Built afresh for
+    each run, because the succession checks count as they go.
+    """
+    registry = {f"T.succ{i}": _succession(i) for i in catalog.SUCCESSION_SEQS}
+    registry.update((claim_id, _catalog_claim(claims, claim))
+                    for claim_id, claim in claims.items())
+    registry.update((f"T.cluster-{kind}", _cluster(kind))
+                    for kind in CLUSTER_MEMBERS)
+    registry["T.descend-ms"] = _descend(ModelId.MS)
+    registry["L.descend-m1"] = _descend(ModelId.M1)
+    registry["T.edge-loop"] = (ModelId.MS, _bounds_dict, _edge_loop)
+    return registry
+
+
 def all_claim_ids(claims: dict | None = None) -> list[str]:
-    claims = claims if claims is not None else catalog.build_claims()
-    ids = [f"T.succ{i}" for i in (1, 2, 3, 4)]
-    ids.extend(claims)
-    ids.extend(["T.cluster-five", "T.cluster-three", "T.cluster-nine",
-                "T.descend-ms", "L.descend-m1", "T.edge-loop"])
-    return ids
+    """Every claim id, in the deterministic `verify --claim all` order."""
+    return list(_registry(claims if claims is not None
+                          else catalog.build_claims()))
 
 
 def run_any_claim(claim_id: str, a_range: range,
                   search_bounds: SearchBounds | None = None,
                   claims: dict | None = None) -> VerifyReport:
-    """Dispatch a claim id (catalog or special) over a range."""
-    claims = claims if claims is not None else catalog.build_claims()
-    if claim_id.startswith("T.succ") and claim_id[6:].isdigit():
-        return verify_succession(int(claim_id[6:]), a_range)
-    if claim_id.startswith("T.cluster-"):
-        kind = claim_id[len("T.cluster-"):]
-        if search_bounds is None:
-            return verify_cluster(kind, a_range)
-        return verify_cluster(kind, a_range, value_bound=search_bounds.max_value,
-                              max_depth=search_bounds.max_depth)
-    if claim_id == "T.descend-ms":
-        return verify_descending(ModelId.MS, a_range, search_bounds)
-    if claim_id == "L.descend-m1":
-        return verify_descending(ModelId.M1, a_range, search_bounds)
-    if claim_id == "T.edge-loop":
-        return verify_edge_loop(a_range, search_bounds)
-    return verify_claim(claim_id, a_range, search_bounds, claims)
+    """Check one claim (catalog or special) for every A in a_range."""
+    registry = _registry(claims if claims is not None
+                         else catalog.build_claims())
+    if claim_id not in registry:
+        raise UnknownClaim(claim_id, sorted(registry))
+    model, bounds_dict, check = registry[claim_id]
+    t0 = time.perf_counter()
+    report = VerifyReport(claim_id=claim_id, model=model.name,
+                          range=(a_range.start, a_range[-1]))
+    for a in a_range:
+        failures = check(a, search_bounds)
+        if failures is None:
+            report.record_skip()
+        elif failures:
+            for failure in failures:
+                report.record_failure(failure)
+        else:
+            report.record_pass()
+    report.bounds = bounds_dict(search_bounds)
+    report.wall_ms = (time.perf_counter() - t0) * 1000
+    return report

@@ -22,7 +22,7 @@ from collatzlab.experiments import cycle_census, delooping_experiment
 from collatzlab.models import successors
 from collatzlab.search import all_reach_one, stopping_stats
 from collatzlab.ternary import from_ternary, to_ternary
-from collatzlab.verify import run_any_claim, verify_descending, verify_succession
+from collatzlab.verify import run_any_claim
 
 CATALOG_LEMMA_IDS = [
     "L.10-11", "L.11-10", "L.02-11", "L.11-02", "L.01-11", "L.11-01",
@@ -46,7 +46,7 @@ def verdict(n, ok, detail=""):
 def test_criterion_1_succession_identities_exact():
     bad = []
     for c in (1, 2, 3, 4):
-        report = verify_succession(c, range(1, 100_001))
+        report = run_any_claim(f"T.succ{c}", range(1, 100_001))
         if report.failed:
             bad.append((c, report.failures[0].to_dict()))
     assert verdict(1, not bad, "x in 1..100000, offsets +1..+4 exact"), bad
@@ -72,7 +72,7 @@ def test_criterion_3_cluster_connectivity_to_1000():
 
 
 def test_criterion_4_descending_witnesses_to_100000():
-    report = verify_descending(ModelId.MS, range(2, 100_001))
+    report = run_any_claim("T.descend-ms", range(2, 100_001))
     ok = report.failed == 0
     assert verdict(4, ok, "H(A) < A found for all A in 2..100000"), \
         [f.to_dict() for f in report.failures[:3]]

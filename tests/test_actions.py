@@ -83,6 +83,14 @@ def test_parse_seq():
         parse_seq("  ")
 
 
+def test_parsed_and_literal_sequences_are_equal():
+    # a sequence is its steps: how it was spelled does not enter equality
+    parsed = parse_seq("'T B'")
+    assert parsed == seq_of("TB")
+    assert hash(parsed) == hash(seq_of("TB"))
+    assert len({parsed, seq_of("TB"), parse_seq("TB")}) == 1
+
+
 def test_sequence_application_order_is_left_to_right():
     # first letter first: D then T maps 5 -> 10 -> 31
     trace = apply_seq(seq_of("DT"), 5, ModelId.M1)

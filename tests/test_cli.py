@@ -1,7 +1,11 @@
 """End-to-end CLI behaviour: formats, exit codes, determinism."""
 
+import contextlib
 import io
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collatzlab.cli import main
 
@@ -168,3 +172,74 @@ def test_search_bounds_from_args():
     assert _search_bounds(Namespace(max_value=None, max_depth=7)) is None
     bounds = _search_bounds(Namespace(max_value=50, max_depth=7))
     assert (bounds.max_value, bounds.max_depth) == (50, 7)
+
+
+def test_graph_commands_reject_the_rational_model(capsys):
+    for command in ("cycles", "dot"):
+        code, text = run([command, "--model", "m2", "--max", "6"])
+        assert code == 2, command
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+    # reach searches M2 without materializing a graph, so it still works
+    assert run(["reach", "--model", "m2", "--from", "2", "--to", "7"]) \
+        == (0, "2 -T-> 7\n")
+
+
+def test_verify_empty_claim_list_is_usage_error(capsys):
+    for spec in (",", "", " , "):
+        code, text = run(["verify", "--claim", spec, "--range", "1..5"])
+        assert code == 2, spec
+        assert text == ""
+        assert "error: no claim id" in capsys.readouterr().err
+
+
+# Small argvs for every subcommand, valid and invalid alike.
+_NUM = st.sampled_from(["0", "1", "2", "3", "5", "9", "20", "-1", "x", ""])
+_RANGE = st.one_of(
+    st.builds("{}..{}".format, st.integers(0, 6), st.integers(0, 6)),
+    st.sampled_from(["", "3", "1..", "a..b"]))
+_MODEL = st.sampled_from(["m0", "ms", "m1", "m2", "mx"])
+_CLAIM = st.sampled_from(["all", ",", "", "L.10-11", "T.succ1,T.edge-loop",
+                          "T.cluster-five", "T.descend-ms", "bogus"])
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+_ARGVS = st.one_of(
+    _argv(st.just(["traj"]), _NUM.map(lambda n: [n]),
+          _opt("--format", st.sampled_from(["text", "csv", "xml"])),
+          _opt("--max-depth", _NUM)),
+    _argv(st.just(["verify"]), _opt("--claim", _CLAIM), _opt("--range", _RANGE),
+          _opt("--format", st.sampled_from(["json", "csv", "text"])),
+          _opt("--max-value", _NUM), _opt("--max-depth", _NUM)),
+    _argv(st.just(["reach"]), _opt("--model", _MODEL), _opt("--from", _NUM),
+          _opt("--to", _NUM), _opt("--max-value", _NUM),
+          st.sampled_from(["1", "4", "6", "0"]).map(
+              lambda d: ["--max-depth", d])),
+    _argv(st.just(["cluster"]),
+          _opt("--kind", st.sampled_from(["five", "three", "nine", "two"])),
+          _opt("--k", _RANGE), _opt("--value-bound", _NUM)),
+    _argv(st.just(["deloop"]), _opt("--max", _NUM), _opt("--headroom", _NUM)),
+    _argv(st.just(["cycles"]), _opt("--model", _MODEL), _opt("--max", _NUM)),
+    _argv(st.just(["stats"]), _opt("--range", _RANGE),
+          _opt("--max-depth", _NUM)),
+    _argv(st.just(["dot"]), _opt("--model", _MODEL), _opt("--max", _NUM)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGVS)
+def test_cli_fuzz_exits_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if "--claim" in argv and not argv[argv.index("--claim") + 1].strip(" ,"):
+        assert code == 2, argv  # an empty claim list is a usage error

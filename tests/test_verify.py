@@ -1,4 +1,4 @@
-"""Report schema, claim running, and the dedicated verifiers."""
+"""Report schema, the claim registry and its special checks."""
 
 import json
 
@@ -7,16 +7,14 @@ import pytest
 from collatzlab.actions import ModelId
 from collatzlab.catalog import build_claims
 from collatzlab.errors import UnknownClaim
-from collatzlab.search import SearchBounds
+from collatzlab.search import SearchBounds, Unreachable
 from collatzlab.verify import (CSV_HEADER, Failure, VerifyReport,
                                all_claim_ids, build_witness,
-                               descending_witness, run_any_claim, verify_claim,
-                               verify_cluster, verify_descending,
-                               verify_edge_loop, verify_succession)
+                               descending_witness, run_any_claim)
 
 
 def test_report_json_schema():
-    report = verify_claim("L.10-11", range(1, 6))
+    report = run_any_claim("L.10-11", range(1, 6))
     data = json.loads(report.to_json())
     assert set(data) == {"claim_id", "model", "range", "pass", "fail",
                          "skipped", "failures", "bounds"}
@@ -30,7 +28,7 @@ def test_report_json_schema():
 
 
 def test_report_csv_row():
-    report = verify_claim("L.10-11", range(1, 6))
+    report = run_any_claim("L.10-11", range(1, 6))
     assert CSV_HEADER == "claim_id,model,lo,hi,pass,fail,skipped"
     assert report.csv_row() == "L.10-11,M1,1,5,5,0,0"
 
@@ -44,16 +42,16 @@ def test_failure_payload_is_replayable():
 
 def test_unknown_claim():
     with pytest.raises(UnknownClaim):
-        verify_claim("L.no-such", range(1, 2))
+        run_any_claim("L.no-such", range(1, 2))
 
 
 def test_conditional_claims_skip_inapplicable_inputs():
-    report = verify_claim("L.21-11.even", range(1, 11))
+    report = run_any_claim("L.21-11.even", range(1, 11))
     assert report.passed == 5 and report.skipped == 5 and report.failed == 0
 
 
 def test_inverse_claims_replay_backward():
-    report = verify_claim("L.11-21.even", range(1, 21))
+    report = run_any_claim("L.11-21.even", range(1, 21))
     assert report.failed == 0
     assert report.passed == 10  # even A only
 
@@ -66,37 +64,49 @@ def test_build_witness_validates():
 
 
 def test_node_loop_closes_cycles():
-    report = verify_claim("T.node-loop", range(1, 101))
+    report = run_any_claim("T.node-loop", range(1, 101))
     assert report.failed == 0, [f.to_dict() for f in report.failures]
 
 
 def test_succession_endpoints_and_flag_count():
-    report = verify_succession(1, range(1, 1001))
+    report = run_any_claim("T.succ1", range(1, 1001))
     assert report.failed == 0
     assert report.claim_id == "T.succ1"
     assert report.model == "M2"
     assert "nonpositive_intermediate_inputs" in report.bounds
-    with pytest.raises(ValueError):
-        verify_succession(5, range(1, 2))
+    with pytest.raises(UnknownClaim):
+        run_any_claim("T.succ5", range(1, 2))
 
 
 def test_cluster_mutual_reachability_small():
     for kind in ("five", "three", "nine"):
-        report = verify_cluster(kind, range(1, 21))
+        report = run_any_claim(f"T.cluster-{kind}", range(1, 21))
         assert report.failed == 0, (kind, report.failures[:2])
-    assert verify_cluster("five", range(0, 2)).skipped == 1  # k=0 skipped
-    with pytest.raises(ValueError):
-        verify_cluster("seven", range(1, 2))
+    assert run_any_claim("T.cluster-five", range(0, 2)).skipped == 1  # k=0 skipped
+    with pytest.raises(UnknownClaim):
+        run_any_claim("T.cluster-seven", range(1, 2))
 
 
 def test_descending_witnesses():
-    for model in (ModelId.MS, ModelId.M1):
-        report = verify_descending(model, range(2, 201))
+    for claim_id in ("T.descend-ms", "L.descend-m1"):
+        report = run_any_claim(claim_id, range(2, 201))
         assert report.failed == 0
     # a=1 is skipped: nothing below 1 to descend to
-    assert verify_descending(ModelId.MS, range(1, 3)).skipped == 1
-    with pytest.raises(ValueError):
-        verify_descending(ModelId.M0, range(2, 3))
+    assert run_any_claim("T.descend-ms", range(1, 3)).skipped == 1
+    with pytest.raises(UnknownClaim):
+        run_any_claim("T.descend-m0", range(2, 3))
+
+
+def test_descend_failures_name_the_budget():
+    # 3 has no move below 3 inside a value cap of 1: proven, not a budget
+    capped = run_any_claim("T.descend-ms", range(3, 4), SearchBounds(max_value=1))
+    assert [f.reason for f in capped.failures] == ["unreachable-within-bounds"]
+    # one search layer from 27 leaves the frontier alive: a budget ran out
+    shallow = run_any_claim("L.descend-m1", range(27, 28),
+                            SearchBounds(max_value=10**6, max_depth=1))
+    assert [f.reason for f in shallow.failures] == ["budget-exceeded"]
+    assert descending_witness(3, ModelId.MS, SearchBounds(max_value=1)) \
+        == Unreachable(bound_exhausted=False)
 
 
 def test_descending_witness_is_guard_legal():
@@ -111,10 +121,13 @@ def test_edge_loop_directed_reading_reports_findings():
     # MS forward moves only shrink toward {1,2,4}; 3A+1 > A is never
     # forward-reachable from an even A, so the directed reading fails and
     # says so rather than pretending
-    report = verify_edge_loop(range(2, 11))
+    report = run_any_claim("T.edge-loop", range(2, 11))
     assert report.skipped == 4  # odd A
     assert report.failed == 5
     assert all("no MS path" in f.reason for f in report.failures)
+    # A = 0 is not a positive integer: skipped, not a search with a zero cap
+    report = run_any_claim("T.edge-loop", range(0, 3))
+    assert (report.skipped, report.failed) == (2, 1)
 
 
 def test_run_any_claim_dispatch():
