@@ -11,7 +11,6 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import DomainViolation, GuardViolation, ParseError
 from .ternary import to_ternary
@@ -45,6 +44,10 @@ class Action(enum.Enum):
 
 
 _INVERSE = {Action.T: Action.F, Action.F: Action.T, Action.B: Action.D, Action.D: Action.B}
+# Plain globals for the per-step code in apply and evaluate_exact: one dict
+# lookup per use instead of a global lookup plus an enum attribute access.
+_T, _B, _F, _D = Action.T, Action.B, Action.F, Action.D
+_M0, _M1 = ModelId.M0, ModelId.M1
 
 
 def action_function(action: Action, x):
@@ -83,19 +86,27 @@ def is_legal(action: Action, x, model: ModelId) -> bool:
 def apply(action: Action, x, model: ModelId, step_index=None):
     """Apply one action under a model's guards; exact result.
 
-    Integer models demand an integer input >= 1 and keep results there.
-    M2 evaluates over exact rationals with no guard at all.
+    Integer models demand an integer input >= 1; the guards (the same table
+    as is_legal) keep every legal result there, so it is not re-checked:
+    T gives >= 4, B halves an even >= 2, F needs x >= 4 with x = 1 (mod 3)
+    and D doubles. M2 evaluates over exact rationals with no guard at all.
     """
-    if model in INTEGER_MODELS:
-        if not isinstance(x, int) or x < 1:
-            raise DomainViolation(action, x, x, model, step_index)
-        if not is_legal(action, x, model):
-            raise GuardViolation(action, x, model, step_index)
-        result = action_function(action, x)
-        if not isinstance(result, int) or result < 1:
-            raise DomainViolation(action, x, result, model, step_index)
-        return result
-    return action_function(action, Fraction(x))
+    if model not in INTEGER_MODELS:
+        return action_function(action, Fraction(x))
+    if not isinstance(x, int) or x < 1:
+        raise DomainViolation(action, x, x, model, step_index)
+    if action is _T:
+        if x & 1 or model is _M1:
+            return 3 * x + 1
+    elif action is _B:
+        if not x & 1:
+            return x >> 1
+    elif action is _F:
+        if model is not _M0 and x % 3 == 1 and x > 1:
+            return (x - 1) // 3
+    elif action is _D and model is _M1:
+        return 2 * x
+    raise GuardViolation(action, x, model, step_index)
 
 
 @dataclass(frozen=True)
@@ -188,8 +199,8 @@ def apply_seq(seq: ActionSeq, x, model: ModelId) -> Trace:
     """
     steps = []
     value = x
-    for i, action in enumerate(seq):
-        value = apply(action, value, model, step_index=i)
+    for i, action in enumerate(seq.steps):
+        value = apply(action, value, model, i)
         steps.append((action, value))
     return Trace(start=x, model=model, steps=tuple(steps))
 
@@ -203,10 +214,12 @@ def validate_trace(trace: Trace) -> bool:
 def evaluate_exact(seq: ActionSeq, x):
     """Unguarded signed-rational evaluation of a sequence.
 
-    Returns (end, flagged) where flagged lists (step_index, value) for every
-    intermediate <= 0. Runs on a raw numerator/denominator pair: the only
-    denominators that ever appear are products of 2s and 3s, so this stays
-    fast over big ranges.
+    Returns (end, flagged): end is the exact rational result, and flagged
+    lists (step_index, value) for every intermediate <= 0, in step order.
+    Runs on a raw numerator/denominator pair p/q with q > 0: the only
+    denominators that ever appear are products of 2s and 3s, so B and F
+    divide p exactly when they can and otherwise grow q. The pair is not
+    kept in lowest terms between steps; end is normalised once.
     """
     if isinstance(x, int):
         p, q = x, 1
@@ -214,23 +227,22 @@ def evaluate_exact(seq: ActionSeq, x):
         x = Fraction(x)
         p, q = x.numerator, x.denominator
     flagged = []
-    for i, action in enumerate(seq):
-        if action is Action.T:
+    for i, action in enumerate(seq.steps):
+        if action is _T:
             p = 3 * p + q
-        elif action is Action.D:
-            p = 2 * p
-        elif action is Action.B:
-            if p % 2 == 0:
-                p //= 2
+        elif action is _D:
+            p <<= 1
+        elif action is _B:
+            if p & 1:
+                q <<= 1
             else:
-                q *= 2
+                p >>= 1
         else:  # F
             p -= q
-            if p % 3 == 0:
-                p //= 3
-            else:
+            if p % 3:
                 q *= 3
+            else:
+                p //= 3
         if p <= 0:
             flagged.append((i, Fraction(p, q)))
-    g = gcd(abs(p), q)
-    return Fraction(p // g, q // g), flagged
+    return Fraction(p, q), flagged

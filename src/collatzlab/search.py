@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .actions import ActionSeq, ModelId, apply_seq
+from .actions import Action, ActionSeq, ModelId, apply_seq
 from .errors import DepthExceeded
 from .models import (INTEGER_PREDECESSORS, INTEGER_SUCCESSORS, predecessors,
                      successors)
@@ -231,8 +231,6 @@ def trajectory(n: int, max_depth: int = 100_000) -> Path:
     """
     if n < 1:
         raise ValueError(f"positive integer required, got {n}")
-    from .actions import Action
-
     values = [n]
     actions = []
     x = n

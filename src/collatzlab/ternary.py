@@ -12,6 +12,11 @@ from dataclasses import dataclass
 
 from .errors import DomainViolation, GuardViolation
 
+_DIGIT_SET = frozenset((0, 1, 2))
+# _CHUNKS[r] is r < 3**5 as five digits, least-significant-first.
+_CHUNKS = tuple((r % 3, r // 3 % 3, r // 9 % 3, r // 27 % 3, r // 81)
+                for r in range(243))
+
 
 @dataclass(frozen=True)
 class Ternary:
@@ -22,13 +27,13 @@ class Ternary:
     def __post_init__(self):
         if not self.digits:
             raise ValueError("empty digit list")
-        if any(d not in (0, 1, 2) for d in self.digits):
+        if not _DIGIT_SET.issuperset(self.digits):
             raise ValueError(f"digits must be in 0..2: {self.digits}")
         if self.digits[-1] == 0:
             raise ValueError("leading zero: not canonical")
 
     def __str__(self):
-        return "".join(str(d) for d in reversed(self.digits))
+        return "".join(["012"[d] for d in reversed(self.digits)])
 
     def __int__(self):
         return from_ternary(self)
@@ -43,6 +48,9 @@ def to_ternary(n: int) -> Ternary:
     if n < 1:
         raise ValueError(f"positive integer required, got {n}")
     digits = []
+    while n >= 243:
+        n, r = divmod(n, 243)
+        digits += _CHUNKS[r]
     while n:
         n, d = divmod(n, 3)
         digits.append(d)

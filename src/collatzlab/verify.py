@@ -279,6 +279,9 @@ def _cluster(kind):
     return ModelId.M1, _cluster_bounds_dict, check
 
 
+_SEQ_B, _SEQ_F = seq_of("B"), seq_of("F")
+
+
 def descending_witness(a: int, model: ModelId,
                        bounds: SearchBounds | None = None):
     """A guard-legal Trace whose end is below a, or the search's Unreachable.
@@ -288,9 +291,9 @@ def descending_witness(a: int, model: ModelId,
     legal in both MS and M1). Falls back to bounded BFS.
     """
     if a % 2 == 0:
-        return apply_seq(seq_of("B"), a, model)
+        return apply_seq(_SEQ_B, a, model)
     if a % 3 == 1 and a > 1:
-        return apply_seq(seq_of("F"), a, model)
+        return apply_seq(_SEQ_F, a, model)
     steps = []
     x = a
     limit = bounds.max_depth if bounds is not None else 1000

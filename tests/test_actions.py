@@ -3,13 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collatzlab.actions import (Action, ActionSeq, ModelId, action_function,
-                                apply, apply_seq, evaluate_exact, inverse_seq,
-                                is_legal, parse_seq, seq_of, validate_trace)
-from collatzlab.errors import DomainViolation, GuardViolation, ParseError
+from collatzlab.actions import (INTEGER_MODELS, Action, ActionSeq, ModelId,
+                                Trace, action_function, apply, apply_seq,
+                                evaluate_exact, inverse_seq, is_legal,
+                                parse_seq, seq_of, validate_trace)
+from collatzlab.errors import (CollatzlabError, DomainViolation,
+                               GuardViolation, ParseError)
 
 actions = st.sampled_from(list(Action))
 sequences = st.lists(actions, min_size=1, max_size=12).map(
@@ -145,3 +147,99 @@ def test_evaluate_exact_matches_fraction_oracle(seq, x):
         value = action_function(action, value)
     end, _ = evaluate_exact(seq, x)
     assert end == value
+
+
+def reference_apply(action, x, model, step_index=None):
+    """One guarded step from is_legal and action_function, both domains checked."""
+    if model in INTEGER_MODELS:
+        if not isinstance(x, int) or x < 1:
+            raise DomainViolation(action, x, x, model, step_index)
+        if not is_legal(action, x, model):
+            raise GuardViolation(action, x, model, step_index)
+        result = action_function(action, x)
+        if not isinstance(result, int) or result < 1:
+            raise DomainViolation(action, x, result, model, step_index)
+        return result
+    return action_function(action, Fraction(x))
+
+
+def reference_apply_seq(seq, x, model):
+    steps = []
+    value = x
+    for i, action in enumerate(seq.steps):
+        value = reference_apply(action, value, model, i)
+        steps.append((action, value))
+    return Trace(start=x, model=model, steps=tuple(steps))
+
+
+def outcome(fn, *args):
+    """The value with its type, or the error's type, message and step index."""
+    try:
+        value = fn(*args)
+    except CollatzlabError as exc:
+        return type(exc), str(exc), exc.step_index
+    return type(value), value
+
+
+def test_fused_apply_matches_guard_table():
+    bad_inputs = (0, -3, Fraction(1, 2))
+    for model in ModelId:
+        for action in Action:
+            for x in range(1, 2 * 10**4 + 1):
+                # x mod 4 is independent of x mod 3 and covers both
+                # parities, so every guard case is met with and without
+                # a step index
+                args = (action, x, model, None if x % 4 < 2 else x)
+                assert outcome(apply, *args) == outcome(reference_apply,
+                                                        *args), args
+            for x in bad_inputs:
+                for step_index in (None, 5):
+                    args = (action, x, model, step_index)
+                    assert outcome(apply, *args) == outcome(reference_apply,
+                                                            *args), args
+            for x in bad_inputs:
+                seq = ActionSeq((action,))
+                assert (outcome(apply_seq, seq, x, model)
+                        == outcome(reference_apply_seq, seq, x, model))
+
+
+@given(st.lists(actions, max_size=12).map(lambda s: ActionSeq(tuple(s))),
+       st.integers(min_value=1, max_value=2**70), st.sampled_from(list(ModelId)))
+@settings(max_examples=400)
+@example(seq_of("TTB"), 1, ModelId.M0)
+@example(seq_of("FB"), 2**70 + 1, ModelId.MS)
+def test_fused_apply_matches_guard_table_on_big_values(seq, x, model):
+    for action in Action:
+        assert (outcome(apply, action, x, model, 3)
+                == outcome(reference_apply, action, x, model, 3))
+    assert (outcome(apply_seq, seq, x, model)
+            == outcome(reference_apply_seq, seq, x, model))
+
+
+def stepwise_fraction(seq, x):
+    """(end, flagged) by plain Fraction arithmetic, one action at a time."""
+    maps = {Action.T: lambda v: 3 * v + 1, Action.B: lambda v: v / 2,
+            Action.F: lambda v: (v - 1) / 3, Action.D: lambda v: 2 * v}
+    value = Fraction(x)
+    flagged = []
+    for i, action in enumerate(seq.steps):
+        value = maps[action](value)
+        if value <= 0:
+            flagged.append((i, value))
+    return value, flagged
+
+
+rationals = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4))
+
+
+@given(st.lists(actions, max_size=20).map(lambda s: ActionSeq(tuple(s))),
+       rationals)
+@settings(max_examples=500)
+@example(ActionSeq(()), 0)
+@example(seq_of("FF"), 1)
+@example(seq_of("BT"), -3)
+@example(seq_of("TDDFFBBT"), Fraction(-7, 6))
+def test_evaluate_exact_matches_stepwise_fractions_on_signed_rationals(seq, x):
+    assert evaluate_exact(seq, x) == stepwise_fraction(seq, x)
