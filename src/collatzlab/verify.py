@@ -246,34 +246,65 @@ def _cluster_bounds_dict(search_bounds):
     return {"max_value": bounds.max_value, "max_depth": bounds.max_depth}
 
 
+def _replay_known(scripts, src, dst, bounds):
+    """True when one of scripts is a guard-legal M1 walk src => dst whose
+    values, endpoints included, stay <= bounds.max_value, in at most
+    bounds.max_depth steps. The script that fits moves to the front.
+    """
+    for i, seq in enumerate(scripts):
+        if len(seq) > bounds.max_depth:
+            continue
+        try:
+            trace = apply_seq(seq, src, ModelId.M1)
+        except (GuardViolation, DomainViolation):
+            continue
+        if trace.end == dst and max(trace.values) <= bounds.max_value:
+            scripts.insert(0, scripts.pop(i))
+            return True
+    return False
+
+
 def _cluster(kind):
     """Pairwise mutual reachability inside each cluster, by bounded search.
 
     Independent of the scripted lemmas: every member is connected to a hub
-    member in both directions by BFS, which yields every ordered pair by
-    path composition. Each pair that fails is its own failure.
+    member in both directions, which yields every ordered pair by path
+    composition. Each pair that fails is its own failure.
+
+    M1's guards read only x mod 2, x mod 3 and x > 1, so one action script
+    joins the same residue pair for a whole class of k. Each pair first
+    replays the scripts learned at earlier k (most recently used first),
+    keyed by the pair's offsets from 9k; only when none fits does the
+    bidirectional search run, and a path it finds is learned. A script that
+    replays is a path the search would also accept, so every verdict is the
+    search's, except that a pair whose search would run out of max_states
+    can pass on a replay.
     """
     residues = CLUSTER_MEMBERS[kind]
     hub_r = CLUSTER_HUB[kind]
+    learned = {}
 
     def check(k, search_bounds):
         if k < 1:
             return None
         bounds = _cluster_bounds(search_bounds)
-        hub = 9 * k + hub_r
+        base = 9 * k
         failures = []
         for r in residues:
             if r == hub_r:
                 continue
-            member = 9 * k + r
-            for src, dst in ((member, hub), (hub, member)):
+            for src_r, dst_r in ((r, hub_r), (hub_r, r)):
+                src, dst = base + src_r, base + dst_r
+                scripts = learned.setdefault((src_r, dst_r), [])
+                if _replay_known(scripts, src, dst, bounds):
+                    continue
                 result = bfs_reach_bidirectional(ModelId.M1, src, dst, bounds)
                 if isinstance(result, Unreachable):
-                    tag = ("budget-exceeded" if result.bound_exhausted
-                           else "unreachable")
                     failures.append(Failure(
-                        k, None, f"{tag}: pair {src} => {dst} "
-                                 f"with cap {bounds.max_value}"))
+                        k, None, f"{_search_tag(result)}: pair {src} => "
+                                 f"{dst} with cap {bounds.max_value}"))
+                elif result.actions not in scripts:
+                    scripts.insert(0, result.actions)
         return failures
 
     return ModelId.M1, _cluster_bounds_dict, check

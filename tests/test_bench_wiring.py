@@ -1,10 +1,11 @@
 """The benchmark's tracer can still wrap every library function it counts.
 
 bench/tracer.py replaces functions by module attribute; renaming or
-unbinding one of them makes `bench/run.py --trace 1` fail. This test runs
-the tracer's install step against the library in a fresh interpreter.
+unbinding one of them makes `bench/run.py --trace 1` fail. These tests run
+the tracer against the library in a fresh interpreter.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -20,3 +21,20 @@ def test_tracer_installs_against_the_library():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_sees_cluster_replays_and_searches():
+    # replays and fallback searches go through verify.apply_seq and
+    # verify.bfs_reach_bidirectional, the attributes the tracer wraps
+    code = ("import sys, json; sys.path.insert(0, 'bench'); import tracer; "
+            "tr = tracer.Tracer(); tracer.install(tr); "
+            "from collatzlab import verify; "
+            "verify.run_any_claim('T.cluster-five', range(1, 40)); "
+            "print(json.dumps(dict(tr.count)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count = json.loads(proc.stdout)
+    assert count["actions.apply_seq"] >= 1
+    assert 1 <= count["search.bidir.calls"] < 8 * 39

@@ -71,6 +71,15 @@ def test_verify_is_deterministic():
     assert first == second
 
 
+def test_cluster_replay_output_does_not_depend_on_workers():
+    # each range chunk learns its own cluster scripts
+    argv = ["verify", "--claim", "T.cluster-nine,T.cluster-three",
+            "--range", "1..80"]
+    single = run(argv + ["--workers", "1"])
+    assert single[0] == 0
+    assert run(argv + ["--workers", "2"]) == single
+
+
 def test_reach():
     code, text = run(["reach", "--model", "ms", "--from", "7", "--to", "1"])
     assert code == 0

@@ -138,3 +138,86 @@ def test_run_any_claim_dispatch():
                            SearchBounds(max_value=2**16))
     assert report.bounds["max_value"] == 2**16
     assert report.failed == 0
+
+
+def _search_only_cluster(kind, a_range, search_bounds=None):
+    """Reference: one bidirectional search per ordered (member, hub) pair."""
+    from collatzlab.search import bfs_reach_bidirectional
+    from collatzlab.verify import CLUSTER_HUB, CLUSTER_MEMBERS
+
+    if search_bounds is None:
+        bounds = SearchBounds(max_value=2**20)
+    else:
+        bounds = SearchBounds(max_value=search_bounds.max_value,
+                              max_depth=search_bounds.max_depth)
+    hub_r = CLUSTER_HUB[kind]
+    report = VerifyReport(claim_id=f"T.cluster-{kind}", model="M1",
+                          range=(a_range.start, a_range[-1]))
+    for k in a_range:
+        if k < 1:
+            report.record_skip()
+            continue
+        failures = []
+        for r in CLUSTER_MEMBERS[kind]:
+            if r == hub_r:
+                continue
+            member, hub = 9 * k + r, 9 * k + hub_r
+            for src, dst in ((member, hub), (hub, member)):
+                result = bfs_reach_bidirectional(ModelId.M1, src, dst, bounds)
+                if isinstance(result, Unreachable):
+                    tag = ("budget-exceeded" if result.bound_exhausted
+                           else "unreachable-within-bounds")
+                    failures.append(Failure(
+                        k, None, f"{tag}: pair {src} => {dst} "
+                                 f"with cap {bounds.max_value}"))
+        for failure in failures:
+            report.record_failure(failure)
+        if not failures:
+            report.record_pass()
+    report.bounds = {"max_value": bounds.max_value,
+                     "max_depth": bounds.max_depth}
+    return report.to_dict()
+
+
+@pytest.mark.parametrize("kind, a_range, bounds", [
+    ("five", range(1, 61), None),
+    ("three", range(1, 61), None),
+    ("nine", range(1, 61), None),
+    ("nine", range(1, 201), SearchBounds(max_value=4096, max_depth=12)),
+    ("five", range(1, 4), SearchBounds(max_value=2**20, max_depth=1)),
+    # k >= 116,508 puts the pairs above the default cap of 2^20: scripts
+    # learned below it stop replaying and the search reports every miss
+    ("nine", range(116495, 116516), None),
+])
+def test_cluster_replay_matches_search_only(kind, a_range, bounds):
+    report = run_any_claim(f"T.cluster-{kind}", a_range, bounds)
+    assert report.to_dict() == _search_only_cluster(kind, a_range, bounds)
+
+
+def test_cluster_failures_use_the_shared_tag():
+    report = run_any_claim("T.cluster-five", range(116500, 116511))
+    assert (report.passed, report.failed) == (0, 54)
+    assert report.failures[0].reason == ("unreachable-within-bounds: pair "
+                                         "1048503 => 1048504 with cap 1048576")
+
+
+def test_replay_rejects_scripts_that_do_not_witness_the_pair():
+    from collatzlab.actions import parse_seq
+    from collatzlab.verify import _replay_known
+
+    # 9 -T-> 28 -B-> 14 -B-> 7 -F-> 2 -D-> 4 -T-> 13: cluster-five, k = 1
+    good = parse_seq("TBBFDT")
+    wide = SearchBounds(max_value=2**20)
+    assert not _replay_known([parse_seq("BBFDT")], 9, 13, wide)   # guard
+    assert not _replay_known([parse_seq("TBBFD")], 9, 13, wide)   # endpoint
+    assert not _replay_known([good], 9, 13, SearchBounds(max_value=27))
+    assert not _replay_known([good], 9, 13,
+                             SearchBounds(max_value=2**20, max_depth=5))
+    # an endpoint above the cap also rejects, although the search allows it
+    assert not _replay_known([parse_seq("B")], 14, 7,
+                             SearchBounds(max_value=13))
+    assert not _replay_known([], 9, 13, wide)
+    scripts = [parse_seq("BBFDT"), parse_seq("TBBFD"), good]
+    assert _replay_known(scripts, 9, 13,
+                         SearchBounds(max_value=28, max_depth=6))
+    assert scripts == [good, parse_seq("BBFDT"), parse_seq("TBBFD")]
