@@ -40,10 +40,11 @@ class Action(enum.Enum):
 
     @property
     def inverse(self) -> "Action":
-        return _INVERSE[self]
+        return _INVERSE[self._value_]
 
 
-_INVERSE = {Action.T: Action.F, Action.F: Action.T, Action.B: Action.D, Action.D: Action.B}
+# Keyed by letter: hashing a str skips the Python-level Enum.__hash__.
+_INVERSE = {"T": Action.F, "F": Action.T, "B": Action.D, "D": Action.B}
 # Plain globals for the per-step code in apply and evaluate_exact: one dict
 # lookup per use instead of a global lookup plus an enum attribute access.
 _T, _B, _F, _D = Action.T, Action.B, Action.F, Action.D
@@ -154,7 +155,7 @@ def seq_of(text: str) -> ActionSeq:
 
 def inverse_seq(seq: ActionSeq) -> ActionSeq:
     """Reverse the order and invert every action."""
-    return ActionSeq(tuple(a.inverse for a in reversed(seq.steps)))
+    return ActionSeq(tuple(_INVERSE[a._value_] for a in reversed(seq.steps)))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """Executable catalog of the ternary-suffix lemmas and theorems.
 
 Each claim instantiates an input from the parameter A (the cluster base),
-runs a witness construction under M1 guards (MS where noted), and compares
-the endpoint against an arithmetic target. Witnesses are mostly literal
-action scripts; a few segments fall back to bounded search where the
-source argument is itself non-constructive.
+runs a witness script under M1 guards (MS where noted), and compares the
+endpoint against an arithmetic target. Every witness is one literal action
+script, chosen by A's residue class.
 
 Suffix-digit arithmetic used throughout (base 3, A is the prefix value):
     A0 = 3A, A1 = 3A+1, A2 = 3A+2, and e.g. A21 = 9A+7.
@@ -30,6 +29,7 @@ SEQ_20_21 = seq_of("TDDFFBBT")
 SEQ_21_20 = seq_of("FDDTTBBF")
 SEQ_12_21 = seq_of("DDDFFBBTBT")
 SEQ_21_12 = seq_of("FDFDDTTBBB")
+SEQ_ATTACH = seq_of("TT")             # A -> A11
 
 # Appending / erasing a trailing '2'. For any value v = 3W+2 (numeral W2):
 # T, D land on (2W+1)12; swapping the 12-suffix to 21 and halving gives
@@ -50,6 +50,12 @@ SEQ_22_11_LAST0 = (seq_of("D") + SEQ_21_12 + seq_of("BF")
                    + SEQ_02_11 + SEQ_11_01 + seq_of("T"))
 SEQ_22_11_LAST1 = seq_of("TB") + SEQ_BACKSPACE2 + SEQ_BACKSPACE2 + seq_of("DT")
 SEQ_22_11_LAST2 = SEQ_BACKSPACE2 + SEQ_BACKSPACE2 + seq_of("TT")
+
+# Node-loop hop 3h+2 => h, chosen by h's parity. M1's guards read only
+# x mod 2, x mod 3 and x > 1, so walked on the forms 6s+2 (h = 2s, s >= 1)
+# and 6s+5 (h = 2s+1, s >= 0) every B, F and D guard holds for all s.
+SEQ_HOP_EVEN = seq_of("BFD")
+SEQ_HOP_ODD = seq_of("DFDDTTBBBBFDF")
 
 # Succession identities over exact rationals, +1 through +4.
 SUCCESSION_SEQS = {
@@ -118,15 +124,6 @@ def to_eleven_script(value: int) -> ActionSeq:
     return ActionSeq(steps)
 
 
-# Witness segments: a literal script, or a bounded search to a value.
-def prim(seq: ActionSeq):
-    return ("prim", seq)
-
-
-def bfs(target: int):
-    return ("bfs", target)
-
-
 @dataclass(frozen=True)
 class Claim:
     """One catalog entry: an executable reading of a lemma or theorem."""
@@ -135,9 +132,8 @@ class Claim:
     description: str
     input_fn: Callable[[int], int]
     expected_fn: Callable[[int], int]
-    build: Callable[[int], list] | None = None
+    build: Callable[[int], ActionSeq] | None = None
     applies: Callable[[int], bool] = lambda a: True
-    skip_reason: str = ""
     model: ModelId = ModelId.M1
     inverse_of: str | None = None
     close_cycle: bool = False
@@ -145,20 +141,19 @@ class Claim:
 
 
 def _simple(claim_id, description, offset_in, offset_out, seq, *,
-            applies=None, skip_reason=""):
+            applies=None):
     return Claim(
         id=claim_id,
         description=description,
         input_fn=lambda a: 9 * a + offset_in,
         expected_fn=lambda a: 9 * a + offset_out,
-        build=lambda a: [prim(seq)],
+        build=lambda a: seq,
         applies=applies or (lambda a: True),
-        skip_reason=skip_reason,
     )
 
 
 def _inverse(claim_id, description, forward_id, offset_in, offset_out, *,
-             applies=None, skip_reason=""):
+             applies=None):
     return Claim(
         id=claim_id,
         description=description,
@@ -166,7 +161,6 @@ def _inverse(claim_id, description, forward_id, offset_in, offset_out, *,
         expected_fn=lambda a: 9 * a + offset_out,
         inverse_of=forward_id,
         applies=applies or (lambda a: True),
-        skip_reason=skip_reason,
     )
 
 
@@ -178,13 +172,10 @@ def _odd_last(digit):
     return lambda a: a % 2 == 1 and a % 3 == digit
 
 
-_EVEN = "A must be even"
-_ODD0 = "A must be odd with last ternary digit 0"
-_ODD1 = "A must be odd with last ternary digit 1"
-_ODD2 = "A must be odd with last ternary digit 2"
-
 # How many trailing 2s T.append2 appends and T.backspace2 erases.
 APPEND_DEPTH = 6
+SEQ_APPEND2_ITERATED = ActionSeq(SEQ_APPEND2.steps * APPEND_DEPTH)
+SEQ_BACKSPACE2_ITERATED = ActionSeq(SEQ_BACKSPACE2.steps * APPEND_DEPTH)
 
 
 def _append2_expected(a):
@@ -211,65 +202,63 @@ def build_claims() -> dict[str, Claim]:
             description="TT attaches any A to its 5-cluster hub A11",
             input_fn=lambda a: a,
             expected_fn=lambda a: 9 * a + 4,
-            build=lambda a: [prim(seq_of("TT"))],
+            build=lambda a: SEQ_ATTACH,
         ),
         # 3-cluster to 5-cluster, conditional on A.
         _simple("L.21-11.even", "A21 => A11 when A even", 7, 4,
-                SEQ_21_11_EVEN, applies=_is_even, skip_reason=_EVEN),
+                SEQ_21_11_EVEN, applies=_is_even),
         _inverse("L.11-21.even", "A11 => A21 when A even",
-                 "L.21-11.even", 4, 7, applies=_is_even, skip_reason=_EVEN),
+                 "L.21-11.even", 4, 7, applies=_is_even),
         _simple("L.21-11.last0", "R021 => R011 (A odd, A = R0)", 7, 4,
-                SEQ_21_11_LAST0, applies=_odd_last(0), skip_reason=_ODD0),
+                SEQ_21_11_LAST0, applies=_odd_last(0)),
         _inverse("L.11-21.last0", "R011 => R021 (A odd, A = R0)",
-                 "L.21-11.last0", 4, 7, applies=_odd_last(0), skip_reason=_ODD0),
+                 "L.21-11.last0", 4, 7, applies=_odd_last(0)),
         _simple("L.21-11.last1", "R121 => R111 (A odd, A = R1)", 7, 4,
-                SEQ_21_11_LAST1, applies=_odd_last(1), skip_reason=_ODD1),
+                SEQ_21_11_LAST1, applies=_odd_last(1)),
         _inverse("L.11-21.last1", "R111 => R121 (A odd, A = R1)",
-                 "L.21-11.last1", 4, 7, applies=_odd_last(1), skip_reason=_ODD1),
+                 "L.21-11.last1", 4, 7, applies=_odd_last(1)),
         _simple("L.21-11.last2", "R221 => R211 (A odd, A = R2)", 7, 4,
-                SEQ_21_11_LAST2, applies=_odd_last(2), skip_reason=_ODD2),
+                SEQ_21_11_LAST2, applies=_odd_last(2)),
         _inverse("L.11-21.last2", "R211 => R221 (A odd, A = R2)",
-                 "L.21-11.last2", 4, 7, applies=_odd_last(2), skip_reason=_ODD2),
+                 "L.21-11.last2", 4, 7, applies=_odd_last(2)),
         _simple("L.22-11.even", "A22 => A11 when A even", 8, 4,
-                SEQ_22_11_EVEN, applies=_is_even, skip_reason=_EVEN),
+                SEQ_22_11_EVEN, applies=_is_even),
         _inverse("L.11-22.even", "A11 => A22 when A even",
-                 "L.22-11.even", 4, 8, applies=_is_even, skip_reason=_EVEN),
+                 "L.22-11.even", 4, 8, applies=_is_even),
         _simple("L.22-11.last0", "R022 => R011 (A odd, A = R0)", 8, 4,
-                SEQ_22_11_LAST0, applies=_odd_last(0), skip_reason=_ODD0),
+                SEQ_22_11_LAST0, applies=_odd_last(0)),
         _inverse("L.11-22.last0", "R011 => R022 (A odd, A = R0)",
-                 "L.22-11.last0", 4, 8, applies=_odd_last(0), skip_reason=_ODD0),
+                 "L.22-11.last0", 4, 8, applies=_odd_last(0)),
         _simple("L.22-11.last1", "R122 => R111 (A odd, A = R1)", 8, 4,
-                SEQ_22_11_LAST1, applies=_odd_last(1), skip_reason=_ODD1),
+                SEQ_22_11_LAST1, applies=_odd_last(1)),
         _inverse("L.11-22.last1", "R111 => R122 (A odd, A = R1)",
-                 "L.22-11.last1", 4, 8, applies=_odd_last(1), skip_reason=_ODD1),
+                 "L.22-11.last1", 4, 8, applies=_odd_last(1)),
         _simple("L.22-11.last2", "R222 => R211 (A odd, A = R2)", 8, 4,
-                SEQ_22_11_LAST2, applies=_odd_last(2), skip_reason=_ODD2),
+                SEQ_22_11_LAST2, applies=_odd_last(2)),
         _inverse("L.11-22.last2", "R211 => R222 (A odd, A = R2)",
-                 "L.22-11.last2", 4, 8, applies=_odd_last(2), skip_reason=_ODD2),
+                 "L.22-11.last2", 4, 8, applies=_odd_last(2)),
         Claim(
             id="T.append2",
             description=f"appending a trailing 2, iterated {APPEND_DEPTH} times",
             input_fn=lambda a: a,
             expected_fn=_append2_expected,
-            build=lambda a: [prim(SEQ_APPEND2)] * APPEND_DEPTH,
+            build=lambda a: SEQ_APPEND2_ITERATED,
             applies=lambda a: a % 3 == 2,
-            skip_reason="A must end in ternary digit 2",
         ),
         Claim(
             id="T.backspace2",
             description=f"erasing a trailing 2, iterated {APPEND_DEPTH} times",
             input_fn=_append2_expected,
             expected_fn=lambda a: a,
-            build=lambda a: [prim(SEQ_BACKSPACE2)] * APPEND_DEPTH,
+            build=lambda a: SEQ_BACKSPACE2_ITERATED,
             applies=lambda a: a % 3 == 2,
-            skip_reason="A must end in ternary digit 2",
         ),
         Claim(
             id="T.a-11",
             description="every A reaches 11 (i.e. 4), cluster lemmas composed",
             input_fn=lambda a: a,
             expected_fn=lambda a: 4,
-            build=lambda a: [prim(to_eleven_script(a))],
+            build=to_eleven_script,
         ),
         Claim(
             id="T.node-loop",
@@ -288,13 +277,18 @@ def _node_loop_waypoint(a: int) -> int:
     return 1 if a == 1 else a // 2
 
 
-def _node_loop_build(a: int):
+# A = 1 cycles through 4 and 2. Even A: A => A11 => (A/2)02 => (A/2)11 =>
+# A/2. Odd A = 2h+1: A => A111 => h's ..202 => ..211 => h's ..2 = 3h+2,
+# then the hop 3h+2 => h for h's parity.
+_NODE_LOOP_ONE = seq_of("TBB")
+_NODE_LOOP_EVEN = seq_of("TTB") + SEQ_02_11 + seq_of("FF")
+_NODE_LOOP_ODD = tuple(seq_of("TTTB") + SEQ_02_11 + seq_of("FF") + hop
+                       for hop in (SEQ_HOP_EVEN, SEQ_HOP_ODD))
+
+
+def _node_loop_build(a: int) -> ActionSeq:
     if a == 1:
-        return [prim(seq_of("TBB"))]
-    half = a // 2
+        return _NODE_LOOP_ONE
     if a % 2 == 0:
-        # A => A11 => (A/2)02 => (A/2)11 => A/2, fully scripted.
-        return [prim(seq_of("TTB") + SEQ_02_11 + seq_of("FF"))]
-    # Odd: A => A111 => half's ..202 => ..211 => half's ..2, then a short
-    # search hop 3*half+2 => half.
-    return [prim(seq_of("TTTB") + SEQ_02_11 + seq_of("FF")), bfs(half)]
+        return _NODE_LOOP_EVEN
+    return _NODE_LOOP_ODD[a // 2 % 2]

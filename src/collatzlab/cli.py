@@ -220,8 +220,7 @@ def cmd_reach(args, out) -> int:
         max_value=max(args.src, args.dst) * 2**20, max_depth=args.max_depth)
     result = bfs_reach(args.model, args.src, args.dst, bounds)
     if isinstance(result, Unreachable):
-        kind = "bound-exhausted" if result.bound_exhausted else "unreachable"
-        out.write(f"{kind}: {args.src} => {args.dst} under {args.model}\n")
+        out.write(f"{result.tag}: {args.src} => {args.dst} under {args.model}\n")
         return EXIT_FINDING
     out.write(result.render() + "\n")
     return EXIT_OK

@@ -71,6 +71,12 @@ class Unreachable:
 
     bound_exhausted: bool
 
+    @property
+    def tag(self) -> str:
+        """The failure tag every report uses for this outcome."""
+        return ("budget-exceeded" if self.bound_exhausted
+                else "unreachable-within-bounds")
+
 
 def _empty_path(model, start):
     return Path(model=model, start=start, actions=ActionSeq(()), end=start,

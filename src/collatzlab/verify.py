@@ -90,62 +90,30 @@ def _bounds_dict(bounds: SearchBounds | None) -> dict:
             "max_states": bounds.max_states}
 
 
-def _macro_bounds(current: int, bounds: SearchBounds | None) -> SearchBounds:
-    if bounds is not None:
-        return bounds
-    return SearchBounds(max_value=current * 2**20, max_depth=64,
-                        max_states=200_000)
-
-
-def _search_tag(result: Unreachable) -> str:
-    return ("budget-exceeded" if result.bound_exhausted
-            else "unreachable-within-bounds")
-
-
-def build_witness(claim: catalog.Claim, a: int,
-                  search_bounds: SearchBounds | None = None) -> Path:
-    """Execute a claim's witness construction for one A.
+def build_witness(claim: catalog.Claim, a: int) -> Path:
+    """Run a claim's witness script for one A under the claim's guards.
 
     Returns the full guard-checked Path; raises Guard/DomainViolation on an
-    illegal scripted step. An Unreachable search segment is surfaced as a
-    ValueError tagged budget-exceeded or unreachable-within-bounds.
+    illegal step.
     """
-    start = claim.input_fn(a)
-    value = start
-    actions: list[Action] = []
-    values: list[int] = [start]
-    for kind, payload in claim.build(a):
-        if kind == "prim":
-            for action in payload:
-                value = apply(action, value, claim.model,
-                              step_index=len(actions))
-                actions.append(action)
-                values.append(value)
-        else:  # bfs
-            target = payload
-            result = bfs_reach_bidirectional(
-                claim.model, value, target, _macro_bounds(value, search_bounds))
-            if isinstance(result, Unreachable):
-                raise ValueError(
-                    f"{_search_tag(result)}: search segment {value} => "
-                    f"{target} at step {len(actions)}")
-            actions.extend(result.actions.steps)
-            values.extend(result.values[1:])
-            value = result.end
-    return Path(model=claim.model, start=start,
-                actions=ActionSeq(tuple(actions)), end=value,
+    seq = claim.build(a)
+    value = start = claim.input_fn(a)
+    values = [start]
+    for i, action in enumerate(seq.steps):
+        value = apply(action, value, claim.model, i)
+        values.append(value)
+    return Path(model=claim.model, start=start, actions=seq, end=value,
                 values=tuple(values))
 
 
-def _check_one(claims, claim, a, search_bounds):
+def _check_one(claims, claim, a):
     """Verdict plus witness for one A: None on PASS, else the Failure."""
     if claim.inverse_of is not None:
         forward = claims[claim.inverse_of]
         try:
-            witness = build_witness(forward, a, search_bounds)
-        except (GuardViolation, DomainViolation, ValueError) as exc:
-            return Failure(a, getattr(exc, "step_index", None),
-                           f"forward witness failed: {exc}")
+            witness = build_witness(forward, a)
+        except (GuardViolation, DomainViolation) as exc:
+            return Failure(a, exc.step_index, f"forward witness failed: {exc}")
         if witness.end != forward.expected_fn(a):
             return Failure(a, None,
                            f"forward endpoint {witness.end} != "
@@ -167,11 +135,9 @@ def _check_one(claims, claim, a, search_bounds):
         return None
 
     try:
-        witness = build_witness(claim, a, search_bounds)
+        witness = build_witness(claim, a)
     except (GuardViolation, DomainViolation) as exc:
         return Failure(a, exc.step_index, str(exc))
-    except ValueError as exc:
-        return Failure(a, None, str(exc))
     expected = claim.expected_fn(a)
     if witness.end != expected:
         return Failure(a, None,
@@ -198,10 +164,11 @@ def _catalog_claim(claims, claim):
     def check(a, search_bounds):
         if a < claim.min_a or not claim.applies(a):
             return None
-        failure = _check_one(claims, claim, a, search_bounds)
+        failure = _check_one(claims, claim, a)
         return [failure] if failure else []
 
-    return claim.model, _bounds_dict, check
+    # Catalog witnesses are scripts: no search bound applies to them.
+    return claim.model, lambda search_bounds: {}, check
 
 
 def _succession(offset):
@@ -301,7 +268,7 @@ def _cluster(kind):
                 result = bfs_reach_bidirectional(ModelId.M1, src, dst, bounds)
                 if isinstance(result, Unreachable):
                     failures.append(Failure(
-                        k, None, f"{_search_tag(result)}: pair {src} => "
+                        k, None, f"{result.tag}: pair {src} => "
                                  f"{dst} with cap {bounds.max_value}"))
                 elif result.actions not in scripts:
                     scripts.insert(0, result.actions)
@@ -353,7 +320,7 @@ def _descend(model):
             return None
         witness = descending_witness(a, model, search_bounds)
         if isinstance(witness, Unreachable):
-            return [Failure(a, None, _search_tag(witness))]
+            return [Failure(a, None, witness.tag)]
         if witness.end >= a:
             return [Failure(a, None, f"witness ends at {witness.end} >= {a}",
                             list(witness.values))]
@@ -376,7 +343,7 @@ def _edge_loop(a, search_bounds):
     result = bfs_reach(ModelId.MS, a, target, bounds,
                        forbidden_edges={(target, Action.F)})
     if isinstance(result, Unreachable):
-        return [Failure(a, None, f"{_search_tag(result)}: no MS path "
+        return [Failure(a, None, f"{result.tag}: no MS path "
                                  f"{a} => {target} avoiding the edge")]
     return []
 

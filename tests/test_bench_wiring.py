@@ -38,3 +38,20 @@ def test_tracer_sees_cluster_replays_and_searches():
     count = json.loads(proc.stdout)
     assert count["actions.apply_seq"] >= 1
     assert 1 <= count["search.bidir.calls"] < 8 * 39
+
+
+def test_tracer_counts_node_loop_steps_and_no_searches():
+    # every node-loop step goes through verify.apply, the step the tracer
+    # counts; the odd-A hop no longer searches
+    code = ("import sys, json; sys.path.insert(0, 'bench'); import tracer; "
+            "tr = tracer.Tracer(); tracer.install(tr); "
+            "from collatzlab import verify; "
+            "verify.run_any_claim('T.node-loop', range(1, 200)); "
+            "print(json.dumps(dict(tr.count)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count = json.loads(proc.stdout)
+    assert count.get("search.bidir.calls", 0) == 0
+    assert count["actions.apply"] >= 1

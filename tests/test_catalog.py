@@ -1,7 +1,9 @@
 """Catalog scripts: affine behaviour over rationals, guard-legality over ints."""
 
+import hashlib
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,9 +11,11 @@ from collatzlab.actions import ModelId, apply_seq, evaluate_exact, inverse_seq
 from collatzlab.catalog import (SEQ_00_11, SEQ_01_11, SEQ_02_11, SEQ_10_11,
                                 SEQ_11_00, SEQ_11_01, SEQ_11_02, SEQ_11_10,
                                 SEQ_12_21, SEQ_20_21, SEQ_21_12, SEQ_21_20,
-                                SEQ_APPEND2, SEQ_BACKSPACE2, SMALL_TO_FOUR,
-                                SUCCESSION_SEQS, build_claims, seq_21_to_11,
-                                seq_22_to_11, to_eleven_script)
+                                SEQ_APPEND2, SEQ_BACKSPACE2, SEQ_HOP_EVEN,
+                                SEQ_HOP_ODD, SMALL_TO_FOUR, SUCCESSION_SEQS,
+                                build_claims, seq_21_to_11, seq_22_to_11,
+                                to_eleven_script)
+from collatzlab.verify import build_witness
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000)).filter(
@@ -111,3 +115,109 @@ def test_build_claims_ids_are_stable():
     assert not claims["L.21-11.even"].applies(3)
     assert claims["L.21-11.last1"].applies(7)  # 7 odd, 7 = 1 (mod 3)
     assert not claims["L.21-11.last1"].applies(9)
+
+
+# The node-loop hop 3h+2 => h and the scripts around it, proved on affine
+# forms. walk_affine is test-local and independent of collatzlab: it runs a
+# script on x = a*s + b and raises unless every M1 guard is decided for all
+# s >= s0. M1's guards read only x mod 2, x mod 3 and x > 1; with a >= 1,
+# x grows with s, so x > 1 is checked at s0.
+
+def walk_affine(script, a, b, s0):
+    """End form (a, b) of script on a*s + b over s >= s0."""
+    if a < 1 or a * s0 + b < 1:
+        raise ValueError(f"{a}s+{b} is not positive for s >= {s0}")
+    for i, c in enumerate(script):
+        if c == "T":
+            a, b = 3 * a, 3 * b + 1
+        elif c == "D":
+            a, b = 2 * a, 2 * b
+        elif c == "B":
+            if a % 2 or b % 2:
+                raise ValueError(f"B undecided on {a}s+{b} at step {i}")
+            a, b = a // 2, b // 2
+        elif c == "F":
+            if a % 3 or b % 3 != 1 or a * s0 + b <= 1:
+                raise ValueError(f"F undecided on {a}s+{b} at step {i}")
+            a, b = a // 3, (b - 1) // 3
+        else:
+            raise ValueError(f"unknown action {c!r}")
+    return a, b
+
+
+def test_affine_walker_proves_a_known_lemma_and_rejects_undecided_guards():
+    assert walk_affine("TDDFFBBT", 9, 3, 0) == (9, 4)  # A10 => A11
+    for script, a, b, s0 in (("B", 3, 1, 0), ("B", 2, 1, 0),
+                             ("F", 2, 1, 0), ("F", 3, 2, 0), ("F", 3, 1, 0)):
+        with pytest.raises(ValueError):
+            walk_affine(script, a, b, s0)
+
+
+def test_node_loop_hops_are_proved_for_every_h():
+    assert SEQ_HOP_EVEN.render() == "BFD"
+    assert SEQ_HOP_ODD.render() == "DFDDTTBBBBFDF"
+    assert walk_affine(SEQ_HOP_EVEN.render(), 6, 2, 1) == (2, 0)  # h = 2s
+    assert walk_affine(SEQ_HOP_ODD.render(), 6, 5, 0) == (2, 1)   # h = 2s+1
+
+
+def test_node_loop_scripts_are_proved_for_every_a():
+    build = build_claims()["T.node-loop"].build
+    for start, step, form, s0, end in ((2, 2, (2, 0), 1, (1, 0)),
+                                       (5, 4, (4, 1), 1, (2, 0)),
+                                       (3, 4, (4, 3), 0, (2, 1))):
+        # one script per class of A ...
+        scripts = {build(a).render() for a in range(start, 2000, step)}
+        assert len(scripts) == 1
+        # ... and it takes the whole class to A // 2
+        assert walk_affine(scripts.pop(), *form, s0) == end
+
+
+def test_every_single_letter_mutation_of_the_odd_hop_fails():
+    hop = SEQ_HOP_ODD.render()
+    survivors = []
+    for i, letter in enumerate(hop):
+        for c in "TBFD".replace(letter, ""):
+            mutant = hop[:i] + c + hop[i + 1:]
+            try:
+                proved = walk_affine(mutant, 6, 5, 0) == (2, 1)
+            except ValueError:
+                proved = False
+            if proved:
+                survivors.append(mutant)
+    assert survivors == []
+
+
+def test_node_loop_scripts_replay_for_every_a_up_to_1e5():
+    build = build_claims()["T.node-loop"].build
+    for a in range(1, 100_001):
+        end = apply_seq(build(a), a, ModelId.M1).end
+        assert end == (1 if a == 1 else a // 2), a
+
+
+@given(st.integers(min_value=2, max_value=2**70))
+@settings(max_examples=300, deadline=None)
+def test_node_loop_scripts_replay_on_large_a(a):
+    seq = build_claims()["T.node-loop"].build(a)
+    forward = apply_seq(seq, a, ModelId.M1)
+    assert forward.end == a // 2
+    assert apply_seq(inverse_seq(seq), forward.end, ModelId.M1).end == a
+
+
+def test_scripted_witnesses_match_the_recorded_golden_digest():
+    # Recorded before the node-loop hop was scripted; odd A > 1 of
+    # T.node-loop is the only witness that changed, so it is left out.
+    claims = build_claims()
+    lines = []
+    for claim_id, claim in claims.items():
+        if claim.build is None:
+            continue
+        for a in range(1, 301):
+            if a < claim.min_a or not claim.applies(a):
+                continue
+            if claim_id == "T.node-loop" and a % 2 == 1 and a > 1:
+                continue
+            w = build_witness(claim, a)
+            lines.append(f"{claim_id} {a} {w.actions.render()} {w.end}\n")
+    assert len(lines) == 5151
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "ee26eb79fd8a10f75a6a4f7c92d5ee05e613eb76c3a2b9f023d27ab92fcf568b")

@@ -174,6 +174,25 @@ def test_verify_cluster_honours_max_depth():
     assert code == 1 and data["pass"] == 0
 
 
+def test_catalog_claims_run_no_search_so_print_no_bounds():
+    # T.node-loop's odd-A hop is a script now: a value cap of 5 used to
+    # fail A = 3 on the search segment 5 => 1
+    code, text = run(["verify", "--claim", "T.node-loop", "--range", "1..3",
+                      "--max-value", "5"])
+    assert code == 0
+    assert '"bounds":{}' in text and '"pass":3' in text
+    code, text = run(["verify", "--claim", "L.10-11", "--range", "1..5",
+                      "--max-value", "1000"])
+    assert code == 0
+    assert '"bounds":{}' in text
+
+
+def test_reach_failure_uses_the_shared_tag():
+    code, text = run(["reach", "--model", "ms", "--from", "2", "--to", "7"])
+    assert code == 1
+    assert text == "unreachable-within-bounds: 2 => 7 under MS\n"
+
+
 def test_search_bounds_from_args():
     from argparse import Namespace
 
