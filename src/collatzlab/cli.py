@@ -252,8 +252,10 @@ def cmd_cycles(args, out) -> int:
 
 
 def cmd_stats(args, out) -> int:
-    out.write(stats_csv(args.n_range, max_depth=args.max_depth))
-    return EXIT_OK
+    text = stats_csv(args.n_range, max_depth=args.max_depth)
+    out.write(text)
+    # Only a row that hit --max-depth has a -1 column.
+    return EXIT_FINDING if ",-1,-1\n" in text else EXIT_OK
 
 
 def cmd_dot(args, out) -> int:

@@ -6,8 +6,7 @@ import time
 from dataclasses import dataclass, field
 
 from .actions import Action, ModelId
-from .models import (INTEGER_SUCCESSORS, EdgeClass, bounded_graph,
-                     drop_edge_classes, edge_class)
+from .models import INTEGER_SUCCESSORS, EdgeClass, bounded_graph, edge_class
 from .search import SearchBounds, Unreachable, bfs
 
 
@@ -25,16 +24,14 @@ def _functional_cycles(step, max_value):
         if color[n]:
             continue
         path = []
-        pos = {}
         x = n
-        while True:
-            if x is None or x > max_value or color[x] == DONE:
-                break
-            if color[x] == ACTIVE:
-                cycles.append(_canonical_cycle(path[pos[x]:]))
+        while x is not None and x <= max_value:
+            c = color[x]
+            if c:
+                if c == ACTIVE:
+                    cycles.append(_canonical_cycle(path[path.index(x):]))
                 break
             color[x] = ACTIVE
-            pos[x] = len(path)
             path.append(x)
             x = step(x)
         for v in path:
@@ -146,8 +143,9 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
 
     Three phases over nodes 1..max_value with values capped at
     max_value * search_headroom: full MS, MS minus E1, MS minus E1 and E4.
-    The phase-3 edge set is additionally compared against M0's, which it
-    must equal exactly.
+    Phase 3's step function is additionally compared against M0's, node by
+    node over 1..max_value with moves above max_value left out; the two
+    must list the same moves at every node.
 
     Each phase's ``failed`` lists, in ascending order, the nodes with no
     path to 1 inside the value cap. Phase 3 is M0, so its ``failed`` holds
@@ -162,11 +160,12 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
     bounds = SearchBounds(max_value=max_value * search_headroom,
                           max_depth=512, max_states=200_000)
 
-    phase3_edges = bounded_graph(
-        ModelId.MS, max_value,
-        drop_edge_classes(EdgeClass.E1, EdgeClass.E4)).edge_set()
-    m0_edges = bounded_graph(ModelId.M0, max_value).edge_set()
-    matches = phase3_edges == m0_edges
+    # Both step functions list moves in T,B,F,D order, so per-node list
+    # equality is edge-set equality on nodes 1..max_value.
+    phase3, m0 = _phase_step(_PHASE_DROPS[3]), INTEGER_SUCCESSORS[ModelId.M0]
+    matches = all([m for m in phase3(x) if m[1] <= max_value]
+                  == [m for m in m0(x) if m[1] <= max_value]
+                  for x in range(1, max_value + 1))
 
     phases = []
     for phase, dropped in _PHASE_DROPS.items():

@@ -251,13 +251,30 @@ def trajectory(n: int, max_depth: int = 100_000) -> Path:
 
 
 def stopping_stats(values, max_depth: int = 100_000):
-    """Yield (n, steps, peak) rows; steps is -1 when max_depth was hit."""
+    """Yield (n, steps, peak) rows; steps is -1 when max_depth was hit.
+
+    Each row equals ``trajectory(n, max_depth)``'s step count and peak, for
+    any order of values. A memo local to the call maps every n already
+    yielded to its (steps, peak), starting from {1: (0, 1)}; n is walked only
+    until it meets a memo entry x, and then steps(n) = j + steps(x) and
+    peak(n) = max(walk peak, peak(x)). A -1 entry means x alone needs more
+    than max_depth steps, so every n that reaches it does too.
+    """
+    memo = {1: (0, 1)}
     for n in values:
-        try:
-            path = trajectory(n, max_depth=max_depth)
-            yield (n, len(path), path.peak)
-        except DepthExceeded:
-            yield (n, -1, -1)
+        if n < 1:
+            raise ValueError(f"positive integer required, got {n}")
+        x, j, peak = n, 0, n
+        while x not in memo and j < max_depth:
+            x = collatz_step(x)
+            j += 1
+            if x > peak:
+                peak = x
+        steps, top = memo.get(x, (-1, -1))
+        row = ((j + steps, max(peak, top))
+               if steps >= 0 and j + steps <= max_depth else (-1, -1))
+        memo[n] = row
+        yield (n, *row)
 
 
 def stats_csv(values, max_depth: int = 100_000):

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: formats, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -99,6 +100,31 @@ def test_stats():
     code, text = run(["stats", "--range", "27..27"])
     assert code == 0
     assert text.splitlines() == ["n,steps,peak", "27,111,9232"]
+
+
+# SHA-256 of the output, recorded before stopping_stats was memoised and
+# before the phase-3 check stopped building bounded graphs.
+GOLDEN_OUTPUTS = [
+    (["stats", "--range", "1..20000"], 0,
+     "46b901fdb07f5cf83966bb2cdafa50ad5e594fb689870887d207c0746979694d"),
+    (["stats", "--range", "500..3000", "--max-depth", "100"], 1,
+     "d852d69103aec0ad8a55adc7a1b9eae7be91085371f0d1f99de968cd34e9c4a5"),
+    (["deloop", "--max", "100000"], 1,
+     "87b927038e91568d05b6e950acadabd4b293618316b37e312baa14e65f0ddc91"),
+]
+
+
+def test_graph_outputs_match_the_recorded_golden_digests():
+    for argv, exit_code, digest in GOLDEN_OUTPUTS:
+        code, text = run(argv)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
+        assert code == exit_code, argv
+
+
+def test_stats_depth_hit_is_a_finding():
+    code, text = run(["stats", "--range", "27..27", "--max-depth", "110"])
+    assert code == 1
+    assert text.splitlines() == ["n,steps,peak", "27,-1,-1"]
 
 
 def test_dot():

@@ -2,9 +2,11 @@
 
 import pytest
 
+from collatzlab import experiments
 from collatzlab.actions import Action, ModelId
 from collatzlab.experiments import cycle_census, delooping_experiment
-from collatzlab.models import successors
+from collatzlab.models import (EdgeClass, bounded_graph, drop_edge_classes,
+                               successors)
 
 
 def brute_force_cycles(model, max_value):
@@ -104,3 +106,18 @@ def test_peak_excursion_oracle_for_9663():
 def test_delooping_rejects_tiny_bound():
     with pytest.raises(ValueError):
         delooping_experiment(8)
+
+
+def test_streamed_phase3_check_equals_the_edge_set_comparison():
+    for max_value in range(16, 301):
+        edge_sets_equal = bounded_graph(
+            ModelId.MS, max_value,
+            drop_edge_classes(EdgeClass.E1, EdgeClass.E4)).edge_set() == (
+            bounded_graph(ModelId.M0, max_value).edge_set())
+        report = delooping_experiment(max_value)
+        assert report.phase3_matches_m0 == edge_sets_equal, max_value
+
+
+def test_streamed_phase3_check_fails_when_phase3_keeps_e4(monkeypatch):
+    monkeypatch.setitem(experiments._PHASE_DROPS, 3, (EdgeClass.E1,))
+    assert not delooping_experiment(100).phase3_matches_m0

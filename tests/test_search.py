@@ -55,6 +55,48 @@ def test_stopping_stats_reports_depth_hit():
     assert list(stopping_stats([27], max_depth=5)) == [(27, -1, -1)]
 
 
+def oracle_row(n, max_depth):
+    """A plain 3x+1 loop that shares nothing with collatzlab."""
+    steps, peak, x = 0, n, n
+    while x != 1:
+        if steps == max_depth:
+            return (n, -1, -1)
+        x = 3 * x + 1 if x % 2 else x // 2
+        steps += 1
+        peak = max(peak, x)
+    return (n, steps, peak)
+
+
+@pytest.mark.parametrize("values, max_depth", [
+    (range(1, 3001), 100_000),
+    (range(500, 3001), 100),
+    ([27], 110),
+    ([27], 111),
+    ([27, 9, 27, 54, 1], 100_000),
+])
+def test_memoised_stopping_stats_match_the_oracle(values, max_depth):
+    assert list(stopping_stats(values, max_depth)) == [
+        oracle_row(n, max_depth) for n in values]
+
+
+# Small values make later entries meet earlier ones, so the memo is used.
+@given(st.lists(st.integers(min_value=1, max_value=300)
+                | st.integers(min_value=1, max_value=10**6), max_size=40),
+       st.sampled_from([20, 100, 100_000]))
+@settings(max_examples=100, deadline=None)
+def test_memoised_stopping_stats_match_the_oracle_on_any_list(values,
+                                                               max_depth):
+    assert list(stopping_stats(values, max_depth)) == [
+        oracle_row(n, max_depth) for n in values]
+
+
+def test_stopping_stats_yields_rows_before_a_bad_value():
+    rows = stopping_stats([5, 0])
+    assert next(rows) == oracle_row(5, 100_000)
+    with pytest.raises(ValueError, match="positive integer required, got 0"):
+        next(rows)
+
+
 def test_bfs_reach_finds_known_paths():
     bounds = SearchBounds(max_value=1000)
     path = bfs_reach(ModelId.MS, 7, 1, bounds)
