@@ -7,7 +7,7 @@ claims, bounded reachability search, and graph experiments (cycle census,
 guard-edge removal).
 """
 
-from .actions import (Action, ActionSeq, ModelId, Trace, action_function,
+from .actions import (Action, ActionSeq, ModelId, Path, action_function,
                       apply, apply_seq, evaluate_exact, inverse_seq, is_legal,
                       parse_seq, validate_trace)
 from .catalog import Claim, build_claims
@@ -16,16 +16,16 @@ from .errors import (CollatzlabError, DepthExceeded, DomainViolation,
 from .experiments import DeloopReport, cycle_census, delooping_experiment
 from .models import (BoundedGraph, EdgeClass, bounded_graph, classify_edge,
                      drop_edge_classes, predecessors, successors, to_dot)
-from .search import (Path, SearchBounds, Unreachable, all_reach_one,
-                     bfs_reach, bfs_reach_bidirectional, bfs_until,
-                     stats_csv, stopping_stats, trajectory)
+from .search import (SearchBounds, Unreachable, all_reach_one, bfs_reach,
+                     bfs_reach_bidirectional, bfs_until, stats_csv,
+                     stopping_stats, trajectory)
 from .ternary import Ternary, from_ternary, parse_ternary, to_ternary
 from .verify import Failure, VerifyReport, all_claim_ids, run_any_claim
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action", "ActionSeq", "ModelId", "Trace", "action_function", "apply",
+    "Action", "ActionSeq", "ModelId", "Path", "action_function", "apply",
     "apply_seq", "evaluate_exact", "inverse_seq", "is_legal", "parse_seq",
     "validate_trace",
     "Claim", "build_claims",
@@ -34,7 +34,7 @@ __all__ = [
     "DeloopReport", "cycle_census", "delooping_experiment",
     "BoundedGraph", "EdgeClass", "bounded_graph", "classify_edge",
     "drop_edge_classes", "predecessors", "successors", "to_dot",
-    "Path", "SearchBounds", "Unreachable", "all_reach_one", "bfs_reach",
+    "SearchBounds", "Unreachable", "all_reach_one", "bfs_reach",
     "bfs_reach_bidirectional", "bfs_until", "stats_csv", "stopping_stats",
     "trajectory",
     "Ternary", "from_ternary", "parse_ternary", "to_ternary",

@@ -159,57 +159,67 @@ def inverse_seq(seq: ActionSeq) -> ActionSeq:
 
 
 @dataclass(frozen=True)
-class Trace:
-    """One recorded application of a sequence under a model's guards."""
+class Path:
+    """A guard-legal walk through one model: values[i + 1] is the i-th
+    action applied to values[i], from values[0] = start to values[-1] = end.
+    """
 
-    start: object
     model: ModelId
-    steps: tuple[tuple[Action, object], ...]
-
-    @property
-    def end(self):
-        return self.steps[-1][1] if self.steps else self.start
-
-    @property
-    def values(self):
-        return [self.start] + [v for _, v in self.steps]
-
-    @property
-    def actions(self) -> ActionSeq:
-        return ActionSeq(tuple(a for a, _ in self.steps))
+    start: object
+    actions: ActionSeq
+    end: object
+    values: tuple
 
     def __len__(self):
-        return len(self.steps)
+        return len(self.actions)
+
+    @property
+    def peak(self):
+        return max(self.values)
+
+    def validate(self) -> bool:
+        """Re-apply the actions; True iff every step is guard-legal and
+        every value reproduces exactly."""
+        try:
+            return apply_seq(self.actions, self.start, self.model) == self
+        except (GuardViolation, DomainViolation):
+            return False
+
+    def render(self) -> str:
+        out = [str(self.start)]
+        for action, value in zip(self.actions, self.values[1:]):
+            out.append(f"-{action.value}-> {value}")
+        return " ".join(out)
 
     def to_json_lines(self) -> str:
         lines = []
         for i, value in enumerate(self.values):
             record = {"step": i, "value": str(value)}
             if i:
-                record["action"] = self.steps[i - 1][0].value
+                record["action"] = self.actions.steps[i - 1].value
             if self.model in INTEGER_MODELS:
                 record["ternary"] = str(to_ternary(value))
             lines.append(json.dumps(record, separators=(",", ":")))
         return "\n".join(lines)
 
 
-def apply_seq(seq: ActionSeq, x, model: ModelId) -> Trace:
+def apply_seq(seq: ActionSeq, x, model: ModelId) -> Path:
     """Run a whole sequence, recording every intermediate.
 
     Fails fast: the first illegal step raises with its index attached.
     """
-    steps = []
+    values = [x]
     value = x
     for i, action in enumerate(seq.steps):
         value = apply(action, value, model, i)
-        steps.append((action, value))
-    return Trace(start=x, model=model, steps=tuple(steps))
+        values.append(value)
+    return Path(model=model, start=x, actions=seq, end=value,
+                values=tuple(values))
 
 
-def validate_trace(trace: Trace) -> bool:
-    """Re-play a stored trace; True iff every step is exact and guard-legal."""
-    replay = apply_seq(trace.actions, trace.start, trace.model)
-    return replay.steps == trace.steps
+def validate_trace(path: Path) -> bool:
+    """Path.validate under its older name."""
+    return path.validate()
 
 
 def evaluate_exact(seq: ActionSeq, x):

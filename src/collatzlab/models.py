@@ -71,37 +71,15 @@ def successors(x, model: ModelId):
 
 
 def predecessors(x, model: ModelId):
-    """All (action, y) with x among successors(y, model); same order."""
-    if model is ModelId.M1:
-        return _pred_m1(x)
-    out = []
-    for a in ACTION_ORDER:
-        y = _preimage(a, x)
-        if y is None:
-            continue
-        if model is ModelId.M2:
-            if y <= 0 or (a is Action.F and not y > 1):
-                continue
-            out.append((a, y))
-        elif isinstance(y, int) and y >= 1 and is_legal(a, y, model):
-            out.append((a, y))
-    return out
+    """All (action, y) with x among successors(y, model), in T,B,F,D order.
 
-
-def _preimage(action: Action, x):
-    """The unique y with action(y) = x, if it exists in the domain."""
-    if action is Action.T:
-        if isinstance(x, int):
-            return (x - 1) // 3 if x % 3 == 1 and x > 1 else None
-        return (x - 1) / 3
-    if action is Action.B:
-        return 2 * x
-    if action is Action.F:
-        return 3 * x + 1
-    # D
-    if isinstance(x, int):
-        return x // 2 if x % 2 == 0 else None
-    return x / 2
+    Only M1's predecessors are implemented; any other model raises
+    ValueError.
+    """
+    if model is not ModelId.M1:
+        raise ValueError(f"predecessors are implemented for M1 only, "
+                         f"got {model}")
+    return _pred_m1(x)
 
 
 def classify_edge(x: int, action: Action, model: ModelId) -> EdgeClass:

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .actions import Action, ActionSeq, ModelId, apply_seq
+from .actions import Action, ActionSeq, ModelId, Path
+from .actions import apply_seq  # noqa: F401  bound for bench/tracer.py
 from .errors import DepthExceeded
 from .models import (INTEGER_PREDECESSORS, INTEGER_SUCCESSORS, predecessors,
                      successors)
@@ -27,37 +28,6 @@ class SearchBounds:
     def __post_init__(self):
         if self.max_value < 1 or self.max_depth < 1 or self.max_states < 1:
             raise ValueError("all bounds must be >= 1")
-
-
-@dataclass(frozen=True)
-class Path:
-    """A guard-legal walk through one model."""
-
-    model: ModelId
-    start: int
-    actions: ActionSeq
-    end: int
-    values: tuple
-
-    def __len__(self):
-        return len(self.actions)
-
-    @property
-    def peak(self):
-        return max(self.values)
-
-    def validate(self) -> bool:
-        """Re-apply the actions; True iff every value reproduces exactly."""
-        if not len(self.actions):
-            return self.start == self.end and self.values == (self.start,)
-        trace = apply_seq(self.actions, self.start, self.model)
-        return tuple(trace.values) == self.values and trace.end == self.end
-
-    def render(self) -> str:
-        out = [str(self.start)]
-        for action, value in zip(self.actions, self.values[1:]):
-            out.append(f"-{action.value}-> {value}")
-        return " ".join(out)
 
 
 @dataclass(frozen=True)
@@ -98,11 +68,9 @@ def _build_path(model, start, parents, end):
                 end=end, values=tuple(values))
 
 
-def _step_fns(model):
-    """(successors, predecessors) of a model as functions of x alone."""
-    return (INTEGER_SUCCESSORS.get(model) or partial(successors, model=model),
-            INTEGER_PREDECESSORS.get(model)
-            or partial(predecessors, model=model))
+def _step_fn(model):
+    """A model's successors as a function of x alone."""
+    return INTEGER_SUCCESSORS.get(model) or partial(successors, model=model)
 
 
 def bfs(model: ModelId, step, start: int, accept, bounds: SearchBounds,
@@ -149,7 +117,7 @@ def bfs_reach(model: ModelId, start: int, target: int, bounds: SearchBounds,
     Successors are expanded in T,B,F,D order. forbidden_edges is a set of
     (value, action) moves to skip (used by the edge-loop check).
     """
-    return bfs(model, _step_fns(model)[0], start, lambda y: y == target,
+    return bfs(model, _step_fn(model), start, lambda y: y == target,
                bounds, forbidden_edges)
 
 
@@ -160,11 +128,14 @@ def bfs_reach_bidirectional(model: ModelId, start: int, target: int,
     Visits far fewer states than plain bfs_reach; the returned path can be
     one step longer than optimal, which the bulk cluster-connectivity
     checks (existence only) do not care about. Every returned path still
-    validates exactly.
+    validates exactly. Only M1 has predecessors, so any other model raises
+    ValueError before a state is expanded.
     """
+    if model is not ModelId.M1:
+        predecessors(target, model)  # only M1 has them: raises ValueError
     if start == target:
         return _empty_path(model, start)
-    succ, pred = _step_fns(model)
+    succ, pred = INTEGER_SUCCESSORS[model], INTEGER_PREDECESSORS[model]
     max_value = bounds.max_value
     fwd = {start: None}       # value -> (prev, action): prev --action--> value
     bwd = {target: None}      # value -> (action, nxt): value --action--> nxt
@@ -221,7 +192,7 @@ def _join(model, start, target, fwd, bwd, meet):
 def bfs_until(model: ModelId, start: int, accept, bounds: SearchBounds,
               forbidden_edges=frozenset()):
     """BFS from start until accept(value) holds; shortest such witness."""
-    return bfs(model, _step_fns(model)[0], start, accept, bounds,
+    return bfs(model, _step_fn(model), start, accept, bounds,
                forbidden_edges)
 
 

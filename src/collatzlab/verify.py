@@ -12,10 +12,11 @@ import time
 from dataclasses import dataclass, field
 
 from . import catalog
-from .actions import (Action, ActionSeq, ModelId, apply, apply_seq,
+from .actions import (Action, ActionSeq, ModelId, Path, apply_seq,
                       evaluate_exact, inverse_seq, seq_of)
+from .actions import apply  # noqa: F401  bound for bench/tracer.py
 from .errors import DomainViolation, GuardViolation, UnknownClaim
-from .search import (Path, SearchBounds, Unreachable, bfs_reach,
+from .search import (SearchBounds, Unreachable, bfs_reach,
                      bfs_reach_bidirectional)
 
 
@@ -96,14 +97,7 @@ def build_witness(claim: catalog.Claim, a: int) -> Path:
     Returns the full guard-checked Path; raises Guard/DomainViolation on an
     illegal step.
     """
-    seq = claim.build(a)
-    value = start = claim.input_fn(a)
-    values = [start]
-    for i, action in enumerate(seq.steps):
-        value = apply(action, value, claim.model, i)
-        values.append(value)
-    return Path(model=claim.model, start=start, actions=seq, end=value,
-                values=tuple(values))
+    return apply_seq(claim.build(a), claim.input_fn(a), claim.model)
 
 
 def _check_one(claims, claim, a):
@@ -222,10 +216,10 @@ def _replay_known(scripts, src, dst, bounds):
         if len(seq) > bounds.max_depth:
             continue
         try:
-            trace = apply_seq(seq, src, ModelId.M1)
+            path = apply_seq(seq, src, ModelId.M1)
         except (GuardViolation, DomainViolation):
             continue
-        if trace.end == dst and max(trace.values) <= bounds.max_value:
+        if path.end == dst and path.peak <= bounds.max_value:
             scripts.insert(0, scripts.pop(i))
             return True
     return False
@@ -282,7 +276,7 @@ _SEQ_B, _SEQ_F = seq_of("B"), seq_of("F")
 
 def descending_witness(a: int, model: ModelId,
                        bounds: SearchBounds | None = None):
-    """A guard-legal Trace whose end is below a, or the search's Unreachable.
+    """A guard-legal Path whose end is below a, or the search's Unreachable.
 
     Fast paths: halve when even, strip when a = 1 (mod 3); otherwise the
     deterministic M0 walk until the value drops below a (its T/B moves are

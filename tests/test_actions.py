@@ -1,4 +1,4 @@
-"""Action algebra: exact maps, guard tables, sequences, traces."""
+"""Action algebra: exact maps, guard tables, sequences, paths."""
 
 from fractions import Fraction
 
@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import collatzlab
 from collatzlab.actions import (INTEGER_MODELS, Action, ActionSeq, ModelId,
-                                Trace, action_function, apply, apply_seq,
+                                Path, action_function, apply, apply_seq,
                                 evaluate_exact, inverse_seq, is_legal,
                                 parse_seq, seq_of, validate_trace)
 from collatzlab.errors import (CollatzlabError, DomainViolation,
@@ -95,9 +96,9 @@ def test_parsed_and_literal_sequences_are_equal():
 
 def test_sequence_application_order_is_left_to_right():
     # first letter first: D then T maps 5 -> 10 -> 31
-    trace = apply_seq(seq_of("DT"), 5, ModelId.M1)
-    assert trace.values == [5, 10, 31]
-    assert trace.end == 31
+    path = apply_seq(seq_of("DT"), 5, ModelId.M1)
+    assert path.values == (5, 10, 31)
+    assert path.end == 31
 
 
 def test_plus_one_identity_pins_the_convention():
@@ -125,12 +126,32 @@ def test_apply_seq_fails_fast_with_index():
 
 
 def test_trace_replay():
-    trace = apply_seq(seq_of("TBB"), 1, ModelId.MS)
-    assert trace.values == [1, 4, 2, 1]
-    assert validate_trace(trace)
-    lines = trace.to_json_lines().splitlines()
+    path = apply_seq(seq_of("TBB"), 1, ModelId.MS)
+    assert path.values == (1, 4, 2, 1)
+    assert validate_trace(path)
+    lines = path.to_json_lines().splitlines()
     assert len(lines) == 4
     assert '"ternary":"11"' in lines[1]
+
+
+def test_tampered_paths_do_not_validate():
+    good = apply_seq(seq_of("TBB"), 1, ModelId.MS)
+    assert good.validate() and validate_trace(good)
+    tampered = (
+        Path(ModelId.MS, 1, good.actions, 1, (1, 4, 3, 1)),  # wrong value
+        Path(ModelId.MS, 1, good.actions, 2, good.values),  # wrong end
+        Path(ModelId.M0, 1, seq_of("TDB"), 1, (1, 4, 8, 4)),  # D illegal
+        Path(ModelId.MS, 1, ActionSeq(()), 1, ()),  # values left out
+    )
+    for path in tampered:
+        assert not path.validate(), path
+        assert not validate_trace(path), path
+
+
+def test_every_public_name_is_bound():
+    for name in collatzlab.__all__:
+        assert hasattr(collatzlab, name), name
+    assert not hasattr(collatzlab, "Trace")
 
 
 def test_evaluate_exact_flags_nonpositive():
@@ -164,12 +185,11 @@ def reference_apply(action, x, model, step_index=None):
 
 
 def reference_apply_seq(seq, x, model):
-    steps = []
-    value = x
+    values = [x]
     for i, action in enumerate(seq.steps):
-        value = reference_apply(action, value, model, i)
-        steps.append((action, value))
-    return Trace(start=x, model=model, steps=tuple(steps))
+        values.append(reference_apply(action, values[-1], model, i))
+    return Path(model=model, start=x, actions=seq, end=values[-1],
+                values=tuple(values))
 
 
 def outcome(fn, *args):

@@ -41,17 +41,21 @@ def test_tracer_sees_cluster_replays_and_searches():
 
 
 def test_tracer_counts_node_loop_steps_and_no_searches():
-    # every node-loop step goes through verify.apply, the step the tracer
-    # counts; the odd-A hop no longer searches
+    # every node-loop step goes through verify.apply_seq, which the tracer
+    # counts, once for the witness and once for the cycle-closing replay;
+    # the odd-A hop no longer searches
     code = ("import sys, json; sys.path.insert(0, 'bench'); import tracer; "
             "tr = tracer.Tracer(); tracer.install(tr); "
-            "from collatzlab import verify; "
+            "from collatzlab import catalog, verify; "
             "verify.run_any_claim('T.node-loop', range(1, 200)); "
-            "print(json.dumps(dict(tr.count)))")
+            "claim = catalog.build_claims()['T.node-loop']; "
+            "print(json.dumps({'count': dict(tr.count), "
+            "'steps': tracer.layer_metrics(tr)['actions.steps_applied'], "
+            "'script': sum(len(claim.build(a)) for a in range(1, 200))}))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    count = json.loads(proc.stdout)
-    assert count.get("search.bidir.calls", 0) == 0
-    assert count["actions.apply"] >= 1
+    out = json.loads(proc.stdout)
+    assert out["count"].get("search.bidir.calls", 0) == 0
+    assert out["steps"] == 2 * out["script"] == 6154

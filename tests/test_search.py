@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collatzlab import search
 from collatzlab.actions import Action, ModelId
 from collatzlab.errors import DepthExceeded
 from collatzlab.search import (Path, SearchBounds, Unreachable, all_reach_one,
@@ -187,6 +188,14 @@ GOLDEN_CLUSTER_PATHS = {
     (1111, 1108): "1111 -F-> 370 -F-> 123 -D-> 246 -D-> 492 -T-> 1477 "
                   "-T-> 4432 -B-> 2216 -B-> 1108",
 }
+
+
+def test_bidirectional_search_is_m1_only(monkeypatch):
+    # the ValueError comes before any state is expanded
+    monkeypatch.setattr(search, "INTEGER_SUCCESSORS", {})
+    for model in (ModelId.M0, ModelId.MS, ModelId.M2):
+        with pytest.raises(ValueError, match=model.name):
+            bfs_reach_bidirectional(model, 5, 5, SearchBounds(max_value=100))
 
 
 def test_golden_bidirectional_cluster_paths():

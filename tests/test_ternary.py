@@ -1,14 +1,11 @@
-"""Base-3 digit arithmetic against the int-conversion oracle."""
+"""Base-3 numerals against the int-conversion oracle."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collatzlab.errors import DomainViolation, GuardViolation
-from collatzlab.ternary import (Ternary, append_digit, cluster_decompose,
-                                double, floor_halve, floor_halve_k,
-                                from_ternary, halve, parity, parse_ternary,
-                                strip_trailing_one, to_ternary)
+from collatzlab.ternary import (Ternary, from_ternary, parse_ternary,
+                                to_ternary)
 
 values = st.integers(min_value=1, max_value=10**12)
 
@@ -49,57 +46,6 @@ def test_parse_and_errors():
         parse_ternary("")
     with pytest.raises(ValueError):
         parse_ternary("012")  # leading zero is not canonical
-
-
-@given(values, st.integers(min_value=0, max_value=2))
-def test_append_digit(n, d):
-    assert from_ternary(append_digit(to_ternary(n), d)) == 3 * n + d
-
-
-@given(values)
-def test_strip_trailing_one(n):
-    assert from_ternary(strip_trailing_one(to_ternary(3 * n + 1))) == n
-
-
-def test_strip_trailing_one_guards():
-    with pytest.raises(GuardViolation):
-        strip_trailing_one(to_ternary(6))  # last digit 0
-    with pytest.raises(DomainViolation):
-        strip_trailing_one(to_ternary(1))  # would produce 0
-
-
-@given(values)
-def test_double_and_halve(n):
-    assert from_ternary(double(to_ternary(n))) == 2 * n
-    assert from_ternary(halve(to_ternary(2 * n))) == n
-
-
-def test_halve_rejects_odd():
-    with pytest.raises(GuardViolation):
-        halve(to_ternary(7))
-
-
-@given(st.integers(min_value=2, max_value=10**12))
-def test_floor_halve(n):
-    assert from_ternary(floor_halve(to_ternary(n))) == n // 2
-
-
-@given(st.integers(min_value=1, max_value=10**9), st.integers(0, 8))
-def test_floor_halve_k(n, k):
-    if n >> k >= 1:
-        assert from_ternary(floor_halve_k(to_ternary(n), k)) == n >> k
-
-
-@given(values)
-def test_parity_is_digit_sum_mod_two(n):
-    t = to_ternary(n)
-    assert parity(t) == n % 2 == sum(t.digits) % 2
-
-
-@given(values)
-def test_cluster_decompose(n):
-    k, r = cluster_decompose(n)
-    assert n == 9 * k + r and 0 <= r < 9
 
 
 def test_canonical_form_enforced():
