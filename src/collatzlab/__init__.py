@@ -19,7 +19,7 @@ from .models import (BoundedGraph, EdgeClass, bounded_graph, classify_edge,
 from .search import (SearchBounds, Unreachable, all_reach_one, bfs_reach,
                      bfs_reach_bidirectional, bfs_until, stats_csv,
                      stopping_stats, trajectory)
-from .ternary import Ternary, from_ternary, parse_ternary, to_ternary
+from .ternary import Ternary, from_ternary, to_ternary
 from .verify import Failure, VerifyReport, all_claim_ids, run_any_claim
 
 __version__ = "0.1.0"
@@ -37,7 +37,7 @@ __all__ = [
     "SearchBounds", "Unreachable", "all_reach_one", "bfs_reach",
     "bfs_reach_bidirectional", "bfs_until", "stats_csv", "stopping_stats",
     "trajectory",
-    "Ternary", "from_ternary", "parse_ternary", "to_ternary",
+    "Ternary", "from_ternary", "to_ternary",
     "Failure", "VerifyReport", "all_claim_ids", "run_any_claim",
     "__version__",
 ]

@@ -8,12 +8,11 @@ rationals, which pins the reading of every other sequence.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainViolation, GuardViolation, ParseError
-from .ternary import to_ternary
+from .ternary import to_ternary  # noqa: F401  bound for bench/tracer.py
 
 
 class ModelId(enum.Enum):
@@ -190,17 +189,6 @@ class Path:
         for action, value in zip(self.actions, self.values[1:]):
             out.append(f"-{action.value}-> {value}")
         return " ".join(out)
-
-    def to_json_lines(self) -> str:
-        lines = []
-        for i, value in enumerate(self.values):
-            record = {"step": i, "value": str(value)}
-            if i:
-                record["action"] = self.actions.steps[i - 1].value
-            if self.model in INTEGER_MODELS:
-                record["ternary"] = str(to_ternary(value))
-            lines.append(json.dumps(record, separators=(",", ":")))
-        return "\n".join(lines)
 
 
 def apply_seq(seq: ActionSeq, x, model: ModelId) -> Path:

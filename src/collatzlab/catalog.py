@@ -11,10 +11,10 @@ Suffix-digit arithmetic used throughout (base 3, A is the prefix value):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
-from .actions import ActionSeq, ModelId, seq_of
+from .actions import ActionSeq, ModelId, inverse_seq, seq_of
 
 # Core scripts, one per unconditional suffix lemma.
 SEQ_10_11 = seq_of("TDDFFBBT")        # A10 -> A11 (also the +1 identity)
@@ -132,10 +132,10 @@ class Claim:
     description: str
     input_fn: Callable[[int], int]
     expected_fn: Callable[[int], int]
-    build: Callable[[int], ActionSeq] | None = None
+    build: Callable[[int], ActionSeq]
     applies: Callable[[int], bool] = lambda a: True
     model: ModelId = ModelId.M1
-    inverse_of: str | None = None
+    inverse_of: str | None = None  # a label: bench/child.py reads it
     close_cycle: bool = False
     min_a: int = 1
 
@@ -152,16 +152,23 @@ def _simple(claim_id, description, offset_in, offset_out, seq, *,
     )
 
 
-def _inverse(claim_id, description, forward_id, offset_in, offset_out, *,
-             applies=None):
-    return Claim(
-        id=claim_id,
-        description=description,
-        input_fn=lambda a: 9 * a + offset_in,
-        expected_fn=lambda a: 9 * a + offset_out,
-        inverse_of=forward_id,
-        applies=applies or (lambda a: True),
-    )
+def _lemma_pair(forward_id, forward_text, inverse_id, inverse_text,
+                offset_in, seq, applies):
+    """A conditional lemma A.. => A11 and its inverse A11 => A...
+
+    The inverse swaps the forward lemma's input and expected value, keeps
+    its domain and replays its script inverted, computed once here. In M1,
+    T at x is undone by F at 3x+1 and B by D, so the inverse passes for
+    exactly the A where the forward lemma passes.
+    """
+    forward = _simple(forward_id, forward_text, offset_in, 4, seq,
+                      applies=applies)
+    back = inverse_seq(seq)
+    inverse = replace(forward, id=inverse_id, description=inverse_text,
+                      input_fn=forward.expected_fn,
+                      expected_fn=forward.input_fn, build=lambda a: back,
+                      inverse_of=forward_id)
+    return forward, inverse
 
 
 def _is_even(a):
@@ -204,39 +211,31 @@ def build_claims() -> dict[str, Claim]:
             expected_fn=lambda a: 9 * a + 4,
             build=lambda a: SEQ_ATTACH,
         ),
-        # 3-cluster to 5-cluster, conditional on A.
-        _simple("L.21-11.even", "A21 => A11 when A even", 7, 4,
-                SEQ_21_11_EVEN, applies=_is_even),
-        _inverse("L.11-21.even", "A11 => A21 when A even",
-                 "L.21-11.even", 4, 7, applies=_is_even),
-        _simple("L.21-11.last0", "R021 => R011 (A odd, A = R0)", 7, 4,
-                SEQ_21_11_LAST0, applies=_odd_last(0)),
-        _inverse("L.11-21.last0", "R011 => R021 (A odd, A = R0)",
-                 "L.21-11.last0", 4, 7, applies=_odd_last(0)),
-        _simple("L.21-11.last1", "R121 => R111 (A odd, A = R1)", 7, 4,
-                SEQ_21_11_LAST1, applies=_odd_last(1)),
-        _inverse("L.11-21.last1", "R111 => R121 (A odd, A = R1)",
-                 "L.21-11.last1", 4, 7, applies=_odd_last(1)),
-        _simple("L.21-11.last2", "R221 => R211 (A odd, A = R2)", 7, 4,
-                SEQ_21_11_LAST2, applies=_odd_last(2)),
-        _inverse("L.11-21.last2", "R211 => R221 (A odd, A = R2)",
-                 "L.21-11.last2", 4, 7, applies=_odd_last(2)),
-        _simple("L.22-11.even", "A22 => A11 when A even", 8, 4,
-                SEQ_22_11_EVEN, applies=_is_even),
-        _inverse("L.11-22.even", "A11 => A22 when A even",
-                 "L.22-11.even", 4, 8, applies=_is_even),
-        _simple("L.22-11.last0", "R022 => R011 (A odd, A = R0)", 8, 4,
-                SEQ_22_11_LAST0, applies=_odd_last(0)),
-        _inverse("L.11-22.last0", "R011 => R022 (A odd, A = R0)",
-                 "L.22-11.last0", 4, 8, applies=_odd_last(0)),
-        _simple("L.22-11.last1", "R122 => R111 (A odd, A = R1)", 8, 4,
-                SEQ_22_11_LAST1, applies=_odd_last(1)),
-        _inverse("L.11-22.last1", "R111 => R122 (A odd, A = R1)",
-                 "L.22-11.last1", 4, 8, applies=_odd_last(1)),
-        _simple("L.22-11.last2", "R222 => R211 (A odd, A = R2)", 8, 4,
-                SEQ_22_11_LAST2, applies=_odd_last(2)),
-        _inverse("L.11-22.last2", "R211 => R222 (A odd, A = R2)",
-                 "L.22-11.last2", 4, 8, applies=_odd_last(2)),
+        # 3-cluster to 5-cluster, conditional on A, each with its inverse.
+        *_lemma_pair("L.21-11.even", "A21 => A11 when A even",
+                     "L.11-21.even", "A11 => A21 when A even",
+                     7, SEQ_21_11_EVEN, _is_even),
+        *_lemma_pair("L.21-11.last0", "R021 => R011 (A odd, A = R0)",
+                     "L.11-21.last0", "R011 => R021 (A odd, A = R0)",
+                     7, SEQ_21_11_LAST0, _odd_last(0)),
+        *_lemma_pair("L.21-11.last1", "R121 => R111 (A odd, A = R1)",
+                     "L.11-21.last1", "R111 => R121 (A odd, A = R1)",
+                     7, SEQ_21_11_LAST1, _odd_last(1)),
+        *_lemma_pair("L.21-11.last2", "R221 => R211 (A odd, A = R2)",
+                     "L.11-21.last2", "R211 => R221 (A odd, A = R2)",
+                     7, SEQ_21_11_LAST2, _odd_last(2)),
+        *_lemma_pair("L.22-11.even", "A22 => A11 when A even",
+                     "L.11-22.even", "A11 => A22 when A even",
+                     8, SEQ_22_11_EVEN, _is_even),
+        *_lemma_pair("L.22-11.last0", "R022 => R011 (A odd, A = R0)",
+                     "L.11-22.last0", "R011 => R022 (A odd, A = R0)",
+                     8, SEQ_22_11_LAST0, _odd_last(0)),
+        *_lemma_pair("L.22-11.last1", "R122 => R111 (A odd, A = R1)",
+                     "L.11-22.last1", "R111 => R122 (A odd, A = R1)",
+                     8, SEQ_22_11_LAST1, _odd_last(1)),
+        *_lemma_pair("L.22-11.last2", "R222 => R211 (A odd, A = R2)",
+                     "L.11-22.last2", "R211 => R222 (A odd, A = R2)",
+                     8, SEQ_22_11_LAST2, _odd_last(2)),
         Claim(
             id="T.append2",
             description=f"appending a trailing 2, iterated {APPEND_DEPTH} times",

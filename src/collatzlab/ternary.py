@@ -52,9 +52,3 @@ def from_ternary(a: Ternary) -> int:
         value = value * 3 + d
     return value
 
-
-def parse_ternary(text: str) -> Ternary:
-    """Parse a most-significant-first digit string like "101"."""
-    if not text or any(c not in "012" for c in text):
-        raise ValueError(f"not a ternary digit string: {text!r}")
-    return Ternary(tuple(int(c) for c in reversed(text)))

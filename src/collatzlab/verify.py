@@ -100,34 +100,8 @@ def build_witness(claim: catalog.Claim, a: int) -> Path:
     return apply_seq(claim.build(a), claim.input_fn(a), claim.model)
 
 
-def _check_one(claims, claim, a):
+def _check_one(claim, a):
     """Verdict plus witness for one A: None on PASS, else the Failure."""
-    if claim.inverse_of is not None:
-        forward = claims[claim.inverse_of]
-        try:
-            witness = build_witness(forward, a)
-        except (GuardViolation, DomainViolation) as exc:
-            return Failure(a, exc.step_index, f"forward witness failed: {exc}")
-        if witness.end != forward.expected_fn(a):
-            return Failure(a, None,
-                           f"forward endpoint {witness.end} != "
-                           f"{forward.expected_fn(a)}",
-                           list(witness.values))
-        # Replay backward with inverted actions under the same guards.
-        try:
-            back = apply_seq(inverse_seq(witness.actions), witness.end,
-                             claim.model)
-        except (GuardViolation, DomainViolation) as exc:
-            return Failure(a, exc.step_index,
-                           f"inverse replay illegal: {exc}",
-                           list(witness.values))
-        if back.start != claim.input_fn(a) or back.end != claim.expected_fn(a):
-            return Failure(a, None,
-                           f"inverse replay ended at {back.end}, "
-                           f"expected {claim.expected_fn(a)}",
-                           list(back.values))
-        return None
-
     try:
         witness = build_witness(claim, a)
     except (GuardViolation, DomainViolation) as exc:
@@ -154,11 +128,11 @@ def _check_one(claims, claim, a):
 # Per-A checks: check(a, search_bounds) returns None when A is outside the
 # claim's domain (skipped), else the list of failures (empty on PASS).
 
-def _catalog_claim(claims, claim):
+def _catalog_claim(claim):
     def check(a, search_bounds):
         if a < claim.min_a or not claim.applies(a):
             return None
-        failure = _check_one(claims, claim, a)
+        failure = _check_one(claim, a)
         return [failure] if failure else []
 
     # Catalog witnesses are scripts: no search bound applies to them.
@@ -349,7 +323,7 @@ def _registry(claims: dict) -> dict:
     each run, because the succession checks count as they go.
     """
     registry = {f"T.succ{i}": _succession(i) for i in catalog.SUCCESSION_SEQS}
-    registry.update((claim_id, _catalog_claim(claims, claim))
+    registry.update((claim_id, _catalog_claim(claim))
                     for claim_id, claim in claims.items())
     registry.update((f"T.cluster-{kind}", _cluster(kind))
                     for kind in CLUSTER_MEMBERS)

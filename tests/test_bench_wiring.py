@@ -59,3 +59,22 @@ def test_tracer_counts_node_loop_steps_and_no_searches():
     out = json.loads(proc.stdout)
     assert out["count"].get("search.bidir.calls", 0) == 0
     assert out["steps"] == 2 * out["script"] == 6154
+
+
+def test_benchmark_witness_check_agrees_with_the_catalog():
+    # bench/child.py check replays each inverse lemma as its forward witness
+    # run backward, found through Claim.inverse_of, and compares the end
+    # with the inverse claim's expected value
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for workload, inputs in (
+            ("exact-arith", {"lemmas": [1, 10000], "descend": [2, 100000],
+                             "seed": 0}),
+            ("verify-catalog", {"range": [1, 1000], "seed": 0})):
+        proc = subprocess.run(
+            [sys.executable, "bench/child.py", "check", workload,
+             json.dumps(inputs)],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["checked"] > 0, workload
+        assert out["problems"] == [], workload

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collatzlab.ternary import (Ternary, from_ternary, parse_ternary,
-                                to_ternary)
+from collatzlab.ternary import Ternary, from_ternary, to_ternary
 
 values = st.integers(min_value=1, max_value=10**12)
 
@@ -36,16 +35,6 @@ def test_round_trip(n):
 @settings(max_examples=300)
 def test_rendering_matches_oracle(n):
     assert str(to_ternary(n)) == base3_oracle(n)
-
-
-def test_parse_and_errors():
-    assert parse_ternary("21") == to_ternary(7)
-    with pytest.raises(ValueError):
-        parse_ternary("2x1")
-    with pytest.raises(ValueError):
-        parse_ternary("")
-    with pytest.raises(ValueError):
-        parse_ternary("012")  # leading zero is not canonical
 
 
 def test_canonical_form_enforced():

@@ -1,10 +1,11 @@
 """Report schema, the claim registry and its special checks."""
 
+import dataclasses
 import json
 
 import pytest
 
-from collatzlab.actions import ModelId
+from collatzlab.actions import Action, ActionSeq, ModelId, inverse_seq
 from collatzlab.catalog import build_claims
 from collatzlab.errors import UnknownClaim
 from collatzlab.search import SearchBounds, Unreachable
@@ -54,6 +55,39 @@ def test_inverse_claims_replay_backward():
     report = run_any_claim("L.11-21.even", range(1, 21))
     assert report.failed == 0
     assert report.passed == 10  # even A only
+
+
+def test_inverse_claims_replay_the_inverted_forward_script():
+    claims = build_claims()
+    inverses = [c for c in claims.values() if c.inverse_of is not None]
+    assert len(inverses) == 8
+    for claim in inverses:
+        forward = claims[claim.inverse_of]
+        for a in range(1, 301):
+            if claim.applies(a):
+                assert claim.build(a) == inverse_seq(forward.build(a)), \
+                    (claim.id, a)
+
+
+def test_every_single_letter_mutation_of_an_inverse_script_fails():
+    # the verdict comes from the inverse claim's own script, not from a
+    # replay of its forward lemma
+    claims = build_claims()
+    for claim_id, claim in claims.items():
+        if claim.inverse_of is None:
+            continue
+        steps = claim.build(1).steps
+        for i, letter in enumerate(steps):
+            for other in Action:
+                if other is letter:
+                    continue
+                mutant = ActionSeq(steps[:i] + (other,) + steps[i + 1:])
+                mutated = dict(claims)
+                mutated[claim_id] = dataclasses.replace(
+                    claim, build=lambda a, seq=mutant: seq)
+                report = run_any_claim(claim_id, range(1, 37),
+                                       claims=mutated)
+                assert report.failed > 0, (claim_id, mutant.render())
 
 
 def test_build_witness_validates():
