@@ -44,7 +44,7 @@ class Action(enum.Enum):
 
 # Keyed by letter: hashing a str skips the Python-level Enum.__hash__.
 _INVERSE = {"T": Action.F, "F": Action.T, "B": Action.D, "D": Action.B}
-# Plain globals for the per-step code in apply and evaluate_exact: one dict
+# Plain globals for the per-step code in _replay and evaluate_exact: one dict
 # lookup per use instead of a global lookup plus an enum attribute access.
 _T, _B, _F, _D = Action.T, Action.B, Action.F, Action.D
 _M0, _M1 = ModelId.M0, ModelId.M1
@@ -66,47 +66,67 @@ def action_function(action: Action, x):
 
 
 def is_legal(action: Action, x, model: ModelId) -> bool:
-    """Guard table of the four models for integer values.
+    """Whether a model's guards allow action at an integer x >= 1.
 
-    M2 has no guards (interpreter mode); graph-mode M2 adjacency, where F
-    additionally needs x > 1, lives in the models module.
+    Read off the replay loop below, the one guard table. M2 has no guards
+    (interpreter mode); graph-mode M2 adjacency, where F additionally needs
+    x > 1, lives in the models module.
     """
-    if model is ModelId.M2:
-        return True
-    if action is Action.T:
-        return model is ModelId.M1 or x % 2 == 1
-    if action is Action.B:
-        return x % 2 == 0
-    if action is Action.F:
-        return model is not ModelId.M0 and x % 3 == 1 and x > 1
-    # D
-    return model is ModelId.M1
+    try:
+        _replay((action,), x, model)
+    except GuardViolation:
+        return False
+    return True
+
+
+def _replay(steps, x, model: ModelId, first=0) -> list:
+    """Apply steps to x under model's guards; every value, x first.
+
+    The guard table of the integer models, written once. The start must be
+    an integer >= 1; the guards keep every legal result there, so it is not
+    re-checked: T gives >= 4, B halves an even >= 2, F needs x >= 4 with
+    x = 1 (mod 3) and D doubles. The i-th step's error carries step index
+    first + i, or none when first is None. M2 evaluates over exact
+    rationals with no guard at all.
+    """
+    values = [x]
+    if model not in INTEGER_MODELS:
+        for action in steps:
+            x = action_function(action, Fraction(x))
+            values.append(x)
+        return values
+    if steps and (not isinstance(x, int) or x < 1):
+        raise DomainViolation(steps[0], x, x, model, first)
+    free = model is _M1  # T and D unguarded
+    has_f = model is not _M0
+    append = values.append
+    for action in steps:
+        if action is _T:
+            if not (x & 1 or free):
+                break
+            x = 3 * x + 1
+        elif action is _B:
+            if x & 1:
+                break
+            x >>= 1
+        elif action is _F:
+            if not has_f or x % 3 != 1 or x == 1:
+                break
+            x = (x - 1) // 3
+        elif free:
+            x <<= 1
+        else:
+            break
+        append(x)
+    else:
+        return values
+    index = None if first is None else first + len(values) - 1
+    raise GuardViolation(action, x, model, index)
 
 
 def apply(action: Action, x, model: ModelId, step_index=None):
-    """Apply one action under a model's guards; exact result.
-
-    Integer models demand an integer input >= 1; the guards (the same table
-    as is_legal) keep every legal result there, so it is not re-checked:
-    T gives >= 4, B halves an even >= 2, F needs x >= 4 with x = 1 (mod 3)
-    and D doubles. M2 evaluates over exact rationals with no guard at all.
-    """
-    if model not in INTEGER_MODELS:
-        return action_function(action, Fraction(x))
-    if not isinstance(x, int) or x < 1:
-        raise DomainViolation(action, x, x, model, step_index)
-    if action is _T:
-        if x & 1 or model is _M1:
-            return 3 * x + 1
-    elif action is _B:
-        if not x & 1:
-            return x >> 1
-    elif action is _F:
-        if model is not _M0 and x % 3 == 1 and x > 1:
-            return (x - 1) // 3
-    elif action is _D and model is _M1:
-        return 2 * x
-    raise GuardViolation(action, x, model, step_index)
+    """Apply one action under a model's guards: a one-step replay."""
+    return _replay((action,), x, model, step_index)[1]
 
 
 @dataclass(frozen=True)
@@ -196,12 +216,8 @@ def apply_seq(seq: ActionSeq, x, model: ModelId) -> Path:
 
     Fails fast: the first illegal step raises with its index attached.
     """
-    values = [x]
-    value = x
-    for i, action in enumerate(seq.steps):
-        value = apply(action, value, model, i)
-        values.append(value)
-    return Path(model=model, start=x, actions=seq, end=value,
+    values = _replay(seq.steps, x, model)
+    return Path(model=model, start=x, actions=seq, end=values[-1],
                 values=tuple(values))
 
 

@@ -16,19 +16,20 @@ from typing import Callable
 
 from .actions import ActionSeq, ModelId, inverse_seq, seq_of
 
-# Core scripts, one per unconditional suffix lemma.
+# Core scripts, one per unconditional suffix lemma; each reverse lemma is
+# its forward script inverted.
 SEQ_10_11 = seq_of("TDDFFBBT")        # A10 -> A11 (also the +1 identity)
-SEQ_11_10 = seq_of("FDDTTBBF")
+SEQ_11_10 = inverse_seq(SEQ_10_11)
 SEQ_02_11 = seq_of("DFFBTT")
-SEQ_11_02 = seq_of("FFDTTB")
+SEQ_11_02 = inverse_seq(SEQ_02_11)
 SEQ_01_11 = seq_of("DDFFBBTT")
-SEQ_11_01 = seq_of("FFDDTTBB")
+SEQ_11_01 = inverse_seq(SEQ_01_11)
 SEQ_00_11 = seq_of("TDDFDDFFBBBBTT")
-SEQ_11_00 = seq_of("FFDDDDTTBBTBBF")
+SEQ_11_00 = inverse_seq(SEQ_00_11)
 SEQ_20_21 = seq_of("TDDFFBBT")
-SEQ_21_20 = seq_of("FDDTTBBF")
+SEQ_21_20 = inverse_seq(SEQ_20_21)
 SEQ_12_21 = seq_of("DDDFFBBTBT")
-SEQ_21_12 = seq_of("FDFDDTTBBB")
+SEQ_21_12 = inverse_seq(SEQ_12_21)
 SEQ_ATTACH = seq_of("TT")             # A -> A11
 
 # Appending / erasing a trailing '2'. For any value v = 3W+2 (numeral W2):
@@ -36,7 +37,7 @@ SEQ_ATTACH = seq_of("TT")             # A -> A11
 # W22 = 3v+2. Guard-legal for every such v, so one script covers the
 # R0... and R1... appending lemmas at once. Its inverse erases the 2.
 SEQ_APPEND2 = seq_of("TD") + SEQ_12_21 + seq_of("B")
-SEQ_BACKSPACE2 = seq_of("DFDFDDTTBBBBF")
+SEQ_BACKSPACE2 = inverse_seq(SEQ_APPEND2)
 
 # Conditional 3-cluster-to-5-cluster scripts (A21 -> A11, A22 -> A11),
 # split on A's parity and, for odd A, on A's last ternary digit.

@@ -176,19 +176,21 @@ def cmd_verify(args, out) -> int:
             print("available: " + ", ".join(sorted(known)), file=sys.stderr)
             return EXIT_USAGE
     reports = _run_claims(ids, args.a_range, _search_bounds(args),
-                          args.workers)
+                          args.workers, claims)
     _emit_reports(reports, args.format, args.timing, out)
     return EXIT_FINDING if any(r.failed for r in reports) else EXIT_OK
 
 
-def _run_claims(ids, rng, bounds, workers):
+def _run_claims(ids, rng, bounds, workers, claims):
     """One report per claim id; one process pool for the whole run.
 
-    With workers > 1 the work units are (claim, range chunk) pairs, and
-    each claim's chunk reports are merged back in range order.
+    A serial run reuses the caller's catalog. With workers > 1 the work
+    units are (claim, range chunk) pairs, each unit builds its own catalog
+    (a Claim holds lambdas, which do not pickle), and each claim's chunk
+    reports are merged back in range order.
     """
     if workers <= 1 or len(rng) < 2 * workers:
-        return [verify_mod.run_any_claim(c, rng, bounds) for c in ids]
+        return [verify_mod.run_any_claim(c, rng, bounds, claims) for c in ids]
     import concurrent.futures
 
     chunk = (len(rng) + workers - 1) // workers

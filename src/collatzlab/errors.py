@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each error keeps its constructor arguments in ``args``, so it pickles (a
+worker process can hand it back), and builds its message only in
+``__str__``: a failed replay that nobody reports costs no formatting.
+"""
 
 
 class CollatzlabError(Exception):
@@ -9,36 +14,48 @@ class ParseError(CollatzlabError):
     """Invalid character in an action-sequence string."""
 
     def __init__(self, text, position):
+        super().__init__(text, position)
         self.text = text
         self.position = position
-        super().__init__(f"invalid action symbol {text[position]!r} at index {position}")
+
+    def __str__(self):
+        return (f"invalid action symbol {self.text[self.position]!r} "
+                f"at index {self.position}")
+
+
+def _at(step_index):
+    return "" if step_index is None else f" (step {step_index})"
 
 
 class GuardViolation(CollatzlabError):
     """An action was applied at a value where the model forbids it."""
 
     def __init__(self, action, value, model, step_index=None):
+        super().__init__(action, value, model, step_index)
         self.action = action
         self.value = value
         self.model = model
         self.step_index = step_index
-        at = "" if step_index is None else f" (step {step_index})"
-        super().__init__(f"{action} illegal at {value} under {model}{at}")
+
+    def __str__(self):
+        return (f"{self.action} illegal at {self.value} under {self.model}"
+                f"{_at(self.step_index)}")
 
 
 class DomainViolation(CollatzlabError):
     """A result left the model's domain (non-positive, or non-integer)."""
 
     def __init__(self, action, value, result, model, step_index=None):
+        super().__init__(action, value, result, model, step_index)
         self.action = action
         self.value = value
         self.result = result
         self.model = model
         self.step_index = step_index
-        at = "" if step_index is None else f" (step {step_index})"
-        super().__init__(
-            f"{action} at {value} gives {result}, outside {model} domain{at}"
-        )
+
+    def __str__(self):
+        return (f"{self.action} at {self.value} gives {self.result}, "
+                f"outside {self.model} domain{_at(self.step_index)}")
 
 
 class IllegalEdge(CollatzlabError):
@@ -51,15 +68,20 @@ class UnknownClaim(CollatzlabError):
     def __init__(self, claim_id, known):
         self.claim_id = claim_id
         self.known = list(known)
-        super().__init__(
-            f"unknown claim {claim_id!r}; known ids: {', '.join(self.known)}"
-        )
+        super().__init__(claim_id, self.known)
+
+    def __str__(self):
+        return (f"unknown claim {self.claim_id!r}; "
+                f"known ids: {', '.join(self.known)}")
 
 
 class DepthExceeded(CollatzlabError):
     """Deterministic iteration did not reach 1 within the step cap."""
 
     def __init__(self, start, max_depth):
+        super().__init__(start, max_depth)
         self.start = start
         self.max_depth = max_depth
-        super().__init__(f"{start} did not reach 1 within {max_depth} steps")
+
+    def __str__(self):
+        return f"{self.start} did not reach 1 within {self.max_depth} steps"

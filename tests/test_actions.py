@@ -1,5 +1,6 @@
 """Action algebra: exact maps, guard tables, sequences, paths."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,12 @@ def test_guard_tables():
     assert not is_legal(Action.F, 8, ModelId.M1)
     # M2 interpreter mode: everything goes
     assert all(is_legal(a, 5, ModelId.M2) for a in Action)
+    # is_legal is read off the replay loop; the written table agrees
+    for model in ModelId:
+        for action in Action:
+            for x in range(1, 200):
+                assert (is_legal(action, x, model)
+                        == table_legal(action, x, model)), (action, x, model)
 
 
 @given(positives)
@@ -167,12 +174,26 @@ def test_evaluate_exact_matches_fraction_oracle(seq, x):
     assert end == value
 
 
+def table_legal(action, x, model):
+    """The four models' guard table, written out apart from the library."""
+    if model is ModelId.M2:
+        return True
+    if action is Action.T:
+        return model is ModelId.M1 or x % 2 == 1
+    if action is Action.B:
+        return x % 2 == 0
+    if action is Action.F:
+        return model is not ModelId.M0 and x % 3 == 1 and x > 1
+    return model is ModelId.M1  # D
+
+
 def reference_apply(action, x, model, step_index=None):
-    """One guarded step from is_legal and action_function, both domains checked."""
+    """One guarded step from table_legal and action_function, both domains
+    checked."""
     if model in INTEGER_MODELS:
         if not isinstance(x, int) or x < 1:
             raise DomainViolation(action, x, x, model, step_index)
-        if not is_legal(action, x, model):
+        if not table_legal(action, x, model):
             raise GuardViolation(action, x, model, step_index)
         result = action_function(action, x)
         if not isinstance(result, int) or result < 1:
@@ -231,6 +252,50 @@ def test_fused_apply_matches_guard_table_on_big_values(seq, x, model):
                 == outcome(reference_apply, action, x, model, 3))
     assert (outcome(apply_seq, seq, x, model)
             == outcome(reference_apply_seq, seq, x, model))
+
+
+SHORT_SEQS = [ActionSeq(steps) for n in range(5)
+              for steps in itertools.product(list(Action), repeat=n)]
+
+
+def test_fused_replay_matches_the_reference_on_every_short_sequence():
+    assert len(SHORT_SEQS) == 341
+    failed_at = set()
+    for model in INTEGER_MODELS:
+        for seq in SHORT_SEQS:
+            for x in range(1, 73):
+                got = outcome(apply_seq, seq, x, model)
+                assert got == outcome(reference_apply_seq, seq, x, model), (
+                    seq, x, model)
+                if got[0] is not Path:
+                    failed_at.add(got[2])
+    # failures were met at every step of a length-4 sequence
+    assert failed_at == {0, 1, 2, 3}
+
+
+def test_mid_sequence_failures_are_pinned():
+    cases = [
+        (seq_of("TTB"), 1, ModelId.M0,
+         (GuardViolation, "T illegal at 4 under M0 (step 1)", 1)),
+        (seq_of("TBBF"), 1, ModelId.MS,
+         (GuardViolation, "F illegal at 1 under MS (step 3)", 3)),
+        (seq_of("DDFB"), 5, ModelId.M1,
+         (GuardViolation, "F illegal at 20 under M1 (step 2)", 2)),
+        (seq_of("TD"), 3, ModelId.MS,
+         (GuardViolation, "D illegal at 10 under MS (step 1)", 1)),
+        (seq_of("BT"), 0, ModelId.M1,
+         (DomainViolation, "B at 0 gives 0, outside M1 domain (step 0)", 0)),
+    ]
+    for seq, x, model, expected in cases:
+        assert outcome(apply_seq, seq, x, model) == expected
+        assert outcome(reference_apply_seq, seq, x, model) == expected
+
+
+def test_empty_sequence_at_a_nonpositive_start_is_a_one_value_path():
+    for model in ModelId:
+        for x in (0, -3):
+            path = apply_seq(ActionSeq(()), x, model)
+            assert path == Path(model, x, ActionSeq(()), x, (x,))
 
 
 def stepwise_fraction(seq, x):

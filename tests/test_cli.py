@@ -72,6 +72,23 @@ def test_verify_is_deterministic():
     assert first == second
 
 
+def test_serial_verify_builds_the_catalog_once(monkeypatch):
+    from collatzlab import catalog, cli
+
+    build = catalog.build_claims
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(catalog, "build_claims", counted)
+    monkeypatch.setattr(cli, "build_claims", counted)
+    code, _ = run(["verify", "--claim", "all", "--range", "1..3"])
+    assert code in (0, 1)
+    assert len(calls) == 1
+
+
 def test_cluster_replay_output_does_not_depend_on_workers():
     # each range chunk learns its own cluster scripts
     argv = ["verify", "--claim", "T.cluster-nine,T.cluster-three",
