@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainViolation, GuardViolation, ParseError
 from .ternary import to_ternary  # noqa: F401  bound for bench/tracer.py
@@ -20,6 +21,10 @@ class ModelId(enum.Enum):
     MS = "ms"  # adds F at x = 1 (mod 3)
     M1 = "m1"  # adds unguarded T and D
     M2 = "m2"  # unguarded rational interpreter
+
+    # Members are singletons and compare by identity, so the identity hash
+    # is consistent with == and runs in C instead of Enum.__hash__.
+    __hash__ = object.__hash__
 
     def __str__(self):
         return self.name
@@ -33,6 +38,8 @@ class Action(enum.Enum):
     B = "B"  # x -> x / 2
     F = "F"  # x -> (x - 1) / 3
     D = "D"  # x -> 2x
+
+    __hash__ = object.__hash__  # see ModelId
 
     def __str__(self):
         return self.value
@@ -177,10 +184,12 @@ def inverse_seq(seq: ActionSeq) -> ActionSeq:
     return ActionSeq(tuple(_INVERSE[a._value_] for a in reversed(seq.steps)))
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A guard-legal walk through one model: values[i + 1] is the i-th
     action applied to values[i], from values[0] = start to values[-1] = end.
+
+    An immutable value: equal and hashed by its five fields. Its length is
+    the number of actions, so a walk with no action is falsy.
     """
 
     model: ModelId
@@ -217,8 +226,7 @@ def apply_seq(seq: ActionSeq, x, model: ModelId) -> Path:
     Fails fast: the first illegal step raises with its index attached.
     """
     values = _replay(seq.steps, x, model)
-    return Path(model=model, start=x, actions=seq, end=values[-1],
-                values=tuple(values))
+    return Path(model, x, seq, values[-1], tuple(values))
 
 
 def validate_trace(path: Path) -> bool:
@@ -229,8 +237,9 @@ def validate_trace(path: Path) -> bool:
 def evaluate_exact(seq: ActionSeq, x):
     """Unguarded signed-rational evaluation of a sequence.
 
-    Returns (end, flagged): end is the exact rational result, and flagged
-    lists (step_index, value) for every intermediate <= 0, in step order.
+    Returns (end, flagged): end is the exact result, an int when it is an
+    integer and a Fraction otherwise, and flagged lists (step_index, value)
+    for every intermediate <= 0, in step order, each value a Fraction.
     Runs on a raw numerator/denominator pair p/q with q > 0: the only
     denominators that ever appear are products of 2s and 3s, so B and F
     divide p exactly when they can and otherwise grow q. The pair is not
@@ -260,4 +269,6 @@ def evaluate_exact(seq: ActionSeq, x):
                 p //= 3
         if p <= 0:
             flagged.append((i, Fraction(p, q)))
-    return Fraction(p, q), flagged
+    if p % q:
+        return Fraction(p, q), flagged
+    return p // q, flagged

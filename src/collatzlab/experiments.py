@@ -15,8 +15,8 @@ def _canonical_cycle(nodes):
     return list(nodes[i:]) + list(nodes[:i])
 
 
-def _functional_cycles(step, max_value):
-    """Cycle census of an out-degree-<=1 graph on 1..max_value."""
+def _m0_cycles(max_value):
+    """Cycle census of M0, out-degree 1, on 1..max_value."""
     DONE, ACTIVE = 2, 1
     color = bytearray(max_value + 1)
     cycles = []
@@ -25,7 +25,7 @@ def _functional_cycles(step, max_value):
             continue
         path = []
         x = n
-        while x is not None and x <= max_value:
+        while x <= max_value:
             c = color[x]
             if c:
                 if c == ACTIVE:
@@ -33,7 +33,7 @@ def _functional_cycles(step, max_value):
                 break
             color[x] = ACTIVE
             path.append(x)
-            x = step(x)
+            x = 3 * x + 1 if x & 1 else x >> 1
         for v in path:
             color[v] = DONE
     return cycles
@@ -50,10 +50,7 @@ def cycle_census(model: ModelId, max_value: int):
     if max_value < 4:
         raise ValueError(f"max_value must be >= 4, got {max_value}")
     if model is ModelId.M0:
-        def step(x):
-            y = 3 * x + 1 if x % 2 else x // 2
-            return y if y <= max_value else None
-        cycles = _functional_cycles(step, max_value)
+        cycles = _m0_cycles(max_value)
     else:
         import networkx as nx
 
@@ -119,6 +116,19 @@ def _phase_step(dropped):
     return step
 
 
+def _m0_descent(n, bounds):
+    """The first M0 value below n, or 0 when the walk from n leaves the
+    value cap or the depth first; _reaches_known tests that value first."""
+    x = n
+    steps = 0
+    while x <= bounds.max_value and steps <= bounds.max_depth:
+        if x < n:
+            return x
+        x = 3 * x + 1 if x & 1 else x >> 1
+        steps += 1
+    return 0
+
+
 def _reaches_known(n, step, bounds, ok):
     """Does n reach 1 (or a value already known to) under the phase edges?
 
@@ -167,21 +177,27 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
                   == [m for m in m0(x) if m[1] <= max_value]
                   for x in range(1, max_value + 1))
 
-    phases = []
+    # One ascending node loop for the three phases; each phase's induction
+    # reads only its own ok of smaller nodes. The walk from n passes only
+    # values >= n before its first value d below n, so _reaches_known would
+    # accept n at d whenever ok[d] holds: d is found once for all phases.
+    phases, runs = [], []
     for phase, dropped in _PHASE_DROPS.items():
         result = PhaseResult(phase=phase,
-                             dropped=tuple(c.value for c in dropped))
-        step = _phase_step(dropped)
+                             dropped=tuple(c.value for c in dropped),
+                             reached=1)
         ok = bytearray(max_value + 1)
         ok[1] = 1
-        result.reached = 1
-        for n in range(2, max_value + 1):
-            if _reaches_known(n, step, bounds, ok):
+        phases.append(result)
+        runs.append((result, _phase_step(dropped), ok))
+    for n in range(2, max_value + 1):
+        d = _m0_descent(n, bounds)
+        for result, step, ok in runs:
+            if ok[d] or _reaches_known(n, step, bounds, ok):
                 ok[n] = 1
                 result.reached += 1
             else:
                 result.failed.append(n)
-        phases.append(result)
 
     return DeloopReport(max_value=max_value, headroom=search_headroom,
                         phase3_matches_m0=matches, phases=phases,

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 _DIGIT_SET = frozenset((0, 1, 2))
+_DIGIT_CHARS = bytes.maketrans(b"\x00\x01\x02", b"012")
 # _CHUNKS[r] is r < 3**5 as five digits, least-significant-first.
 _CHUNKS = tuple((r % 3, r // 3 % 3, r // 9 % 3, r // 27 % 3, r // 81)
                 for r in range(243))
@@ -29,7 +30,7 @@ class Ternary:
             raise ValueError("leading zero: not canonical")
 
     def __str__(self):
-        return "".join(["012"[d] for d in reversed(self.digits)])
+        return bytes(reversed(self.digits)).translate(_DIGIT_CHARS).decode()
 
 
 def to_ternary(n: int) -> Ternary:

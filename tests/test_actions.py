@@ -1,6 +1,7 @@
 """Action algebra: exact maps, guard tables, sequences, paths."""
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import collatzlab
+from collatzlab import search
 from collatzlab.actions import (INTEGER_MODELS, Action, ActionSeq, ModelId,
                                 Path, action_function, apply, apply_seq,
                                 evaluate_exact, inverse_seq, is_legal,
@@ -324,4 +326,112 @@ rationals = st.one_of(
 @example(seq_of("BT"), -3)
 @example(seq_of("TDDFFBBT"), Fraction(-7, 6))
 def test_evaluate_exact_matches_stepwise_fractions_on_signed_rationals(seq, x):
-    assert evaluate_exact(seq, x) == stepwise_fraction(seq, x)
+    end, flagged = evaluate_exact(seq, x)
+    want, want_flagged = stepwise_fraction(seq, x)
+    assert (end, flagged) == (want, want_flagged)
+    # an int exactly when the result is an integer, reading the same
+    assert type(end) is (int if want.denominator == 1 else Fraction)
+    assert str(end) == str(want)
+    assert all(type(value) is Fraction for _, value in flagged)
+
+
+def hand_walk(model, start, text):
+    """(model, start, actions, end, values) of a walk, by plain arithmetic
+    with no guard check."""
+    maps = {"T": lambda v: 3 * v + 1, "B": lambda v: v // 2,
+            "F": lambda v: (v - 1) // 3, "D": lambda v: 2 * v}
+    values = [start]
+    for c in text:
+        values.append(maps[c](values[-1]))
+    return model, start, seq_of(text), values[-1], tuple(values)
+
+
+def test_path_is_an_immutable_value():
+    fields = hand_walk(ModelId.MS, 1, "TBB")
+    path = apply_seq(seq_of("TBB"), 1, ModelId.MS)
+    assert (path.model, path.start, path.actions, path.end,
+            path.values) == fields
+    built = Path(*fields)
+    assert path == built and hash(path) == hash(built)
+    by_name = Path(model=ModelId.MS, start=1, actions=seq_of("TBB"), end=1,
+                   values=(1, 4, 2, 1))
+    assert len({path, built, by_name}) == 1
+    for i in range(5):
+        other = list(fields)
+        other[i] = ModelId.M1 if i == 0 else ActionSeq(()) if i == 2 else 7
+        assert Path(*other) != path
+    for name in ("model", "start", "actions", "end", "values"):
+        with pytest.raises(AttributeError):
+            setattr(path, name, None)
+    assert path.peak == 4
+
+
+def test_path_length_counts_actions_and_an_empty_path_is_falsy():
+    path = apply_seq(seq_of("TDDFFBBT"), 12, ModelId.M1)
+    assert len(path) == len(path.actions) == 8 and path
+    empty = apply_seq(ActionSeq(()), 5, ModelId.M0)
+    assert len(empty) == 0 and not empty and empty.values == (5,)
+    # the benchmark counts a trajectory's steps as len(path)
+    steps, x = 0, 27
+    while x != 1:
+        x = 3 * x + 1 if x % 2 else x // 2
+        steps += 1
+    assert len(search.trajectory(27)) == steps == 111
+
+
+def test_path_survives_pickling():
+    for path in (apply_seq(seq_of("TBB"), 1, ModelId.MS),
+                 apply_seq(ActionSeq(()), 5, ModelId.M0),
+                 apply_seq(seq_of("BT"), Fraction(1, 3), ModelId.M2),
+                 search.trajectory(27)):
+        back = pickle.loads(pickle.dumps(path))
+        assert back == path and type(back) is Path
+        assert back.validate()
+
+
+def test_search_results_are_paths():
+    assert search.Path is Path
+    found = search.bfs_reach(ModelId.MS, 3, 10,
+                             search.SearchBounds(max_value=100))
+    for path in (found, search.trajectory(7), apply_seq(seq_of("T"), 3,
+                                                        ModelId.M0)):
+        assert isinstance(path, search.Path) and path.validate()
+    assert not isinstance(search.Unreachable(False), search.Path)
+
+
+@pytest.mark.parametrize("text, x, end, shown", [
+    ("TDDFFBBT", 10, 11, "11"),
+    ("BD", 5, 5, "5"),  # 5/2 then 10/2: the pair is not kept reduced
+    ("F", 1, 0, "0"),
+    ("F", -2, -1, "-1"),
+    ("", Fraction(4, 2), 2, "2"),
+    ("B", 5, Fraction(5, 2), "5/2"),
+    ("FF", 1, Fraction(-1, 3), "-1/3"),
+    ("TB", Fraction(1, 2), Fraction(5, 4), "5/4"),
+])
+def test_evaluate_exact_returns_an_int_for_integer_results(text, x, end,
+                                                           shown):
+    result, flagged = evaluate_exact(seq_of(text), x)
+    assert result == end and str(result) == shown == str(Fraction(end))
+    assert type(result) is (int if Fraction(end).denominator == 1
+                            else Fraction)
+    assert all(type(value) is Fraction for _, value in flagged)
+
+
+@pytest.mark.parametrize("member", [*Action, *ModelId], ids=str)
+def test_enum_members_hash_by_identity_and_survive_pickling(member):
+    assert type(member).__hash__ is object.__hash__
+    back = pickle.loads(pickle.dumps(member))
+    assert back is member and hash(back) == hash(member)
+    table = {m: i for i, m in enumerate([*Action, *ModelId])}
+    assert table[back] == table[member]
+    assert back in set(table) and back in frozenset(table)
+    copied = pickle.loads(pickle.dumps(table))
+    assert copied[member] == table[member]
+
+
+def test_forbidden_edge_membership_uses_the_member_hash():
+    # the shape verify._edge_loop passes to bfs_reach as forbidden_edges
+    forbidden = frozenset({(31, Action.F)})
+    assert (31, pickle.loads(pickle.dumps(Action.F))) in forbidden
+    assert (31, Action.T) not in forbidden and (30, Action.F) not in forbidden

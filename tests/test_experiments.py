@@ -7,6 +7,7 @@ from collatzlab.actions import Action, ModelId
 from collatzlab.experiments import cycle_census, delooping_experiment
 from collatzlab.models import (EdgeClass, bounded_graph, drop_edge_classes,
                                successors)
+from collatzlab.search import SearchBounds
 
 
 def brute_force_cycles(model, max_value):
@@ -121,3 +122,61 @@ def test_streamed_phase3_check_equals_the_edge_set_comparison():
 def test_streamed_phase3_check_fails_when_phase3_keeps_e4(monkeypatch):
     monkeypatch.setitem(experiments._PHASE_DROPS, 3, (EdgeClass.E1,))
     assert not delooping_experiment(100).phase3_matches_m0
+
+
+def three_pass_deloop(max_value, headroom):
+    """The de-looping phases as three separate ascending node loops, each
+    walking every node's M0 descent again: (phase, reached, failed) per
+    phase, and each phase's final ok table."""
+    bounds = SearchBounds(max_value=max_value * headroom, max_depth=512,
+                          max_states=200_000)
+    rows, oks = [], []
+    for phase, dropped in experiments._PHASE_DROPS.items():
+        step = experiments._phase_step(dropped)
+        ok = bytearray(max_value + 1)
+        ok[1] = 1
+        reached, failed = 1, []
+        for n in range(2, max_value + 1):
+            if experiments._reaches_known(n, step, bounds, ok):
+                ok[n] = 1
+                reached += 1
+            else:
+                failed.append(n)
+        rows.append((phase, reached, failed))
+        oks.append(ok)
+    return rows, oks
+
+
+def first_m0_value_below(n, cap, max_depth=512):
+    """The first M0 value below n with every value so far <= cap, within
+    max_depth steps; 0 when there is none."""
+    x = n
+    for _ in range(max_depth + 1):
+        if x > cap:
+            return 0
+        if x < n:
+            return x
+        x = 3 * x + 1 if x % 2 else x // 2
+    return 0
+
+
+@pytest.mark.parametrize("max_value, headroom", [(10**4, 2**10), (300, 2)])
+def test_one_node_loop_matches_three_separate_phase_passes(max_value,
+                                                            headroom):
+    rows, oks = three_pass_deloop(max_value, headroom)
+    report = delooping_experiment(max_value, search_headroom=headroom)
+    assert [(p.phase, p.reached, p.failed) for p in report.phases] == rows
+    descents = {n: first_m0_value_below(n, max_value * headroom)
+                for n in range(2, max_value + 1)}
+    # nodes the shared descent cannot accept, so each phase's full walk
+    # and BFS decide them
+    undecided = [[n for n, d in descents.items() if not ok[d]] for ok in oks]
+    if headroom == 2**10:
+        assert rows[1][2] == rows[2][2] == [9663]
+        assert undecided == [[9663]] * 3
+    else:
+        # the walk leaves the cap, or it lands on a node the phase failed
+        assert any(descents[n] == 0 for n in undecided[1])
+        assert any(descents[n] for n in undecided[1])
+        # phase 1 reaches some of them through F-edges after all
+        assert 0 < sum(oks[0][n] for n in undecided[0]) < len(undecided[0])
