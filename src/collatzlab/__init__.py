@@ -12,14 +12,14 @@ from .actions import (Action, ActionSeq, ModelId, Path, action_function,
                       parse_seq, validate_trace)
 from .catalog import Claim, build_claims
 from .errors import (CollatzlabError, DepthExceeded, DomainViolation,
-                     GuardViolation, IllegalEdge, ParseError, UnknownClaim)
+                     GuardViolation, ParseError, UnknownClaim)
 from .experiments import DeloopReport, cycle_census, delooping_experiment
-from .models import (BoundedGraph, EdgeClass, bounded_graph, classify_edge,
-                     drop_edge_classes, predecessors, successors, to_dot)
+from .models import (BoundedGraph, EdgeClass, bounded_graph, predecessors,
+                     successors, to_dot)
 from .search import (SearchBounds, Unreachable, all_reach_one, bfs_reach,
                      bfs_reach_bidirectional, bfs_until, stats_csv,
                      stopping_stats, trajectory)
-from .ternary import Ternary, from_ternary, to_ternary
+from .ternary import from_ternary, to_ternary
 from .verify import Failure, VerifyReport, all_claim_ids, run_any_claim
 
 __version__ = "0.1.0"
@@ -30,14 +30,14 @@ __all__ = [
     "validate_trace",
     "Claim", "build_claims",
     "CollatzlabError", "DepthExceeded", "DomainViolation", "GuardViolation",
-    "IllegalEdge", "ParseError", "UnknownClaim",
+    "ParseError", "UnknownClaim",
     "DeloopReport", "cycle_census", "delooping_experiment",
-    "BoundedGraph", "EdgeClass", "bounded_graph", "classify_edge",
-    "drop_edge_classes", "predecessors", "successors", "to_dot",
+    "BoundedGraph", "EdgeClass", "bounded_graph", "predecessors",
+    "successors", "to_dot",
     "SearchBounds", "Unreachable", "all_reach_one", "bfs_reach",
     "bfs_reach_bidirectional", "bfs_until", "stats_csv", "stopping_stats",
     "trajectory",
-    "Ternary", "from_ternary", "to_ternary",
+    "from_ternary", "to_ternary",
     "Failure", "VerifyReport", "all_claim_ids", "run_any_claim",
     "__version__",
 ]

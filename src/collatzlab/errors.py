@@ -58,10 +58,6 @@ class DomainViolation(CollatzlabError):
                 f"outside {self.model} domain{_at(self.step_index)}")
 
 
-class IllegalEdge(CollatzlabError):
-    """Edge classification was asked for a pair that is not a legal move."""
-
-
 class UnknownClaim(CollatzlabError):
     """Claim id not present in the catalog."""
 

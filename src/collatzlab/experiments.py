@@ -118,7 +118,7 @@ def _phase_step(dropped):
 
 def _m0_descent(n, bounds):
     """The first M0 value below n, or 0 when the walk from n leaves the
-    value cap or the depth first; _reaches_known tests that value first."""
+    value cap or the depth first."""
     x = n
     steps = 0
     while x <= bounds.max_value and steps <= bounds.max_depth:
@@ -130,19 +130,8 @@ def _m0_descent(n, bounds):
 
 
 def _reaches_known(n, step, bounds, ok):
-    """Does n reach 1 (or a value already known to) under the phase edges?
-
-    Fast path: the deterministic M0 walk, legal in every phase, until the
-    value descends below n. Falls back to BFS under the phase's edge set
-    when the walk would exceed the value cap.
-    """
-    x = n
-    steps = 0
-    while x <= bounds.max_value and steps <= bounds.max_depth:
-        if x == 1 or (x < n and ok[x]):
-            return True
-        x = 3 * x + 1 if x % 2 else x // 2
-        steps += 1
+    """Does n reach 1, or a smaller node already known to, under the phase
+    edges? Decided by one BFS over the phase's step function."""
     result = bfs(ModelId.MS, step, n, lambda y: y == 1 or (y < n and ok[y]),
                  bounds)
     return not isinstance(result, Unreachable)
@@ -156,6 +145,11 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
     Phase 3's step function is additionally compared against M0's, node by
     node over 1..max_value with moves above max_value left out; the two
     must list the same moves at every node.
+
+    Nodes are decided in ascending order. A phase accepts node n when the
+    first M0 value d below n, inside the cap and depth, is a node it already
+    accepted; otherwise ``_reaches_known``'s BFS over the phase's edges
+    decides n.
 
     Each phase's ``failed`` lists, in ascending order, the nodes with no
     path to 1 inside the value cap. Phase 3 is M0, so its ``failed`` holds
@@ -178,9 +172,9 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
                   for x in range(1, max_value + 1))
 
     # One ascending node loop for the three phases; each phase's induction
-    # reads only its own ok of smaller nodes. The walk from n passes only
-    # values >= n before its first value d below n, so _reaches_known would
-    # accept n at d whenever ok[d] holds: d is found once for all phases.
+    # reads only its own ok of smaller nodes. The M0 walk from n is legal in
+    # every phase and passes only values >= n before its first value d below
+    # n, so one walk serves all three phases.
     phases, runs = [], []
     for phase, dropped in _PHASE_DROPS.items():
         result = PhaseResult(phase=phase,

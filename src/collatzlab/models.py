@@ -10,8 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .actions import Action, ModelId, action_function, is_legal
-from .errors import IllegalEdge
+from .actions import Action, ModelId, action_function
 
 ACTION_ORDER = (Action.T, Action.B, Action.F, Action.D)
 _T, _B, _F, _D = ACTION_ORDER
@@ -82,31 +81,15 @@ def predecessors(x, model: ModelId):
     return _pred_m1(x)
 
 
-def classify_edge(x: int, action: Action, model: ModelId) -> EdgeClass:
-    """E1/E4 for F-edges with the stated residues, OTHER for the rest."""
-    if not is_legal(action, x, model):
-        raise IllegalEdge(f"{action} is not a legal move at {x} under {model}")
-    return edge_class(x, action)
-
-
 def edge_class(x: int, action: Action) -> EdgeClass:
-    """classify_edge without the legality check, for moves known legal."""
+    """E1/E4 for an F-edge out of x with the stated residue, OTHER for the
+    rest; the caller passes a legal move."""
     if action is Action.F:
         if x % 6 == 1:
             return EdgeClass.E1
         if x % 6 == 4:
             return EdgeClass.E4
     return EdgeClass.OTHER
-
-
-def drop_edge_classes(*classes: EdgeClass):
-    """Edge filter that removes the given classes (for bounded_graph)."""
-    dropped = set(classes)
-
-    def keep(x, action, model):
-        return classify_edge(x, action, model) not in dropped
-
-    return keep
 
 
 @dataclass
@@ -122,31 +105,20 @@ class BoundedGraph:
             for action, y in self.adjacency[x]:
                 yield (x, action, y)
 
-    def edge_set(self):
-        return set(self.edges())
 
-
-def bounded_graph(model: ModelId, max_value: int, edge_filter=None) -> BoundedGraph:
+def bounded_graph(model: ModelId, max_value: int) -> BoundedGraph:
     """Materialize an integer model's graph (M0, MS, M1) on nodes 1..max_value.
 
-    edge_filter(x, action, model) -> bool keeps or drops individual edges;
-    edges leading above max_value are always dropped.
+    Edges leading above max_value are dropped.
     """
     if model is ModelId.M2:
         raise ValueError("bounded graphs need an integer model (m0, ms, m1), "
                          "got m2")
     if max_value < 4:
         raise ValueError(f"max_value must be >= 4, got {max_value}")
-    adjacency = {}
-    for x in range(1, max_value + 1):
-        moves = []
-        for action, y in successors(x, model):
-            if y > max_value:
-                continue
-            if edge_filter is not None and not edge_filter(x, action, model):
-                continue
-            moves.append((action, y))
-        adjacency[x] = moves
+    adjacency = {x: [(action, y) for action, y in successors(x, model)
+                     if y <= max_value]
+                 for x in range(1, max_value + 1)}
     return BoundedGraph(model=model, max_value=max_value, adjacency=adjacency)
 
 

@@ -1,55 +1,31 @@
 """Canonical base-3 numerals: the ternary view of values in traces.
 
-Digits are stored least-significant-first, the order in which to_ternary
-produces them; rendering flips to most-significant-first.
+A numeral is a digit string, most significant digit first, with digits
+0-2 and no leading zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-_DIGIT_SET = frozenset((0, 1, 2))
-_DIGIT_CHARS = bytes.maketrans(b"\x00\x01\x02", b"012")
-# _CHUNKS[r] is r < 3**5 as five digits, least-significant-first.
-_CHUNKS = tuple((r % 3, r // 3 % 3, r // 9 % 3, r // 27 % 3, r // 81)
+# _CHUNKS[r] is r < 3**5 as five digits, most-significant-first.
+_CHUNKS = tuple(f"{r // 81}{r // 27 % 3}{r // 9 % 3}{r // 3 % 3}{r % 3}"
                 for r in range(243))
 
 
-@dataclass(frozen=True)
-class Ternary:
-    """A positive integer as a canonical base-3 digit string."""
-
-    digits: tuple[int, ...]  # least-significant-first, msd != 0
-
-    def __post_init__(self):
-        if not self.digits:
-            raise ValueError("empty digit list")
-        if not _DIGIT_SET.issuperset(self.digits):
-            raise ValueError(f"digits must be in 0..2: {self.digits}")
-        if self.digits[-1] == 0:
-            raise ValueError("leading zero: not canonical")
-
-    def __str__(self):
-        return bytes(reversed(self.digits)).translate(_DIGIT_CHARS).decode()
-
-
-def to_ternary(n: int) -> Ternary:
-    """Canonical base-3 form of a positive integer."""
+def to_ternary(n: int) -> str:
+    """Canonical base-3 digit string of a positive integer."""
     if n < 1:
         raise ValueError(f"positive integer required, got {n}")
-    digits = []
+    chunks = []
     while n >= 243:
         n, r = divmod(n, 243)
-        digits += _CHUNKS[r]
-    while n:
-        n, d = divmod(n, 3)
-        digits.append(d)
-    return Ternary(tuple(digits))
+        chunks.append(_CHUNKS[r])
+    # 1 <= n < 243 here: the leading chunk without its leading zeros.
+    chunks.append(_CHUNKS[n].lstrip("0"))
+    return "".join(reversed(chunks))
 
 
-def from_ternary(a: Ternary) -> int:
-    value = 0
-    for d in reversed(a.digits):
-        value = value * 3 + d
-    return value
-
+def from_ternary(digits: str) -> int:
+    """The integer a canonical base-3 digit string denotes; inverse of
+    to_ternary up to Python's limit on digits converted from a string
+    (sys.get_int_max_str_digits(), 4300 by default)."""
+    return int(digits, 3)

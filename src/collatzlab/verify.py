@@ -48,12 +48,6 @@ class VerifyReport:
     bounds: dict = field(default_factory=dict)
     wall_ms: float = 0.0
 
-    def record_pass(self):
-        self.passed += 1
-
-    def record_skip(self):
-        self.skipped += 1
-
     def record_failure(self, failure: Failure):
         self.failed += 1
         self.failures.append(failure)
@@ -252,24 +246,25 @@ def descending_witness(a: int, model: ModelId,
                        bounds: SearchBounds | None = None):
     """A guard-legal Path whose end is below a, or the search's Unreachable.
 
-    Fast paths: halve when even, strip when a = 1 (mod 3); otherwise the
-    deterministic M0 walk until the value drops below a (its T/B moves are
-    legal in both MS and M1). Falls back to bounded BFS.
+    Fast paths, each taken only when its value is within the value cap:
+    halve when even, strip when a = 1 (mod 3); otherwise the deterministic
+    M0 walk until the value drops below a (its T/B moves are legal in both
+    MS and M1). Falls back to bounded BFS.
     """
-    if a % 2 == 0:
+    limit = bounds.max_depth if bounds is not None else 1000
+    cap = bounds.max_value if bounds is not None else a * 2**20
+    if a % 2 == 0 and a // 2 <= cap:
         return apply_seq(_SEQ_B, a, model)
-    if a % 3 == 1 and a > 1:
+    if a % 3 == 1 and a > 1 and (a - 1) // 3 <= cap:
         return apply_seq(_SEQ_F, a, model)
     steps = []
     x = a
-    limit = bounds.max_depth if bounds is not None else 1000
-    cap = bounds.max_value if bounds is not None else a * 2**20
     while x >= a and len(steps) < limit:
-        action = Action.T if x % 2 else Action.B
-        x = 3 * x + 1 if x % 2 else x // 2
-        if x > cap:
+        y = 3 * x + 1 if x % 2 else x // 2
+        if y > cap:
             break
-        steps.append(action)
+        steps.append(Action.T if x % 2 else Action.B)
+        x = y
     if x < a:
         return apply_seq(ActionSeq(tuple(steps)), a, model)
     from .search import bfs_until

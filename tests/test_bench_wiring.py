@@ -61,20 +61,40 @@ def test_tracer_counts_node_loop_steps_and_no_searches():
     assert out["steps"] == 2 * out["script"] == 6154
 
 
+def run_child(mode, workload, inputs):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "bench/child.py", mode, workload, json.dumps(inputs)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_benchmark_witness_check_agrees_with_the_catalog():
     # bench/child.py check replays each inverse lemma as its forward witness
     # run backward, found through Claim.inverse_of, and compares the end
     # with the inverse claim's expected value
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for workload, inputs in (
             ("exact-arith", {"lemmas": [1, 10000], "descend": [2, 100000],
                              "seed": 0}),
             ("verify-catalog", {"range": [1, 1000], "seed": 0})):
-        proc = subprocess.run(
-            [sys.executable, "bench/child.py", "check", workload,
-             json.dumps(inputs)],
-            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout)
+        out = run_child("check", workload, inputs)
         assert out["checked"] > 0, workload
         assert out["problems"] == [], workload
+
+
+def test_benchmark_exact_arith_pass_checks_inverses_and_ternary():
+    # bench/child.py renders each value with str(to_ternary(n)) and reads it
+    # back with from_ternary against its own base-3 oracle
+    out = run_child("run", "exact-arith", {
+        "succession": [1, 20], "lemmas": [1, 20], "descend": [2, 50],
+        "c8_seed": 0, "c8_inverse": 200, "c8_ternary": 2000, "seed": 0})
+    assert out["c8"] == {"inverse_bad": [], "ternary_bad": []}
+    assert out["descend"]["fail"] == 0
+
+
+def test_benchmark_graph_experiments_check_replays_cleanly():
+    out = run_child("check", "graph-experiments",
+                    {"stats": [1, 2000], "seed": 0})
+    assert out["checked"] > 0
+    assert out["problems"] == []

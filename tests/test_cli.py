@@ -132,6 +132,13 @@ GOLDEN_OUTPUTS = [
     # exits 1 because T.edge-loop's directed reading fails by design.
     (["verify", "--claim", "all", "--range", "1..1000"], 1,
      "c2295f22205238f484580c5acd4f559823de97ffa241be39bdffd7682ec1ae0c"),
+    # Recorded while to_ternary still returned a digit-tuple value class,
+    # and while _reaches_known still walked M0 before its BFS; at headroom
+    # 2 the BFS decides nodes whose walk leaves the cap.
+    (["traj", "27", "--verbose"], 0,
+     "949a214bc6dae4db16969977a07d63ef52053d0be960f25d569001e3c505ed47"),
+    (["deloop", "--max", "300", "--headroom", "2"], 1,
+     "980011f6442cb4b32f972c7e2ba5df3827a10e15563249842268e74c1ad4a914"),
 ]
 
 

@@ -3,11 +3,10 @@
 import pytest
 
 from collatzlab import experiments
-from collatzlab.actions import Action, ModelId
+from collatzlab.actions import ModelId
 from collatzlab.experiments import cycle_census, delooping_experiment
-from collatzlab.models import (EdgeClass, bounded_graph, drop_edge_classes,
-                               successors)
-from collatzlab.search import SearchBounds
+from collatzlab.models import EdgeClass, bounded_graph, edge_class, successors
+from collatzlab.search import SearchBounds, Unreachable, bfs
 
 
 def brute_force_cycles(model, max_value):
@@ -110,11 +109,13 @@ def test_delooping_rejects_tiny_bound():
 
 
 def test_streamed_phase3_check_equals_the_edge_set_comparison():
+    dropped = (EdgeClass.E1, EdgeClass.E4)
     for max_value in range(16, 301):
-        edge_sets_equal = bounded_graph(
-            ModelId.MS, max_value,
-            drop_edge_classes(EdgeClass.E1, EdgeClass.E4)).edge_set() == (
-            bounded_graph(ModelId.M0, max_value).edge_set())
+        phase3_edges = {
+            (x, a, y) for x, a, y in bounded_graph(ModelId.MS, max_value).edges()
+            if edge_class(x, a) not in dropped}
+        edge_sets_equal = phase3_edges == set(
+            bounded_graph(ModelId.M0, max_value).edges())
         report = delooping_experiment(max_value)
         assert report.phase3_matches_m0 == edge_sets_equal, max_value
 
@@ -124,9 +125,25 @@ def test_streamed_phase3_check_fails_when_phase3_keeps_e4(monkeypatch):
     assert not delooping_experiment(100).phase3_matches_m0
 
 
+def walk_then_bfs_reaches_known(n, step, bounds, ok):
+    """Reference: does n reach 1, or a smaller node in ok, under the phase
+    edges? The M0 walk, legal in every phase, first; BFS over the phase's
+    edges when the walk leaves the value cap or the depth."""
+    x = n
+    steps = 0
+    while x <= bounds.max_value and steps <= bounds.max_depth:
+        if x == 1 or (x < n and ok[x]):
+            return True
+        x = 3 * x + 1 if x % 2 else x // 2
+        steps += 1
+    result = bfs(ModelId.MS, step, n, lambda y: y == 1 or (y < n and ok[y]),
+                 bounds)
+    return not isinstance(result, Unreachable)
+
+
 def three_pass_deloop(max_value, headroom):
     """The de-looping phases as three separate ascending node loops, each
-    walking every node's M0 descent again: (phase, reached, failed) per
+    walking every node's M0 trajectory again: (phase, reached, failed) per
     phase, and each phase's final ok table."""
     bounds = SearchBounds(max_value=max_value * headroom, max_depth=512,
                           max_states=200_000)
@@ -137,7 +154,7 @@ def three_pass_deloop(max_value, headroom):
         ok[1] = 1
         reached, failed = 1, []
         for n in range(2, max_value + 1):
-            if experiments._reaches_known(n, step, bounds, ok):
+            if walk_then_bfs_reaches_known(n, step, bounds, ok):
                 ok[n] = 1
                 reached += 1
             else:

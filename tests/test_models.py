@@ -5,11 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collatzlab.actions import Action, ModelId, action_function, apply, is_legal
-from collatzlab.errors import IllegalEdge
 from collatzlab.models import (ACTION_ORDER, INTEGER_PREDECESSORS,
                                INTEGER_SUCCESSORS, EdgeClass, bounded_graph,
-                               classify_edge, drop_edge_classes, predecessors,
-                               successors, to_dot)
+                               edge_class, predecessors, successors, to_dot)
 
 positives = st.integers(min_value=1, max_value=10**5)
 integer_models = st.sampled_from([ModelId.M0, ModelId.MS, ModelId.M1])
@@ -109,19 +107,18 @@ def test_m2_graph_mode_stays_positive():
 
 
 def test_edge_classes():
-    assert classify_edge(7, Action.F, ModelId.MS) is EdgeClass.E1  # 7 = 1 mod 6
-    assert classify_edge(4, Action.F, ModelId.MS) is EdgeClass.E4
-    assert classify_edge(10, Action.F, ModelId.MS) is EdgeClass.E4
-    assert classify_edge(6, Action.B, ModelId.MS) is EdgeClass.OTHER
-    with pytest.raises(IllegalEdge):
-        classify_edge(8, Action.F, ModelId.MS)
+    assert edge_class(7, Action.F) is EdgeClass.E1  # 7 = 1 mod 6
+    assert edge_class(4, Action.F) is EdgeClass.E4
+    assert edge_class(10, Action.F) is EdgeClass.E4
+    assert edge_class(6, Action.B) is EdgeClass.OTHER
 
 
 @given(st.integers(min_value=2, max_value=10**6))
 def test_every_f_edge_is_e1_or_e4(x):
     # F needs x = 1 (mod 3), so x mod 6 is 1 or 4: no F-edge is OTHER
     if x % 3 == 1:
-        cls = classify_edge(x, Action.F, ModelId.MS)
+        assert is_legal(Action.F, x, ModelId.MS)
+        cls = edge_class(x, Action.F)
         assert cls is (EdgeClass.E1 if x % 6 == 1 else EdgeClass.E4)
 
 
@@ -132,12 +129,17 @@ def test_bounded_graph_drops_out_of_range_edges():
     assert g.adjacency[7] == [(Action.F, 2)]
 
 
+def edges_without(graph, *dropped):
+    """The graph's edge set minus the F-edges of the dropped classes."""
+    return {(x, a, y) for x, a, y in graph.edges()
+            if edge_class(x, a) not in dropped}
+
+
 def test_dropping_both_f_classes_recovers_m0():
     for bound in (50, 500):
-        stripped = bounded_graph(
-            ModelId.MS, bound,
-            drop_edge_classes(EdgeClass.E1, EdgeClass.E4)).edge_set()
-        assert stripped == bounded_graph(ModelId.M0, bound).edge_set()
+        stripped = edges_without(bounded_graph(ModelId.MS, bound),
+                                 EdgeClass.E1, EdgeClass.E4)
+        assert stripped == set(bounded_graph(ModelId.M0, bound).edges())
 
 
 def test_to_dot_is_deterministic_and_marks_f_edges():

@@ -8,6 +8,7 @@ import pytest
 from collatzlab.actions import Action, ActionSeq, ModelId, inverse_seq
 from collatzlab.catalog import build_claims
 from collatzlab.errors import UnknownClaim
+from collatzlab.models import successors
 from collatzlab.search import SearchBounds, Unreachable
 from collatzlab.verify import (CSV_HEADER, Failure, VerifyReport,
                                all_claim_ids, build_witness,
@@ -143,6 +144,40 @@ def test_descend_failures_name_the_budget():
         == Unreachable(bound_exhausted=False)
 
 
+def bfs_until_below(a, model, cap, max_depth):
+    """Reference: breadth-first search from a for a value below a, with every
+    generated value <= cap; "found", or the Unreachable tag."""
+    seen, frontier = {a}, [a]
+    for _ in range(max_depth):
+        nxt = []
+        for x in frontier:
+            for _, y in successors(x, model):
+                if y > cap or y in seen:
+                    continue
+                if y < a:
+                    return "found"
+                seen.add(y)
+                nxt.append(y)
+        frontier = nxt
+        if not frontier:
+            return "unreachable-within-bounds"
+    return "budget-exceeded"
+
+
+@pytest.mark.parametrize("claim_id, model", [("T.descend-ms", ModelId.MS),
+                                             ("L.descend-m1", ModelId.M1)])
+def test_descend_shortcuts_honour_the_value_cap(claim_id, model):
+    # halving 6 gives 3 and stripping 10 gives 3, both above a cap of 2
+    bounds = SearchBounds(max_value=2)
+    report = run_any_claim(claim_id, range(2, 13), bounds)
+    assert (report.passed, report.failed) == (3, 8)
+    verdicts = {a: bfs_until_below(a, model, 2, bounds.max_depth)
+                for a in range(2, 13)}
+    assert [a for a, v in verdicts.items() if v == "found"] == [2, 4, 7]
+    assert {f.input: f.reason for f in report.failures} == {
+        a: v for a, v in verdicts.items() if v != "found"}
+
+
 def test_descending_witness_is_guard_legal():
     for a in (2, 7, 27, 97, 703):
         trace = descending_witness(a, ModelId.MS)
@@ -189,7 +224,7 @@ def _search_only_cluster(kind, a_range, search_bounds=None):
                           range=(a_range.start, a_range[-1]))
     for k in a_range:
         if k < 1:
-            report.record_skip()
+            report.skipped += 1
             continue
         failures = []
         for r in CLUSTER_MEMBERS[kind]:
@@ -207,7 +242,7 @@ def _search_only_cluster(kind, a_range, search_bounds=None):
         for failure in failures:
             report.record_failure(failure)
         if not failures:
-            report.record_pass()
+            report.passed += 1
     report.bounds = {"max_value": bounds.max_value,
                      "max_depth": bounds.max_depth}
     return report.to_dict()
