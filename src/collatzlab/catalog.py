@@ -17,8 +17,10 @@ from typing import Callable
 from .actions import ActionSeq, ModelId, inverse_seq, seq_of
 
 # Core scripts, one per unconditional suffix lemma; each reverse lemma is
-# its forward script inverted.
-SEQ_10_11 = seq_of("TDDFFBBT")        # A10 -> A11 (also the +1 identity)
+# its forward script inverted. A10, A02, A01 and A00 are 9A+3, 9A+2, 9A+1
+# and 9A, so the scripts to A11 = 9A+4 add 1, 2, 3 and 4 to any value; A20
+# -> A21 adds 1 too and is the first script again.
+SEQ_10_11 = seq_of("TDDFFBBT")
 SEQ_11_10 = inverse_seq(SEQ_10_11)
 SEQ_02_11 = seq_of("DFFBTT")
 SEQ_11_02 = inverse_seq(SEQ_02_11)
@@ -26,7 +28,7 @@ SEQ_01_11 = seq_of("DDFFBBTT")
 SEQ_11_01 = inverse_seq(SEQ_01_11)
 SEQ_00_11 = seq_of("TDDFDDFFBBBBTT")
 SEQ_11_00 = inverse_seq(SEQ_00_11)
-SEQ_20_21 = seq_of("TDDFFBBT")
+SEQ_20_21 = SEQ_10_11
 SEQ_21_20 = inverse_seq(SEQ_20_21)
 SEQ_12_21 = seq_of("DDDFFBBTBT")
 SEQ_21_12 = inverse_seq(SEQ_12_21)
@@ -59,12 +61,7 @@ SEQ_HOP_EVEN = seq_of("BFD")
 SEQ_HOP_ODD = seq_of("DFDDTTBBBBFDF")
 
 # Succession identities over exact rationals, +1 through +4.
-SUCCESSION_SEQS = {
-    1: seq_of("TDDFFBBT"),
-    2: seq_of("DFFBTT"),
-    3: seq_of("DDFFBBTT"),
-    4: seq_of("TDDFDDFFBBBBTT"),
-}
+SUCCESSION_SEQS = {1: SEQ_10_11, 2: SEQ_02_11, 3: SEQ_01_11, 4: SEQ_00_11}
 
 # Short hops to 4 (= 11 in base 3) for values below the first 9-cluster.
 SMALL_TO_FOUR = {

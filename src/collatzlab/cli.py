@@ -144,8 +144,10 @@ def _emit_reports(reports, fmt, timing, out):
 
 
 def _merge_reports(parts):
-    head = parts[0]
+    head, dips = parts[0], "nonpositive_intermediate_inputs"
     for other in parts[1:]:
+        if dips in head.bounds:  # a succession check's count, not a bound
+            head.bounds[dips] += other.bounds[dips]
         head.range = (head.range[0], other.range[1])
         head.passed += other.passed
         head.failed += other.failed

@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass, field
 
 from .actions import Action, ModelId
-from .models import INTEGER_SUCCESSORS, EdgeClass, bounded_graph, edge_class
+from .models import SUCCESSORS, EdgeClass, bounded_graph, edge_class
 from .search import SearchBounds, Unreachable, bfs
 
 
@@ -107,7 +107,7 @@ _PHASE_DROPS = {
 
 def _phase_step(dropped):
     """MS moves minus the F-edges of the dropped classes."""
-    succ = INTEGER_SUCCESSORS[ModelId.MS]
+    succ = SUCCESSORS[ModelId.MS]
 
     def step(x):
         return [(a, y) for a, y in succ(x)
@@ -166,7 +166,7 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
 
     # Both step functions list moves in T,B,F,D order, so per-node list
     # equality is edge-set equality on nodes 1..max_value.
-    phase3, m0 = _phase_step(_PHASE_DROPS[3]), INTEGER_SUCCESSORS[ModelId.M0]
+    phase3, m0 = _phase_step(_PHASE_DROPS[3]), SUCCESSORS[ModelId.M0]
     matches = all([m for m in phase3(x) if m[1] <= max_value]
                   == [m for m in m0(x) if m[1] <= max_value]
                   for x in range(1, max_value + 1))

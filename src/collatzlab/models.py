@@ -45,6 +45,11 @@ def _succ_m1(x):
     return out
 
 
+def _succ_m2(x):
+    return [(a, action_function(a, x)) for a in ACTION_ORDER
+            if a is not _F or x > 1]
+
+
 def _pred_m1(x):
     # All legal in M1: T and D always are, 2x is even, 3x + 1 > 1 is 1 mod 3.
     out = [(_T, (x - 1) // 3)] if x % 3 == 1 and x > 1 else []
@@ -54,19 +59,16 @@ def _pred_m1(x):
     return out
 
 
-# Guard tables of the integer models as step functions of an integer x >= 1.
-INTEGER_SUCCESSORS = {ModelId.M0: _succ_m0, ModelId.MS: _succ_ms,
-                      ModelId.M1: _succ_m1}
+# Guard tables as step functions of an integer x >= 1. M2 is graph mode,
+# where F also needs x > 1 so values stay positive.
+SUCCESSORS = {ModelId.M0: _succ_m0, ModelId.MS: _succ_ms,
+              ModelId.M1: _succ_m1, ModelId.M2: _succ_m2}
 INTEGER_PREDECESSORS = {ModelId.M1: _pred_m1}
 
 
 def successors(x, model: ModelId):
     """All guard-legal moves out of x, in T,B,F,D order."""
-    if model is ModelId.M2:
-        # Graph mode: F needs x > 1 so values stay positive.
-        return [(a, action_function(a, x)) for a in ACTION_ORDER
-                if a is not _F or x > 1]
-    return INTEGER_SUCCESSORS[model](x)
+    return SUCCESSORS[model](x)
 
 
 def predecessors(x, model: ModelId):
@@ -125,9 +127,9 @@ def bounded_graph(model: ModelId, max_value: int) -> BoundedGraph:
 F_EDGE_COLOR = "red"
 
 
-def to_dot(graph: BoundedGraph, name: str = "collatz") -> str:
+def to_dot(graph: BoundedGraph) -> str:
     """Deterministic DOT rendering; F-edges carry a distinct color."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph collatz {"]
     for x in range(1, graph.max_value + 1):
         lines.append(f'  {x} [label="{x}"];')
     for x, action, y in graph.edges():

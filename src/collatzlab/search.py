@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .actions import Action, ActionSeq, ModelId, Path
 from .actions import apply_seq  # noqa: F401  bound for bench/tracer.py
 from .errors import DepthExceeded
-from .models import (INTEGER_PREDECESSORS, INTEGER_SUCCESSORS, predecessors,
-                     successors)
+from .models import INTEGER_PREDECESSORS, SUCCESSORS, predecessors
+from .models import successors  # noqa: F401  bound for bench/tracer.py
 
 
 @dataclass(frozen=True)
@@ -68,18 +67,11 @@ def _build_path(model, start, parents, end):
                 end=end, values=tuple(values))
 
 
-def _step_fn(model):
-    """A model's successors as a function of x alone."""
-    return INTEGER_SUCCESSORS.get(model) or partial(successors, model=model)
-
-
-def bfs(model: ModelId, step, start: int, accept, bounds: SearchBounds,
-        forbidden_edges=frozenset()):
+def bfs(model: ModelId, step, start: int, accept, bounds: SearchBounds):
     """One-way BFS kernel: shortest walk from start to an accepted value.
 
-    step(x) lists the (action, y) moves out of x; the frontier keeps
-    discovery order. Moves above bounds.max_value and (value, action)
-    pairs in forbidden_edges are skipped. Returns Path or Unreachable.
+    step(x) lists the (action, y) moves out of x; moves above max_value are
+    skipped and the frontier keeps discovery order. Returns Path or Unreachable.
     """
     if accept(start):
         return _empty_path(model, start)
@@ -95,8 +87,6 @@ def bfs(model: ModelId, step, start: int, accept, bounds: SearchBounds,
             for action, y in step(x):
                 if y > max_value or y in parents:
                     continue
-                if forbidden_edges and (x, action) in forbidden_edges:
-                    continue
                 parents[y] = (x, action)
                 if accept(y):
                     return _build_path(model, start, parents, y)
@@ -110,15 +100,12 @@ def bfs(model: ModelId, step, start: int, accept, bounds: SearchBounds,
     return Unreachable(bound_exhausted=exhausted)
 
 
-def bfs_reach(model: ModelId, start: int, target: int, bounds: SearchBounds,
-              forbidden_edges=frozenset()):
+def bfs_reach(model: ModelId, start: int, target: int, bounds: SearchBounds):
     """Shortest path from start to target by plain breadth-first search.
 
-    Successors are expanded in T,B,F,D order. forbidden_edges is a set of
-    (value, action) moves to skip (used by the edge-loop check).
+    Successors are expanded in T,B,F,D order.
     """
-    return bfs(model, _step_fn(model), start, lambda y: y == target,
-               bounds, forbidden_edges)
+    return bfs(model, SUCCESSORS[model], start, lambda y: y == target, bounds)
 
 
 def bfs_reach_bidirectional(model: ModelId, start: int, target: int,
@@ -135,7 +122,7 @@ def bfs_reach_bidirectional(model: ModelId, start: int, target: int,
         predecessors(target, model)  # only M1 has them: raises ValueError
     if start == target:
         return _empty_path(model, start)
-    succ, pred = INTEGER_SUCCESSORS[model], INTEGER_PREDECESSORS[model]
+    succ, pred = SUCCESSORS[model], INTEGER_PREDECESSORS[model]
     max_value = bounds.max_value
     fwd = {start: None}       # value -> (prev, action): prev --action--> value
     bwd = {target: None}      # value -> (action, nxt): value --action--> nxt
@@ -189,11 +176,9 @@ def _join(model, start, target, fwd, bwd, meet):
                 end=target, values=tuple(values))
 
 
-def bfs_until(model: ModelId, start: int, accept, bounds: SearchBounds,
-              forbidden_edges=frozenset()):
+def bfs_until(model: ModelId, start: int, accept, bounds: SearchBounds):
     """BFS from start until accept(value) holds; shortest such witness."""
-    return bfs(model, _step_fn(model), start, accept, bounds,
-               forbidden_edges)
+    return bfs(model, SUCCESSORS[model], start, accept, bounds)
 
 
 def collatz_step(x: int) -> int:

@@ -239,23 +239,21 @@ def _cluster(kind):
     return ModelId.M1, _cluster_bounds_dict, check
 
 
-_SEQ_B, _SEQ_F = seq_of("B"), seq_of("F")
+_SEQ_F = seq_of("F")
 
 
 def descending_witness(a: int, model: ModelId,
                        bounds: SearchBounds | None = None):
     """A guard-legal Path whose end is below a, or the search's Unreachable.
 
-    Fast paths, each taken only when its value is within the value cap:
-    halve when even, strip when a = 1 (mod 3); otherwise the deterministic
-    M0 walk until the value drops below a (its T/B moves are legal in both
-    MS and M1). Falls back to bounded BFS.
+    Fast paths, each taken only when its values are within the value cap:
+    strip when a = 1 (mod 6); otherwise the deterministic M0 walk, whose
+    first step halves an even a, until the value drops below a (its T/B
+    moves are legal in both MS and M1). Falls back to bounded BFS.
     """
     limit = bounds.max_depth if bounds is not None else 1000
     cap = bounds.max_value if bounds is not None else a * 2**20
-    if a % 2 == 0 and a // 2 <= cap:
-        return apply_seq(_SEQ_B, a, model)
-    if a % 3 == 1 and a > 1 and (a - 1) // 3 <= cap:
+    if a % 6 == 1 and a > 1 and (a - 1) // 3 <= cap:
         return apply_seq(_SEQ_F, a, model)
     steps = []
     x = a
@@ -297,14 +295,14 @@ def _edge_loop(a, search_bounds):
 
     The F-edge 3A+1 -> A is in a directed MS cycle iff some MS path
     A => 3A+1 avoids that very edge; bounded BFS decides within budget.
+    The search stops on reaching 3A+1, so it never takes that edge out.
     """
     if a % 2 != 0 or a < 1:
         return None
     target = 3 * a + 1
     bounds = search_bounds or SearchBounds(max_value=a * 2**10, max_depth=48,
                                            max_states=20_000)
-    result = bfs_reach(ModelId.MS, a, target, bounds,
-                       forbidden_edges={(target, Action.F)})
+    result = bfs_reach(ModelId.MS, a, target, bounds)
     if isinstance(result, Unreachable):
         return [Failure(a, None, f"{result.tag}: no MS path "
                                  f"{a} => {target} avoiding the edge")]

@@ -429,9 +429,3 @@ def test_enum_members_hash_by_identity_and_survive_pickling(member):
     copied = pickle.loads(pickle.dumps(table))
     assert copied[member] == table[member]
 
-
-def test_forbidden_edge_membership_uses_the_member_hash():
-    # the shape verify._edge_loop passes to bfs_reach as forbidden_edges
-    forbidden = frozenset({(31, Action.F)})
-    assert (31, pickle.loads(pickle.dumps(Action.F))) in forbidden
-    assert (31, Action.T) not in forbidden and (30, Action.F) not in forbidden

@@ -90,12 +90,15 @@ def test_serial_verify_builds_the_catalog_once(monkeypatch):
 
 
 def test_cluster_replay_output_does_not_depend_on_workers():
-    # each range chunk learns its own cluster scripts
-    argv = ["verify", "--claim", "T.cluster-nine,T.cluster-three",
-            "--range", "1..80"]
-    single = run(argv + ["--workers", "1"])
-    assert single[0] == 0
-    assert run(argv + ["--workers", "2"]) == single
+    # each range chunk learns its own cluster scripts and counts its own
+    # succession dips; x = 0, 1 and 2 each dip to <= 0 under the +2 script
+    for argv in (["verify", "--claim", "T.cluster-nine,T.cluster-three",
+                  "--range", "1..80"],
+                 ["verify", "--claim", "T.succ2", "--range", "0..3"]):
+        single = run(argv + ["--workers", "1"])
+        assert single[0] == 0
+        assert run(argv + ["--workers", "2"]) == single, argv
+    assert '"nonpositive_intermediate_inputs":3' in single[1]
 
 
 def test_reach():
@@ -139,6 +142,20 @@ GOLDEN_OUTPUTS = [
      "949a214bc6dae4db16969977a07d63ef52053d0be960f25d569001e3c505ed47"),
     (["deloop", "--max", "300", "--headroom", "2"], 1,
      "980011f6442cb4b32f972c7e2ba5df3827a10e15563249842268e74c1ad4a914"),
+    # Recorded while the BFS kernel still took forbidden_edges, M2 graph
+    # mode stepped through its own successors branch, and descending_witness
+    # halved an even A before trying F; the capped run takes the shortcuts'
+    # cap checks and the BFS fallback.
+    (["dot", "--model", "ms", "--max", "50"], 0,
+     "5cd28fc8783c9bc76f9dc0ae3e5549a98d7755d81397a021c8b03f65e906ef15"),
+    (["reach", "--model", "m2", "--from", "7", "--to", "1"], 0,
+     "e4b135fa18f21efab2565727eebd1e1af911c93e7a127db8f7fd096c7543bd3e"),
+    (["verify", "--claim", "T.descend-ms,L.descend-m1,T.edge-loop",
+      "--range", "1..3000"], 1,
+     "5ece9a18fd5e315b060d0ebf861a547409292aceb3e977090c7dbe766794a015"),
+    (["verify", "--claim", "T.descend-ms,L.descend-m1", "--range", "2..400",
+      "--max-value", "50", "--max-depth", "5"], 1,
+     "b87b932e99c9d1276d31ef23960d1e3c17b4d29a9cc774a57e1aa4041ee1706d"),
 ]
 
 

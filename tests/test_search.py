@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatzlab import search
-from collatzlab.actions import Action, ModelId
+from collatzlab.actions import ModelId
 from collatzlab.errors import DepthExceeded
 from collatzlab.search import (Path, SearchBounds, Unreachable, all_reach_one,
                                bfs_reach, bfs_reach_bidirectional, bfs_until,
@@ -123,18 +123,6 @@ def test_bfs_reach_budget_exhaustion_is_flagged():
     assert result.bound_exhausted
 
 
-def test_forbidden_edges_are_respected():
-    bounds = SearchBounds(max_value=1000)
-    from collatzlab.actions import Action
-    blocked = bfs_reach(ModelId.MS, 7, 1, bounds,
-                        forbidden_edges={(7, Action.F), (2, Action.B)})
-    # 7 -F-> 2 -B-> 1 is blocked; the long way around must avoid both moves
-    assert isinstance(blocked, (Path, Unreachable))
-    if isinstance(blocked, Path):
-        moves = set(zip(blocked.values, blocked.actions))
-        assert not moves & {(7, Action.F), (2, Action.B)}
-
-
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=300))
 @settings(max_examples=60, deadline=None)
 def test_bidirectional_agrees_with_plain_bfs_on_existence(start, target):
@@ -192,7 +180,7 @@ GOLDEN_CLUSTER_PATHS = {
 
 def test_bidirectional_search_is_m1_only(monkeypatch):
     # the ValueError comes before any state is expanded
-    monkeypatch.setattr(search, "INTEGER_SUCCESSORS", {})
+    monkeypatch.setattr(search, "SUCCESSORS", {})
     for model in (ModelId.M0, ModelId.MS, ModelId.M2):
         with pytest.raises(ValueError, match=model.name):
             bfs_reach_bidirectional(model, 5, 5, SearchBounds(max_value=100))
@@ -207,15 +195,11 @@ def test_golden_bidirectional_cluster_paths():
 
 
 def test_golden_one_way_paths():
-    blocked = bfs_reach(ModelId.MS, 7, 1, SearchBounds(max_value=1000),
-                        forbidden_edges={(7, Action.F), (2, Action.B)})
-    assert blocked.render() == ("7 -T-> 22 -B-> 11 -T-> 34 -B-> 17 -T-> 52 "
-                                "-B-> 26 -B-> 13 -F-> 4 -F-> 1")
-    # T.edge-loop's one passing even A up to 1000: 94 => 283 without 283 -F-> 94
+    # T.edge-loop's one passing even A up to 1000: 94 => 283, which never
+    # takes 283 -F-> 94 because the search stops on reaching 283
     loop = bfs_reach(ModelId.MS, 94, 283,
                      SearchBounds(max_value=94 * 2**10, max_depth=48,
-                                  max_states=20_000),
-                     forbidden_edges={(283, Action.F)})
+                                  max_states=20_000))
     assert loop.render() == (
         "94 -B-> 47 -T-> 142 -B-> 71 -T-> 214 -B-> 107 -T-> 322 "
         "-B-> 161 -T-> 484 -B-> 242 -B-> 121 -T-> 364 -B-> 182 -B-> 91 "

@@ -5,11 +5,12 @@ import json
 
 import pytest
 
-from collatzlab.actions import Action, ActionSeq, ModelId, inverse_seq
+from collatzlab.actions import (Action, ActionSeq, ModelId, apply_seq,
+                                inverse_seq, seq_of)
 from collatzlab.catalog import build_claims
 from collatzlab.errors import UnknownClaim
 from collatzlab.models import successors
-from collatzlab.search import SearchBounds, Unreachable
+from collatzlab.search import SearchBounds, Unreachable, bfs_until
 from collatzlab.verify import (CSV_HEADER, Failure, VerifyReport,
                                all_claim_ids, build_witness,
                                descending_witness, run_any_claim)
@@ -178,6 +179,47 @@ def test_descend_shortcuts_honour_the_value_cap(claim_id, model):
         a: v for a, v in verdicts.items() if v != "found"}
 
 
+def descending_witness_with_halving(a, model, bounds=None):
+    """Reference: descending_witness as it was with a halving shortcut in
+    front of F, so F was also tried on an even A whose half is above cap."""
+    limit = bounds.max_depth if bounds is not None else 1000
+    cap = bounds.max_value if bounds is not None else a * 2**20
+    if a % 2 == 0 and a // 2 <= cap:
+        return apply_seq(seq_of("B"), a, model)
+    if a % 3 == 1 and a > 1 and (a - 1) // 3 <= cap:
+        return apply_seq(seq_of("F"), a, model)
+    steps, x = [], a
+    while x >= a and len(steps) < limit:
+        y = 3 * x + 1 if x % 2 else x // 2
+        if y > cap:
+            break
+        steps.append(Action.T if x % 2 else Action.B)
+        x = y
+    if x < a:
+        return apply_seq(ActionSeq(tuple(steps)), a, model)
+    result = bfs_until(model, a, lambda v: v < a,
+                       bounds or SearchBounds(max_value=a * 2**20,
+                                              max_depth=512))
+    if isinstance(result, Unreachable):
+        return result
+    return apply_seq(result.actions, a, model)
+
+
+@pytest.mark.parametrize("model", [ModelId.MS, ModelId.M1], ids=str)
+def test_descending_witness_matches_the_halving_shortcut(model):
+    # the M0 walk's first step halves an even A under the same cap check,
+    # and the BFS fallback tries T and B before F
+    grid = [(range(2, 1201), None)]
+    grid += [(range(2, 301), SearchBounds(max_value=cap))
+             for cap in (2, 10, 1000)]
+    grid += [(range(2, 301), SearchBounds(max_value=1000, max_depth=depth))
+             for depth in (1, 3, 5)]
+    for a_range, bounds in grid:
+        for a in a_range:
+            assert descending_witness(a, model, bounds) == \
+                descending_witness_with_halving(a, model, bounds), (a, bounds)
+
+
 def test_descending_witness_is_guard_legal():
     for a in (2, 7, 27, 97, 703):
         trace = descending_witness(a, ModelId.MS)
@@ -197,6 +239,48 @@ def test_edge_loop_directed_reading_reports_findings():
     # A = 0 is not a positive integer: skipped, not a search with a zero cap
     report = run_any_claim("T.edge-loop", range(0, 3))
     assert (report.skipped, report.failed) == (2, 1)
+
+
+def edge_loop_verdict(a, bounds):
+    """Reference: bounded MS BFS A => 3A+1 that skips the edge 3A+1 -F-> A;
+    "found", or the Unreachable tag."""
+    target = 3 * a + 1
+    seen, frontier = {a}, [a]
+    for _ in range(bounds.max_depth):
+        nxt = []
+        for x in frontier:
+            for action, y in successors(x, ModelId.MS):
+                if (x, action) == (target, Action.F):
+                    continue
+                if y > bounds.max_value or y in seen:
+                    continue
+                if y == target:
+                    return "found"
+                seen.add(y)
+                nxt.append(y)
+        if len(seen) > bounds.max_states:
+            return "budget-exceeded"
+        frontier = nxt
+        if not frontier:
+            return "unreachable-within-bounds"
+    return "budget-exceeded"
+
+
+def test_edge_loop_verdicts_match_a_search_that_skips_the_edge():
+    a_range = range(2, 801, 2)
+    bounds = {a: SearchBounds(max_value=a * 2**10, max_depth=48,
+                              max_states=20_000) for a in a_range}
+    expected = {a: edge_loop_verdict(a, bounds[a]) for a in a_range}
+    assert expected[94] == "found"
+    report = run_any_claim("T.edge-loop", a_range)
+    got = {a: "found" for a in a_range}
+    got.update((f.input, f.reason.split(":")[0]) for f in report.failures)
+    assert got == expected
+    capped = SearchBounds(max_value=500, max_depth=6, max_states=50)
+    report = run_any_claim("T.edge-loop", range(2, 101), capped)
+    got = {a: "found" for a in range(2, 101, 2)}
+    got.update((f.input, f.reason.split(":")[0]) for f in report.failures)
+    assert got == {a: edge_loop_verdict(a, capped) for a in range(2, 101, 2)}
 
 
 def test_run_any_claim_dispatch():
