@@ -4,61 +4,95 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .actions import Action, ModelId
 from .models import SUCCESSORS, EdgeClass, bounded_graph, edge_class
 from .search import SearchBounds, Unreachable, bfs
 
 
-def _canonical_cycle(nodes):
-    i = nodes.index(min(nodes))
-    return list(nodes[i:]) + list(nodes[:i])
-
-
 def _m0_cycles(max_value):
-    """Cycle census of M0, out-degree 1, on 1..max_value."""
-    DONE, ACTIVE = 2, 1
-    color = bytearray(max_value + 1)
+    """Cycle census of M0, out-degree 1, on 1..max_value.
+
+    n is a cycle's least node iff its walk returns to n before it drops
+    below n or leaves 1..max_value. An even n > 1 halves below itself, and
+    an n = 1 (mod 4), n > 1, either leaves the bound at 3n + 1 or reaches
+    (3n + 1) / 4 < n; so only n = 1 and n = 3 (mod 4) are walked. A walk
+    that has passed more than max_value - n + 1 values in n..max_value
+    without coming back has repeated one other than n, so n is on no cycle.
+    """
     cycles = []
-    for n in range(1, max_value + 1):
-        if color[n]:
-            continue
-        path = []
-        x = n
-        while x <= max_value:
-            c = color[x]
-            if c:
-                if c == ACTIVE:
-                    cycles.append(_canonical_cycle(path[path.index(x):]))
-                break
-            color[x] = ACTIVE
-            path.append(x)
+    for n in chain((1,), range(3, max_value + 1, 4)):
+        path, x = [n], n
+        while True:
             x = 3 * x + 1 if x & 1 else x >> 1
-        for v in path:
-            color[v] = DONE
+            if x <= n or x > max_value:
+                if x == n:
+                    cycles.append(path)
+                break
+            path.append(x)
+            if len(path) > max_value - n + 1:
+                break
+    return cycles
+
+
+def _circuits(s, adjacency):
+    """Every simple cycle whose least node is s, starting at s.
+
+    Johnson's CIRCUIT (SIAM J. Comput. 4(1), 1975) over the nodes above s,
+    with explicit stacks: a node stays blocked until a cycle through s is
+    found beyond it, and ``blocker[w]`` holds the nodes to unblock with w.
+    """
+    cycles = []
+    path, blocked, blocker = [s], {s}, {}
+    stack, closed = [iter(adjacency[s])], [False]
+    while stack:
+        for w in stack[-1]:
+            if w == s:
+                cycles.append(path[:])
+                closed[-1] = True
+            elif w > s and w not in blocked:
+                path.append(w)
+                blocked.add(w)
+                stack.append(iter(adjacency[w]))
+                closed.append(False)
+                break
+        else:
+            stack.pop()
+            v = path.pop()
+            if closed.pop():
+                todo = [v]
+                while todo:
+                    u = todo.pop()
+                    if u in blocked:
+                        blocked.remove(u)
+                        todo.extend(blocker.pop(u, ()))
+                if closed:
+                    closed[-1] = True
+            else:
+                for w in adjacency[v]:
+                    if w > s:
+                        blocker.setdefault(w, set()).add(v)
     return cycles
 
 
 def cycle_census(model: ModelId, max_value: int):
     """All directed cycles with every node <= max_value, canonicalized.
 
-    Cycles are rotated to start at their smallest node and the census is
-    sorted by (length, nodes). M0 is out-degree 1, so its census runs in
-    linear time; denser models go through networkx's simple-cycle
-    enumeration over the materialized bounded graph.
+    Cycles start at their smallest node and the census is sorted by
+    (length, nodes). M0 is out-degree 1, so its census is a descent walk
+    from n = 3 (mod 4) (see ``_m0_cycles``); MS and M1 go through Johnson's
+    circuit search from each node s, in ascending order, over the nodes
+    above s in their ``bounded_graph``.
     """
     if max_value < 4:
         raise ValueError(f"max_value must be >= 4, got {max_value}")
     if model is ModelId.M0:
         cycles = _m0_cycles(max_value)
     else:
-        import networkx as nx
-
-        graph = bounded_graph(model, max_value)
-        g = nx.DiGraph()
-        g.add_nodes_from(range(1, max_value + 1))
-        g.add_edges_from((x, y) for x, _, y in graph.edges())
-        cycles = [_canonical_cycle(c) for c in nx.simple_cycles(g)]
+        adjacency = {x: [y for _, y in moves] for x, moves
+                     in bounded_graph(model, max_value).adjacency.items()}
+        cycles = [c for s in adjacency for c in _circuits(s, adjacency)]
     return sorted(cycles, key=lambda c: (len(c), c))
 
 

@@ -156,6 +156,14 @@ GOLDEN_OUTPUTS = [
     (["verify", "--claim", "T.descend-ms,L.descend-m1", "--range", "2..400",
       "--max-value", "50", "--max-depth", "5"], 1,
      "b87b932e99c9d1276d31ef23960d1e3c17b4d29a9cc774a57e1aa4041ee1706d"),
+    # Recorded while the MS/M1 census still went through networkx's
+    # simple_cycles and the M0 census coloured every node 1..max.
+    (["cycles", "--model", "ms", "--max", "10000"], 0,
+     "308b4a7ac70cf548085e0a63da8444f0fb36470062c98d3e11ce12fb40e46031"),
+    (["cycles", "--model", "m1", "--max", "60"], 0,
+     "66193204c980b2b6ad2377bfc731b6079dc4f84d639c73c6fb73e587b74bc70f"),
+    (["cycles", "--model", "m0", "--max", "100000"], 0,
+     "b3be4c416109f16be5ab2a5a3c7d4be46c7e41b2ea5fb307f97afa2d5d478e41"),
 ]
 
 

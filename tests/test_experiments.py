@@ -29,6 +29,57 @@ def brute_force_cycles(model, max_value):
     return sorted([list(c) for c in cycles], key=lambda c: (len(c), c))
 
 
+def colour_walk_m0_cycles(max_value):
+    """Independent M0 census: colour every node 1..max_value once."""
+    done, active = 2, 1
+    color = bytearray(max_value + 1)
+    cycles = []
+    for n in range(1, max_value + 1):
+        path = []
+        x = n
+        while x <= max_value and not color[x]:
+            color[x] = active
+            path.append(x)
+            x = 3 * x + 1 if x & 1 else x >> 1
+        if x <= max_value and color[x] == active:
+            cycle = path[path.index(x):]
+            i = cycle.index(min(cycle))
+            cycles.append(cycle[i:] + cycle[:i])
+        for v in path:
+            color[v] = done
+    return sorted(cycles, key=lambda c: (len(c), c))
+
+
+def networkx_cycles(model, max_value):
+    """Independent census: networkx simple_cycles over the same edges."""
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    g.add_nodes_from(range(1, max_value + 1))
+    g.add_edges_from((x, y) for x in range(1, max_value + 1)
+                     for _, y in successors(x, model) if y <= max_value)
+    cycles = []
+    for c in nx.simple_cycles(g):
+        i = c.index(min(c))
+        cycles.append(c[i:] + c[:i])
+    return sorted(cycles, key=lambda c: (len(c), c))
+
+
+def test_m0_census_matches_the_colour_walk():
+    for bound in [*range(4, 501), 10**5]:
+        assert cycle_census(ModelId.M0, bound) == colour_walk_m0_cycles(
+            bound), bound
+
+
+@pytest.mark.parametrize("model, bounds", [
+    (ModelId.MS, [*range(4, 301), 10**4]),
+    (ModelId.M1, range(4, 61)),
+], ids=["MS", "M1"])
+def test_census_matches_networkx_simple_cycles(model, bounds):
+    for bound in bounds:
+        assert cycle_census(model, bound) == networkx_cycles(
+            model, bound), bound
+
+
 def test_m0_unique_cycle():
     assert cycle_census(ModelId.M0, 10**4) == [[1, 4, 2]]
 

@@ -147,6 +147,27 @@ def test_all_reach_one_small():
     assert all_reach_one(10**4) == []
 
 
+def every_n_descent_failures(limit, max_depth):
+    """Independent reference: every 2 <= n <= limit that needs more than
+    max_depth steps to drop below itself."""
+    failures = []
+    for n in range(2, limit + 1):
+        x, steps = n, 0
+        while x >= n and steps <= max_depth:
+            x = x // 2 if x % 2 == 0 else 3 * x + 1
+            steps += 1
+        if steps > max_depth:
+            failures.append(n)
+    return failures
+
+
+def test_all_reach_one_matches_a_walk_over_every_n():
+    for max_depth in range(7):
+        for limit in range(301):
+            assert all_reach_one(limit, max_depth) == every_n_descent_failures(
+                limit, max_depth), (limit, max_depth)
+
+
 def test_path_render():
     path = bfs_reach(ModelId.MS, 7, 1, SearchBounds(max_value=100))
     assert path.render() == "7 -F-> 2 -B-> 1"
