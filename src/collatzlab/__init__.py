@@ -14,8 +14,8 @@ from .catalog import Claim, build_claims
 from .errors import (CollatzlabError, DepthExceeded, DomainViolation,
                      GuardViolation, ParseError, UnknownClaim)
 from .experiments import DeloopReport, cycle_census, delooping_experiment
-from .models import (BoundedGraph, EdgeClass, bounded_graph, predecessors,
-                     successors, to_dot)
+from .models import (BoundedGraph, bounded_graph, predecessors, successors,
+                     to_dot)
 from .search import (SearchBounds, Unreachable, all_reach_one, bfs_reach,
                      bfs_reach_bidirectional, bfs_until, stats_csv,
                      stopping_stats, trajectory)
@@ -32,8 +32,7 @@ __all__ = [
     "CollatzlabError", "DepthExceeded", "DomainViolation", "GuardViolation",
     "ParseError", "UnknownClaim",
     "DeloopReport", "cycle_census", "delooping_experiment",
-    "BoundedGraph", "EdgeClass", "bounded_graph", "predecessors",
-    "successors", "to_dot",
+    "BoundedGraph", "bounded_graph", "predecessors", "successors", "to_dot",
     "SearchBounds", "Unreachable", "all_reach_one", "bfs_reach",
     "bfs_reach_bidirectional", "bfs_until", "stats_csv", "stopping_stats",
     "trajectory",

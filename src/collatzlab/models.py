@@ -7,21 +7,12 @@ bound) are dropped, not clamped.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from .actions import Action, ModelId, action_function
 
 ACTION_ORDER = (Action.T, Action.B, Action.F, Action.D)
 _T, _B, _F, _D = ACTION_ORDER
-
-
-class EdgeClass(enum.Enum):
-    """F-edge families used by the de-looping surgery."""
-
-    E1 = "E1"  # F-edge from x = 1 (mod 6)
-    E4 = "E4"  # F-edge from x = 4 (mod 6)
-    OTHER = "OTHER"
 
 
 def _succ_m0(x):
@@ -81,17 +72,6 @@ def predecessors(x, model: ModelId):
         raise ValueError(f"predecessors are implemented for M1 only, "
                          f"got {model}")
     return _pred_m1(x)
-
-
-def edge_class(x: int, action: Action) -> EdgeClass:
-    """E1/E4 for an F-edge out of x with the stated residue, OTHER for the
-    rest; the caller passes a legal move."""
-    if action is Action.F:
-        if x % 6 == 1:
-            return EdgeClass.E1
-        if x % 6 == 4:
-            return EdgeClass.E4
-    return EdgeClass.OTHER
 
 
 @dataclass

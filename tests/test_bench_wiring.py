@@ -98,3 +98,16 @@ def test_benchmark_graph_experiments_check_replays_cleanly():
                     {"stats": [1, 2000], "seed": 0})
     assert out["checked"] > 0
     assert out["problems"] == []
+
+
+def test_tracer_times_the_graph_experiments_layers():
+    # bench/tracer.py times deloop, the census and bounded_graph through
+    # the library's module attributes
+    out = run_child("trace", "graph-experiments", {
+        "reach_one": 1000, "census_m0": 1000, "deloop": [100, 300],
+        "headroom": 2, "census_ms": 100, "nesting": [1, 100],
+        "stats": [1, 100], "edge_loop": [1, 40], "seed": 0})
+    assert out["rc"] == 0
+    for name in ("experiments.deloop_s", "experiments.census_s.MS",
+                 "models.bounded_graph_s"):
+        assert out["metrics"][name] > 0, name

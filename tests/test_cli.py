@@ -164,6 +164,10 @@ GOLDEN_OUTPUTS = [
      "66193204c980b2b6ad2377bfc731b6079dc4f84d639c73c6fb73e587b74bc70f"),
     (["cycles", "--model", "m0", "--max", "100000"], 0,
      "b3be4c416109f16be5ab2a5a3c7d4be46c7e41b2ea5fb307f97afa2d5d478e41"),
+    # Recorded while the phase-3 check still compared MS minus E1 and E4
+    # with M0 node by node; at headroom 1 the value cap is the node bound.
+    (["deloop", "--max", "1000", "--headroom", "1"], 1,
+     "cafff374a25fef0b709d2d621676531001a549a02cdb901164324372759945b2"),
 ]
 
 

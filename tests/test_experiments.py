@@ -3,9 +3,9 @@
 import pytest
 
 from collatzlab import experiments
-from collatzlab.actions import ModelId
+from collatzlab.actions import Action, ModelId
 from collatzlab.experiments import cycle_census, delooping_experiment
-from collatzlab.models import EdgeClass, bounded_graph, edge_class, successors
+from collatzlab.models import SUCCESSORS, bounded_graph, successors
 from collatzlab.search import SearchBounds, Unreachable, bfs
 
 
@@ -160,20 +160,41 @@ def test_delooping_rejects_tiny_bound():
 
 
 def test_streamed_phase3_check_equals_the_edge_set_comparison():
-    dropped = (EdgeClass.E1, EdgeClass.E4)
     for max_value in range(16, 301):
         phase3_edges = {
             (x, a, y) for x, a, y in bounded_graph(ModelId.MS, max_value).edges()
-            if edge_class(x, a) not in dropped}
+            if a is not Action.F or x % 6 not in (1, 4)}
         edge_sets_equal = phase3_edges == set(
             bounded_graph(ModelId.M0, max_value).edges())
         report = delooping_experiment(max_value)
         assert report.phase3_matches_m0 == edge_sets_equal, max_value
 
 
-def test_streamed_phase3_check_fails_when_phase3_keeps_e4(monkeypatch):
-    monkeypatch.setitem(experiments._PHASE_DROPS, 3, (EdgeClass.E1,))
+@pytest.mark.parametrize("dropped", [(), (1,), (4,)],
+                         ids=["drop-none", "drop-e1", "drop-e4"])
+def test_streamed_phase3_check_fails_when_phase3_keeps_e4(monkeypatch,
+                                                          dropped):
+    monkeypatch.setitem(experiments._PHASE_DROPS, 3, dropped)
     assert not delooping_experiment(100).phase3_matches_m0
+
+
+def test_phase_steps_depend_only_on_residues_and_drop_only_f():
+    # the premise of deciding phase3_matches_m0 on x = 1..7: every step
+    # function's action list depends only on (x mod 6, x > 1), and a phase
+    # step is MS's moves minus F where x mod 6 is dropped
+    ms = SUCCESSORS[ModelId.MS]
+    steps = {"M0": SUCCESSORS[ModelId.M0], "MS": ms}
+    for dropped in [*experiments._PHASE_DROPS.values(), (4,)]:
+        steps[dropped] = experiments._phase_step(dropped)
+    seen = {}
+    for x in range(1, 10**4 + 1):
+        for name, step in steps.items():
+            moves = step(x)
+            actions = [a for a, _ in moves]
+            assert seen.setdefault((name, x % 6, x > 1), actions) == actions
+            if name not in ("M0", "MS"):
+                assert moves == [(a, y) for a, y in ms(x)
+                                 if a is not Action.F or x % 6 not in name]
 
 
 def walk_then_bfs_reaches_known(n, step, bounds, ok):

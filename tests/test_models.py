@@ -1,4 +1,4 @@
-"""Graph views of the models: adjacency, edge classes, bounded graphs, DOT."""
+"""Graph views of the models: adjacency, F-edge residues, bounded graphs, DOT."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from collatzlab.actions import Action, ModelId, action_function, apply, is_legal
 from collatzlab.models import (ACTION_ORDER, INTEGER_PREDECESSORS,
-                               SUCCESSORS, EdgeClass, bounded_graph,
-                               edge_class, predecessors, successors, to_dot)
+                               SUCCESSORS, bounded_graph, predecessors,
+                               successors, to_dot)
 
 positives = st.integers(min_value=1, max_value=10**5)
 integer_models = st.sampled_from([ModelId.M0, ModelId.MS, ModelId.M1])
@@ -106,20 +106,14 @@ def test_m2_graph_mode_stays_positive():
     assert (Action.F, 2) in successors(7, ModelId.M2)
 
 
-def test_edge_classes():
-    assert edge_class(7, Action.F) is EdgeClass.E1  # 7 = 1 mod 6
-    assert edge_class(4, Action.F) is EdgeClass.E4
-    assert edge_class(10, Action.F) is EdgeClass.E4
-    assert edge_class(6, Action.B) is EdgeClass.OTHER
-
-
-@given(st.integers(min_value=2, max_value=10**6))
+@given(st.integers(min_value=1, max_value=10**6))
+@example(1)
 def test_every_f_edge_is_e1_or_e4(x):
-    # F needs x = 1 (mod 3), so x mod 6 is 1 or 4: no F-edge is OTHER
-    if x % 3 == 1:
-        assert is_legal(Action.F, x, ModelId.MS)
-        cls = edge_class(x, Action.F)
-        assert cls is (EdgeClass.E1 if x % 6 == 1 else EdgeClass.E4)
+    # F needs x = 1 (mod 3) and x > 1, so every F-edge leaves x = 1 or 4
+    # (mod 6): E1 and E4 are all the F-edges
+    legal = is_legal(Action.F, x, ModelId.MS)
+    assert legal == (x > 1 and x % 6 in (1, 4))
+    assert legal == any(a is Action.F for a, _ in successors(x, ModelId.MS))
 
 
 def test_bounded_graph_drops_out_of_range_edges():
@@ -129,16 +123,16 @@ def test_bounded_graph_drops_out_of_range_edges():
     assert g.adjacency[7] == [(Action.F, 2)]
 
 
-def edges_without(graph, *dropped):
-    """The graph's edge set minus the F-edges of the dropped classes."""
+def edges_without(graph, *residues):
+    """The graph's edge set minus the F-edges out of x with x mod 6 in
+    residues."""
     return {(x, a, y) for x, a, y in graph.edges()
-            if edge_class(x, a) not in dropped}
+            if a is not Action.F or x % 6 not in residues}
 
 
 def test_dropping_both_f_classes_recovers_m0():
     for bound in (50, 500):
-        stripped = edges_without(bounded_graph(ModelId.MS, bound),
-                                 EdgeClass.E1, EdgeClass.E4)
+        stripped = edges_without(bounded_graph(ModelId.MS, bound), 1, 4)
         assert stripped == set(bounded_graph(ModelId.M0, bound).edges())
 
 
