@@ -127,7 +127,6 @@ class Claim:
     """One catalog entry: an executable reading of a lemma or theorem."""
 
     id: str
-    description: str
     input_fn: Callable[[int], int]
     expected_fn: Callable[[int], int]
     build: Callable[[int], ActionSeq]
@@ -138,11 +137,9 @@ class Claim:
     min_a: int = 1
 
 
-def _simple(claim_id, description, offset_in, offset_out, seq, *,
-            applies=None):
+def _simple(claim_id, offset_in, offset_out, seq, *, applies=None):
     return Claim(
         id=claim_id,
-        description=description,
         input_fn=lambda a: 9 * a + offset_in,
         expected_fn=lambda a: 9 * a + offset_out,
         build=lambda a: seq,
@@ -150,8 +147,7 @@ def _simple(claim_id, description, offset_in, offset_out, seq, *,
     )
 
 
-def _lemma_pair(forward_id, forward_text, inverse_id, inverse_text,
-                offset_in, seq, applies):
+def _lemma_pair(forward_id, inverse_id, offset_in, seq, applies):
     """A conditional lemma A.. => A11 and its inverse A11 => A...
 
     The inverse swaps the forward lemma's input and expected value, keeps
@@ -159,11 +155,9 @@ def _lemma_pair(forward_id, forward_text, inverse_id, inverse_text,
     T at x is undone by F at 3x+1 and B by D, so the inverse passes for
     exactly the A where the forward lemma passes.
     """
-    forward = _simple(forward_id, forward_text, offset_in, 4, seq,
-                      applies=applies)
+    forward = _simple(forward_id, offset_in, 4, seq, applies=applies)
     back = inverse_seq(seq)
-    inverse = replace(forward, id=inverse_id, description=inverse_text,
-                      input_fn=forward.expected_fn,
+    inverse = replace(forward, id=inverse_id, input_fn=forward.expected_fn,
                       expected_fn=forward.input_fn, build=lambda a: back,
                       inverse_of=forward_id)
     return forward, inverse
@@ -190,53 +184,43 @@ def _append2_expected(a):
 
 def build_claims() -> dict[str, Claim]:
     claims = [
-        _simple("L.10-11", "A10 => A11 via TDDFFBBT", 3, 4, SEQ_10_11),
-        _simple("L.11-10", "A11 => A10 via FDDTTBBF", 4, 3, SEQ_11_10),
-        _simple("L.02-11", "A02 => A11 via DFFBTT", 2, 4, SEQ_02_11),
-        _simple("L.11-02", "A11 => A02 via FFDTTB", 4, 2, SEQ_11_02),
-        _simple("L.01-11", "A01 => A11 via DDFFBBTT", 1, 4, SEQ_01_11),
-        _simple("L.11-01", "A11 => A01 via FFDDTTBB", 4, 1, SEQ_11_01),
-        _simple("L.00-11", "A00 => A11 via TDDFDDFFBBBBTT", 0, 4, SEQ_00_11),
-        _simple("L.11-00", "A11 => A00 via FFDDDDTTBBTBBF", 4, 0, SEQ_11_00),
-        _simple("L.20-21", "A20 => A21 via TDDFFBBT", 6, 7, SEQ_20_21),
-        _simple("L.21-20", "A21 => A20 via FDDTTBBF", 7, 6, SEQ_21_20),
-        _simple("L.12-21", "A12 => A21 via DDDFFBBTBT", 5, 7, SEQ_12_21),
-        _simple("L.21-12", "A21 => A12 via FDFDDTTBBB", 7, 5, SEQ_21_12),
+        _simple("L.10-11", 3, 4, SEQ_10_11),
+        _simple("L.11-10", 4, 3, SEQ_11_10),
+        _simple("L.02-11", 2, 4, SEQ_02_11),
+        _simple("L.11-02", 4, 2, SEQ_11_02),
+        _simple("L.01-11", 1, 4, SEQ_01_11),
+        _simple("L.11-01", 4, 1, SEQ_11_01),
+        _simple("L.00-11", 0, 4, SEQ_00_11),
+        _simple("L.11-00", 4, 0, SEQ_11_00),
+        _simple("L.20-21", 6, 7, SEQ_20_21),
+        _simple("L.21-20", 7, 6, SEQ_21_20),
+        _simple("L.12-21", 5, 7, SEQ_12_21),
+        _simple("L.21-12", 7, 5, SEQ_21_12),
         Claim(
             id="T.attach",
-            description="TT attaches any A to its 5-cluster hub A11",
             input_fn=lambda a: a,
             expected_fn=lambda a: 9 * a + 4,
             build=lambda a: SEQ_ATTACH,
         ),
         # 3-cluster to 5-cluster, conditional on A, each with its inverse.
-        *_lemma_pair("L.21-11.even", "A21 => A11 when A even",
-                     "L.11-21.even", "A11 => A21 when A even",
-                     7, SEQ_21_11_EVEN, _is_even),
-        *_lemma_pair("L.21-11.last0", "R021 => R011 (A odd, A = R0)",
-                     "L.11-21.last0", "R011 => R021 (A odd, A = R0)",
-                     7, SEQ_21_11_LAST0, _odd_last(0)),
-        *_lemma_pair("L.21-11.last1", "R121 => R111 (A odd, A = R1)",
-                     "L.11-21.last1", "R111 => R121 (A odd, A = R1)",
-                     7, SEQ_21_11_LAST1, _odd_last(1)),
-        *_lemma_pair("L.21-11.last2", "R221 => R211 (A odd, A = R2)",
-                     "L.11-21.last2", "R211 => R221 (A odd, A = R2)",
-                     7, SEQ_21_11_LAST2, _odd_last(2)),
-        *_lemma_pair("L.22-11.even", "A22 => A11 when A even",
-                     "L.11-22.even", "A11 => A22 when A even",
-                     8, SEQ_22_11_EVEN, _is_even),
-        *_lemma_pair("L.22-11.last0", "R022 => R011 (A odd, A = R0)",
-                     "L.11-22.last0", "R011 => R022 (A odd, A = R0)",
-                     8, SEQ_22_11_LAST0, _odd_last(0)),
-        *_lemma_pair("L.22-11.last1", "R122 => R111 (A odd, A = R1)",
-                     "L.11-22.last1", "R111 => R122 (A odd, A = R1)",
-                     8, SEQ_22_11_LAST1, _odd_last(1)),
-        *_lemma_pair("L.22-11.last2", "R222 => R211 (A odd, A = R2)",
-                     "L.11-22.last2", "R211 => R222 (A odd, A = R2)",
-                     8, SEQ_22_11_LAST2, _odd_last(2)),
+        *_lemma_pair("L.21-11.even", "L.11-21.even", 7, SEQ_21_11_EVEN,
+                     _is_even),
+        *_lemma_pair("L.21-11.last0", "L.11-21.last0", 7, SEQ_21_11_LAST0,
+                     _odd_last(0)),
+        *_lemma_pair("L.21-11.last1", "L.11-21.last1", 7, SEQ_21_11_LAST1,
+                     _odd_last(1)),
+        *_lemma_pair("L.21-11.last2", "L.11-21.last2", 7, SEQ_21_11_LAST2,
+                     _odd_last(2)),
+        *_lemma_pair("L.22-11.even", "L.11-22.even", 8, SEQ_22_11_EVEN,
+                     _is_even),
+        *_lemma_pair("L.22-11.last0", "L.11-22.last0", 8, SEQ_22_11_LAST0,
+                     _odd_last(0)),
+        *_lemma_pair("L.22-11.last1", "L.11-22.last1", 8, SEQ_22_11_LAST1,
+                     _odd_last(1)),
+        *_lemma_pair("L.22-11.last2", "L.11-22.last2", 8, SEQ_22_11_LAST2,
+                     _odd_last(2)),
         Claim(
             id="T.append2",
-            description=f"appending a trailing 2, iterated {APPEND_DEPTH} times",
             input_fn=lambda a: a,
             expected_fn=_append2_expected,
             build=lambda a: SEQ_APPEND2_ITERATED,
@@ -244,7 +228,6 @@ def build_claims() -> dict[str, Claim]:
         ),
         Claim(
             id="T.backspace2",
-            description=f"erasing a trailing 2, iterated {APPEND_DEPTH} times",
             input_fn=_append2_expected,
             expected_fn=lambda a: a,
             build=lambda a: SEQ_BACKSPACE2_ITERATED,
@@ -252,14 +235,12 @@ def build_claims() -> dict[str, Claim]:
         ),
         Claim(
             id="T.a-11",
-            description="every A reaches 11 (i.e. 4), cluster lemmas composed",
             input_fn=lambda a: a,
             expected_fn=lambda a: 4,
             build=to_eleven_script,
         ),
         Claim(
             id="T.node-loop",
-            description="every A lies on a directed cycle",
             input_fn=lambda a: a,
             expected_fn=_node_loop_waypoint,
             build=_node_loop_build,

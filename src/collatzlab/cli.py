@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--k", type=parse_range, required=True, dest="k_range",
                    metavar="LO..HI")
-    p.add_argument("--value-bound", type=positive_int, default=2**20)
+    p.add_argument("--value-bound", type=positive_int, default=None)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--timing", action="store_true")
 
@@ -231,8 +231,10 @@ def cmd_reach(args, out) -> int:
 
 
 def cmd_cluster(args, out) -> int:
+    bounds = (None if args.value_bound is None
+              else SearchBounds(max_value=args.value_bound))
     report = verify_mod.run_any_claim(f"T.cluster-{args.kind}", args.k_range,
-                                      SearchBounds(max_value=args.value_bound))
+                                      bounds)
     _emit_reports([report], args.format, args.timing, out)
     return EXIT_FINDING if report.failed else EXIT_OK
 

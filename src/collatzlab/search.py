@@ -47,12 +47,9 @@ class Unreachable:
                 else "unreachable-within-bounds")
 
 
-def _empty_path(model, start):
-    return Path(model=model, start=start, actions=ActionSeq(()), end=start,
-                values=(start,))
-
-
 def _build_path(model, start, parents, end):
+    """The walk start => end read back through parents[y] = (x, action);
+    at end == start it is the empty walk and parents is never read."""
     actions = []
     values = [end]
     v = end
@@ -67,6 +64,25 @@ def _build_path(model, start, parents, end):
                 end=end, values=tuple(values))
 
 
+def _layer(frontier, step, parents, max_value, hit):
+    """Expand one BFS layer in discovery order.
+
+    Every new y <= max_value among the (action, y) moves of step(x) gets
+    parents[y] = (x, action). Returns (next frontier, y) at the first new y
+    with hit(y), else (next frontier, None).
+    """
+    nxt = []
+    for x in frontier:
+        for action, y in step(x):
+            if y > max_value or y in parents:
+                continue
+            parents[y] = (x, action)
+            if hit(y):
+                return nxt, y
+            nxt.append(y)
+    return nxt, None
+
+
 def bfs(model: ModelId, step, start: int, accept, bounds: SearchBounds):
     """One-way BFS kernel: shortest walk from start to an accepted value.
 
@@ -74,30 +90,19 @@ def bfs(model: ModelId, step, start: int, accept, bounds: SearchBounds):
     skipped and the frontier keeps discovery order. Returns Path or Unreachable.
     """
     if accept(start):
-        return _empty_path(model, start)
+        return _build_path(model, start, None, start)
     parents = {start: None}
     frontier = [start]
-    max_value = bounds.max_value
-    exhausted = False
     for _ in range(bounds.max_depth):
         if not frontier:
-            break
-        nxt = []
-        for x in frontier:
-            for action, y in step(x):
-                if y > max_value or y in parents:
-                    continue
-                parents[y] = (x, action)
-                if accept(y):
-                    return _build_path(model, start, parents, y)
-                nxt.append(y)
+            return Unreachable(bound_exhausted=False)
+        frontier, hit = _layer(frontier, step, parents, bounds.max_value,
+                               accept)
+        if hit is not None:
+            return _build_path(model, start, parents, hit)
         if len(parents) > bounds.max_states:
-            exhausted = True
-            break
-        frontier = nxt
-    else:
-        exhausted = bool(frontier)
-    return Unreachable(bound_exhausted=exhausted)
+            return Unreachable(bound_exhausted=True)
+    return Unreachable(bound_exhausted=bool(frontier))
 
 
 def bfs_reach(model: ModelId, start: int, target: int, bounds: SearchBounds):
@@ -121,45 +126,26 @@ def bfs_reach_bidirectional(model: ModelId, start: int, target: int,
     if model is not ModelId.M1:
         predecessors(target, model)  # only M1 has them: raises ValueError
     if start == target:
-        return _empty_path(model, start)
+        return _build_path(model, start, None, start)
     succ, pred = SUCCESSORS[model], INTEGER_PREDECESSORS[model]
-    max_value = bounds.max_value
-    fwd = {start: None}       # value -> (prev, action): prev --action--> value
-    bwd = {target: None}      # value -> (action, nxt): value --action--> nxt
-    fwd_frontier = [start]
-    bwd_frontier = [target]
-    exhausted = False
-    total_depth = 0
-    while fwd_frontier and bwd_frontier and total_depth < bounds.max_depth:
+    cap = bounds.max_value
+    fwd = {start: None}       # y -> (x, action): x --action--> y
+    bwd = {target: None}      # y -> (x, action): y --action--> x
+    fwd_frontier, bwd_frontier = [start], [target]
+    for _ in range(bounds.max_depth):
+        if not (fwd_frontier and bwd_frontier):
+            return Unreachable(bound_exhausted=False)
         if len(fwd_frontier) <= len(bwd_frontier):
-            nxt = []
-            for x in fwd_frontier:
-                for action, y in succ(x):
-                    if y > max_value or y in fwd:
-                        continue
-                    fwd[y] = (x, action)
-                    if y in bwd:
-                        return _join(model, start, target, fwd, bwd, y)
-                    nxt.append(y)
-            fwd_frontier = nxt
+            fwd_frontier, meet = _layer(fwd_frontier, succ, fwd, cap,
+                                        bwd.__contains__)
         else:
-            nxt = []
-            for x in bwd_frontier:
-                for action, y in pred(x):
-                    if y > max_value or y in bwd:
-                        continue
-                    bwd[y] = (action, x)
-                    if y in fwd:
-                        return _join(model, start, target, fwd, bwd, y)
-                    nxt.append(y)
-            bwd_frontier = nxt
-        total_depth += 1
+            bwd_frontier, meet = _layer(bwd_frontier, pred, bwd, cap,
+                                        fwd.__contains__)
+        if meet is not None:
+            return _join(model, start, target, fwd, bwd, meet)
         if len(fwd) + len(bwd) > bounds.max_states:
-            exhausted = True
-            break
-    else:
-        exhausted = bool(fwd_frontier) and bool(bwd_frontier)
-    return Unreachable(bound_exhausted=exhausted)
+            return Unreachable(bound_exhausted=True)
+    return Unreachable(bound_exhausted=bool(fwd_frontier and bwd_frontier))
 
 
 def _join(model, start, target, fwd, bwd, meet):
@@ -168,10 +154,9 @@ def _join(model, start, target, fwd, bwd, meet):
     values = list(head.values)
     v = meet
     while v != target:
-        action, nxt = bwd[v]
+        v, action = bwd[v]
         actions.append(action)
-        values.append(nxt)
-        v = nxt
+        values.append(v)
     return Path(model=model, start=start, actions=ActionSeq(tuple(actions)),
                 end=target, values=tuple(values))
 

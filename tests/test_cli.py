@@ -168,6 +168,20 @@ GOLDEN_OUTPUTS = [
     # with M0 node by node; at headroom 1 the value cap is the node bound.
     (["deloop", "--max", "1000", "--headroom", "1"], 1,
      "cafff374a25fef0b709d2d621676531001a549a02cdb901164324372759945b2"),
+    # Recorded while bfs and each direction of the bidirectional search
+    # still had their own expansion loop; the last cluster run fails on
+    # unreachable-within-bounds under the 2^20 cap.
+    (["reach", "--model", "ms", "--from", "2", "--to", "7"], 1,
+     "da6d7a79a6d4084ef5902a623286e3a47cb905967ab514f1643cbf2d9a4588cc"),
+    (["reach", "--model", "m1", "--from", "1", "--to", "1000000",
+      "--max-value", "10000000", "--max-depth", "3"], 1,
+     "3d42568d581c3a493466aa40e187d2e4617a5b9fe40982c9badc9374a7ca41a4"),
+    (["reach", "--model", "m1", "--from", "1108", "--to", "1111"], 0,
+     "252ce0feefdc427e5f20942d3df069c8b43bd72f7a393a78f5b5ce1f61d147a0"),
+    (["cluster", "--kind", "nine", "--k", "1..300"], 0,
+     "051c4b2905809b839e37c6ae28b62c54e4566021e88029bcefad5a2c9e1fd032"),
+    (["cluster", "--kind", "five", "--k", "9700..9730"], 1,
+     "3937237515cf30bc959fec3eae77632275dbbc438649c9b83bb683fbf4a3688d"),
 ]
 
 
@@ -203,6 +217,14 @@ def test_cluster():
     code, text = run(["cluster", "--kind", "five", "--k", "1..5"])
     assert code == 0
     assert json.loads(text)["fail"] == 0
+
+
+def test_cluster_default_cap_equals_the_explicit_2_pow_20():
+    argv = ["cluster", "--kind", "five", "--k", "1..300"]
+    default = run(argv)
+    assert default == run(argv + ["--value-bound", str(2**20)])
+    assert hashlib.sha256(default[1].encode()).hexdigest().startswith(
+        "7d5b50a6641e86a6")
 
 
 def test_bad_usage():

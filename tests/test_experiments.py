@@ -269,3 +269,22 @@ def test_one_node_loop_matches_three_separate_phase_passes(max_value,
         assert any(descents[n] for n in undecided[1])
         # phase 1 reaches some of them through F-edges after all
         assert 0 < sum(oks[0][n] for n in undecided[0]) < len(undecided[0])
+
+
+@pytest.mark.parametrize("max_value, headroom", [
+    (10**4, 2**10), (10**5, 2**10), (1000, 1), (300, 2)])
+def test_no_deloop_search_runs_out_of_budget(monkeypatch, max_value, headroom):
+    # _reaches_known drops bound_exhausted, so "failed" means "no path
+    # inside the value cap" only while no phase search exhausts its budget;
+    # these runs make 3, 138, 1,803 and 366 searches
+    results = []
+
+    def recorded(*args):
+        results.append(bfs(*args))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "bfs", recorded)
+    delooping_experiment(max_value, search_headroom=headroom)
+    assert results
+    assert not any(isinstance(r, Unreachable) and r.bound_exhausted
+                   for r in results)

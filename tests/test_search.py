@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatzlab import search
-from collatzlab.actions import ModelId
+from collatzlab.actions import ActionSeq, ModelId
 from collatzlab.errors import DepthExceeded
 from collatzlab.search import (Path, SearchBounds, Unreachable, all_reach_one,
                                bfs_reach, bfs_reach_bidirectional, bfs_until,
@@ -234,3 +234,131 @@ def test_golden_one_way_paths():
                          SearchBounds(max_value=10**6))
         assert down.render() == ("27 -T-> 82 -B-> 41 -T-> 124 -B-> 62 -B-> 31 "
                                  "-F-> 10")
+
+
+# Test-local copies of the expansion loops that bfs and
+# bfs_reach_bidirectional ran before they shared one layer function.
+def reference_bfs(model, start, accept, bounds):
+    step = search.SUCCESSORS[model]
+    if accept(start):
+        return search._build_path(model, start, None, start)
+    parents = {start: None}
+    frontier = [start]
+    exhausted = False
+    for _ in range(bounds.max_depth):
+        if not frontier:
+            break
+        nxt = []
+        for x in frontier:
+            for action, y in step(x):
+                if y > bounds.max_value or y in parents:
+                    continue
+                parents[y] = (x, action)
+                if accept(y):
+                    return search._build_path(model, start, parents, y)
+                nxt.append(y)
+        if len(parents) > bounds.max_states:
+            exhausted = True
+            break
+        frontier = nxt
+    else:
+        exhausted = bool(frontier)
+    return Unreachable(bound_exhausted=exhausted)
+
+
+def reference_join(model, start, target, fwd, bwd, meet):
+    head = search._build_path(model, start, fwd, meet)
+    actions, values = list(head.actions.steps), list(head.values)
+    v = meet
+    while v != target:
+        action, v = bwd[v]
+        actions.append(action)
+        values.append(v)
+    return Path(model=model, start=start, actions=ActionSeq(tuple(actions)),
+                end=target, values=tuple(values))
+
+
+def reference_bidirectional(model, start, target, bounds):
+    if start == target:
+        return search._build_path(model, start, None, start)
+    succ = search.SUCCESSORS[model]
+    pred = search.INTEGER_PREDECESSORS[model]
+    fwd, bwd = {start: None}, {target: None}
+    fwd_frontier, bwd_frontier = [start], [target]
+    exhausted = False
+    total_depth = 0
+    while fwd_frontier and bwd_frontier and total_depth < bounds.max_depth:
+        if len(fwd_frontier) <= len(bwd_frontier):
+            nxt = []
+            for x in fwd_frontier:
+                for action, y in succ(x):
+                    if y > bounds.max_value or y in fwd:
+                        continue
+                    fwd[y] = (x, action)
+                    if y in bwd:
+                        return reference_join(model, start, target, fwd, bwd,
+                                              y)
+                    nxt.append(y)
+            fwd_frontier = nxt
+        else:
+            nxt = []
+            for x in bwd_frontier:
+                for action, y in pred(x):
+                    if y > bounds.max_value or y in bwd:
+                        continue
+                    bwd[y] = (action, x)
+                    if y in fwd:
+                        return reference_join(model, start, target, fwd, bwd,
+                                              y)
+                    nxt.append(y)
+            bwd_frontier = nxt
+        total_depth += 1
+        if len(fwd) + len(bwd) > bounds.max_states:
+            exhausted = True
+            break
+    else:
+        exhausted = bool(fwd_frontier) and bool(bwd_frontier)
+    return Unreachable(bound_exhausted=exhausted)
+
+
+def outcome(result):
+    """A comparable view: the rendered path, or the failure tag."""
+    if isinstance(result, Path):
+        assert result.validate()
+        return ("found", result.render())
+    return (result.tag, None)
+
+
+KERNEL_BOUNDS = [SearchBounds(max_value=v, max_depth=d, max_states=s)
+                 for v in (6, 40, 400) for d in (1, 3, 12)
+                 for s in (3, 25, 10**4)]
+
+
+def test_search_kernel_matches_the_reference_loops():
+    seen = {"one-way": set(), "bidirectional": set()}
+    values = range(1, 17)
+    for bounds in KERNEL_BOUNDS:
+        for model in (ModelId.M0, ModelId.MS, ModelId.M1, ModelId.M2):
+            if model is ModelId.M2 and bounds.max_depth > 3:
+                continue
+            for start in values:
+                for target in values:
+                    got = outcome(bfs_reach(model, start, target, bounds))
+                    want = outcome(reference_bfs(
+                        model, start, lambda y, t=target: y == t, bounds))
+                    assert got == want, (model, start, target, bounds)
+                    seen["one-way"].add(got[0])
+                accept = lambda y, s=start: y < s or y % 5 == 0  # noqa: E731
+                assert outcome(bfs_until(model, start, accept, bounds)) \
+                    == outcome(reference_bfs(model, start, accept, bounds)), \
+                    (model, start, bounds)
+        for start in range(1, 31):
+            for target in range(1, 31):
+                got = outcome(bfs_reach_bidirectional(ModelId.M1, start,
+                                                      target, bounds))
+                assert got == outcome(reference_bidirectional(
+                    ModelId.M1, start, target, bounds)), (start, target,
+                                                          bounds)
+                seen["bidirectional"].add(got[0])
+    every_exit = {"found", "unreachable-within-bounds", "budget-exceeded"}
+    assert seen == {"one-way": every_exit, "bidirectional": every_exit}
