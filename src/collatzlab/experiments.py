@@ -4,36 +4,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .actions import ModelId
 from .models import SUCCESSORS, bounded_graph
-from .search import SearchBounds, Unreachable, bfs
-
-
-def _m0_cycles(max_value):
-    """Cycle census of M0, out-degree 1, on 1..max_value.
-
-    n is a cycle's least node iff its walk returns to n before it drops
-    below n or leaves 1..max_value. An even n > 1 halves below itself, and
-    an n = 1 (mod 4), n > 1, either leaves the bound at 3n + 1 or reaches
-    (3n + 1) / 4 < n; so only n = 1 and n = 3 (mod 4) are walked. A walk
-    that has passed more than max_value - n + 1 values in n..max_value
-    without coming back has repeated one other than n, so n is on no cycle.
-    """
-    cycles = []
-    for n in chain((1,), range(3, max_value + 1, 4)):
-        path, x = [n], n
-        while True:
-            x = 3 * x + 1 if x & 1 else x >> 1
-            if x <= n or x > max_value:
-                if x == n:
-                    cycles.append(path)
-                break
-            path.append(x)
-            if len(path) > max_value - n + 1:
-                break
-    return cycles
+from .search import SearchBounds, Unreachable, bfs, m0_descent, m0_undecided
 
 
 def _circuits(s, adjacency):
@@ -80,15 +54,20 @@ def cycle_census(model: ModelId, max_value: int):
     """All directed cycles with every node <= max_value, canonicalized.
 
     Cycles start at their smallest node and the census is sorted by
-    (length, nodes). M0 is out-degree 1, so its census is a descent walk
-    from n = 3 (mod 4) (see ``_m0_cycles``); MS and M1 go through Johnson's
-    circuit search from each node s, in ascending order, over the nodes
-    above s in their ``bounded_graph``.
+    (length, nodes). M0 is out-degree 1: n is a cycle's least node iff its
+    walk comes back to n before it drops below n or leaves 1..max_value. The
+    n the sieve settles drop first, so only ``m0_undecided`` n are walked;
+    a walk that has passed more than max_value - n + 1 values in
+    n..max_value has repeated one other than n, so n is on no cycle. MS and
+    M1 go through Johnson's circuit search from each node s, in ascending
+    order, over the nodes above s in their ``bounded_graph``.
     """
     if max_value < 4:
         raise ValueError(f"max_value must be >= 4, got {max_value}")
     if model is ModelId.M0:
-        cycles = _m0_cycles(max_value)
+        walks = (m0_descent(n, max_value, max_value - n + 1)
+                 for n in m0_undecided(max_value, max_value))
+        cycles = [w[:-1] for w in walks if len(w) > 1 and w[-1] == w[0]]
     else:
         adjacency = {x: [y for _, y in moves] for x, moves
                      in bounded_graph(model, max_value).adjacency.items()}
@@ -142,19 +121,6 @@ def _phase_step(dropped):
     x = 1 or 4 (mod 6), MS lists M0's move and then F."""
     m0, ms = SUCCESSORS[ModelId.M0], SUCCESSORS[ModelId.MS]
     return lambda x: m0(x) if x % 6 in dropped else ms(x)
-
-
-def _m0_descent(n, bounds):
-    """The first M0 value below n, or 0 when the walk from n leaves the
-    value cap or the depth first."""
-    x = n
-    steps = 0
-    while x <= bounds.max_value and steps <= bounds.max_depth:
-        if x < n:
-            return x
-        x = 3 * x + 1 if x & 1 else x >> 1
-        steps += 1
-    return 0
 
 
 def _reaches_known(n, step, bounds, ok):
@@ -213,7 +179,8 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
         phases.append(result)
         runs.append((result, _phase_step(dropped), ok))
     for n in range(2, max_value + 1):
-        d = _m0_descent(n, bounds)
+        walk = m0_descent(n, bounds.max_value, bounds.max_depth)
+        d = walk[-1] if walk[-1] < n else 0
         for result, step, ok in runs:
             if ok[d] or _reaches_known(n, step, bounds, ok):
                 ok[n] = 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .actions import Action, ActionSeq, ModelId, Path
 from .actions import apply_seq  # noqa: F401  bound for bench/tracer.py
@@ -225,25 +226,63 @@ def stats_csv(values, max_depth: int = 100_000):
     return "\n".join(lines) + "\n"
 
 
+@cache
+def _sieve(k):
+    """Descent sieve of M0 modulo 2^k (Terras 1976; Everett 1977).
+
+    For n = r (mod 2^k), n's walk has a fixed parity vector while fewer than
+    k halvings have happened: after j steps with o triplings and h halvings
+    its value is (3^o * n + c) / 2^h. At the first j with 3^o < 2^h, every
+    n > c // (2^h - 3^o) drops below n at step j, and not earlier, since
+    every shorter prefix has 3^o >= 2^h. Row r is (j, that bound), or None
+    when the class stays open within k halvings (OEIS A076227 counts them).
+    """
+    rows = []
+    for r in range(1 << k):
+        x, a, c, h, j = r, 1, 0, 0, 0   # x = (a * r + c) >> h, a = 3^o
+        while h < k and a >= 1 << h:
+            if x & 1:
+                x, a, c = 3 * x + 1, 3 * a, 3 * c + (1 << h)
+            else:
+                x, h = x >> 1, h + 1
+            j += 1
+        rows.append((j, c // ((1 << h) - a)) if a < 1 << h else None)
+    return tuple(rows)   # shared by every caller through the cache
+
+
+def m0_undecided(limit: int, max_depth: int):
+    """Every 1 <= n <= limit that the sieve does not show dropping below n
+    within max_depth steps, class by class: the n of open classes and of
+    rows whose j exceeds max_depth, and the n at or below a row's bound."""
+    rows = _sieve(12)   # 4,096 classes, 226 of them open
+    for r, row in enumerate(rows):
+        top = limit if row is None or row[0] > max_depth else min(row[1], limit)
+        yield from range(r or len(rows), top + 1, len(rows))
+
+
+def m0_descent(n: int, max_value: int, max_depth: int) -> list[int]:
+    """The M0 walk's values from n up to the first value <= n; it stops
+    after max_depth steps, or before the first value above max_value."""
+    values = [n]
+    x = n
+    for _ in range(max_depth):
+        x = 3 * x + 1 if x & 1 else x >> 1
+        if x > max_value:
+            break
+        values.append(x)
+        if x <= n:
+            break
+    return values
+
+
 def all_reach_one(limit: int, max_depth: int = 100_000):
     """Check that every 1 <= n <= limit reaches 1 in M0.
 
     Ascending induction: each n only needs to descend below itself, all
-    smaller values being already verified. Returns the list of n that
-    failed to descend within max_depth (empty means all reach 1); from
-    max_depth 3 on, only n = 3 (mod 4) can fail, so only those are walked.
+    smaller values being already verified. Returns, sorted, the n > 1 of
+    ``m0_undecided(limit, max_depth)`` that fail to descend within max_depth
+    (empty means all reach 1).
     """
-    # An even n descends in 1 step and an n = 1 (mod 4) in 3, to
-    # (3n + 1) / 4 < n.
-    start, stride = (3, 4) if max_depth >= 3 else (2, 1)
-    failures = []
-    for n in range(start, limit + 1, stride):
-        x = n
-        steps = 0
-        while x >= n:
-            x = 3 * x + 1 if x & 1 else x >> 1
-            steps += 1
-            if steps > max_depth:
-                failures.append(n)
-                break
-    return failures
+    cap = limit << 2 * max_depth   # no walk passes it, as 3x + 1 <= 4x
+    return sorted(n for n in m0_undecided(limit, max_depth)
+                  if n > 1 and m0_descent(n, cap, max_depth)[-1] >= n)

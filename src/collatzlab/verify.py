@@ -17,7 +17,7 @@ from .actions import (Action, ActionSeq, ModelId, Path, apply_seq,
 from .actions import apply  # noqa: F401  bound for bench/tracer.py
 from .errors import DomainViolation, GuardViolation, UnknownClaim
 from .search import (SearchBounds, Unreachable, bfs_reach,
-                     bfs_reach_bidirectional)
+                     bfs_reach_bidirectional, m0_descent)
 
 
 @dataclass
@@ -240,6 +240,7 @@ def _cluster(kind):
 
 
 _SEQ_F = seq_of("F")
+_M0_LETTERS = (Action.B, Action.T)   # M0's move out of x, by x & 1
 
 
 def descending_witness(a: int, model: ModelId,
@@ -247,28 +248,21 @@ def descending_witness(a: int, model: ModelId,
     """A guard-legal Path whose end is below a, or the search's Unreachable.
 
     Fast paths, each taken only when its values are within the value cap:
-    strip when a = 1 (mod 6); otherwise the deterministic M0 walk, whose
-    first step halves an even a, until the value drops below a (its T/B
-    moves are legal in both MS and M1). Falls back to bounded BFS.
+    strip when a = 1 (mod 6); otherwise ``m0_descent``, whose T/B moves are
+    legal in both MS and M1. Falls back to bounded BFS. With no bounds, both
+    walks use depth 512 and cap a * 2^20.
     """
-    limit = bounds.max_depth if bounds is not None else 1000
+    limit = bounds.max_depth if bounds is not None else 512
     cap = bounds.max_value if bounds is not None else a * 2**20
     if a % 6 == 1 and a > 1 and (a - 1) // 3 <= cap:
         return apply_seq(_SEQ_F, a, model)
-    steps = []
-    x = a
-    while x >= a and len(steps) < limit:
-        y = 3 * x + 1 if x % 2 else x // 2
-        if y > cap:
-            break
-        steps.append(Action.T if x % 2 else Action.B)
-        x = y
-    if x < a:
+    walk = m0_descent(a, cap, limit)
+    if walk[-1] < a:
+        steps = [_M0_LETTERS[x & 1] for x in walk[:-1]]
         return apply_seq(ActionSeq(tuple(steps)), a, model)
     from .search import bfs_until
     result = bfs_until(model, a, lambda v: v < a,
-                       bounds or SearchBounds(max_value=a * 2**20,
-                                              max_depth=512))
+                       bounds or SearchBounds(max_value=cap, max_depth=limit))
     if isinstance(result, Unreachable):
         return result
     return apply_seq(result.actions, a, model)

@@ -65,7 +65,7 @@ def networkx_cycles(model, max_value):
 
 
 def test_m0_census_matches_the_colour_walk():
-    for bound in [*range(4, 501), 10**5]:
+    for bound in [*range(4, 501), 4095, 4096, 4097, 10**5]:
         assert cycle_census(ModelId.M0, bound) == colour_walk_m0_cycles(
             bound), bound
 

@@ -166,6 +166,36 @@ def test_all_reach_one_matches_a_walk_over_every_n():
         for limit in range(301):
             assert all_reach_one(limit, max_depth) == every_n_descent_failures(
                 limit, max_depth), (limit, max_depth)
+    # across the edges of the sieve's 2^12 period, at every descent step j
+    # the sieve holds (j <= 19) and one past it
+    for max_depth in range(21):
+        for limit in (4095, 4096, 4097, 8292):
+            assert all_reach_one(limit, max_depth) == every_n_descent_failures(
+                limit, max_depth), (limit, max_depth)
+
+
+def first_drop_step(n):
+    """Independent reference: the step at which n's walk first drops below
+    n (n >= 2)."""
+    x, steps = n, 0
+    while x >= n:
+        x = x // 2 if x % 2 == 0 else 3 * x + 1
+        steps += 1
+    return steps
+
+
+def test_descent_sieve_matches_a_walk_per_class():
+    # open classes modulo 2^k, as counted by OEIS A076227
+    for k, open_rows in ((8, 19), (12, 226), (16, 2114)):
+        assert search._sieve(k).count(None) == open_rows, k
+    for k in (8, 12):
+        for r, row in enumerate(search._sieve(k)):
+            if row is None:
+                continue
+            j, bound = row
+            n = bound + 1 + (r - bound - 1) % 2**k   # least n > bound in r
+            assert n > 1 and n % 2**k == r, (k, r)
+            assert first_drop_step(n) == j, (k, r, n)
 
 
 def test_path_render():

@@ -228,6 +228,16 @@ def test_descending_witness_is_guard_legal():
         assert trace.values[0] == a
 
 
+def test_descending_witness_default_depth_is_512():
+    # the M0 walk from 63,728,127 first drops below it after 613 steps, so
+    # with no bounds it stops at 512 and the BFS fallback finds the witness
+    a = 63_728_127
+    trace = descending_witness(a, ModelId.MS)
+    assert trace.validate()
+    assert trace.end < a
+    assert len(trace) <= 512
+
+
 def test_edge_loop_directed_reading_reports_findings():
     # MS forward moves only shrink toward {1,2,4}; 3A+1 > A is never
     # forward-reachable from an even A, so the directed reading fails and
