@@ -41,18 +41,28 @@ SEQ_ATTACH = seq_of("TT")             # A -> A11
 SEQ_APPEND2 = seq_of("TD") + SEQ_12_21 + seq_of("B")
 SEQ_BACKSPACE2 = inverse_seq(SEQ_APPEND2)
 
-# Conditional 3-cluster-to-5-cluster scripts (A21 -> A11, A22 -> A11),
-# split on A's parity and, for odd A, on A's last ternary digit.
-SEQ_21_11_EVEN = seq_of("TB") + SEQ_02_11 + seq_of("FFFDTT")
-SEQ_21_11_LAST0 = (seq_of("DTTB") + SEQ_02_11 + seq_of("FFF")
-                   + SEQ_02_11 + SEQ_11_01 + seq_of("T"))
-SEQ_21_11_LAST1 = SEQ_21_12 + seq_of("TTB") + SEQ_02_11 + seq_of("FFFDT")
-SEQ_21_11_LAST2 = seq_of("F") + SEQ_BACKSPACE2 + seq_of("TT")
-SEQ_22_11_EVEN = seq_of("BFFDTT")
-SEQ_22_11_LAST0 = (seq_of("D") + SEQ_21_12 + seq_of("BF")
-                   + SEQ_02_11 + SEQ_11_01 + seq_of("T"))
-SEQ_22_11_LAST1 = seq_of("TB") + SEQ_BACKSPACE2 + SEQ_BACKSPACE2 + seq_of("DT")
-SEQ_22_11_LAST2 = SEQ_BACKSPACE2 + SEQ_BACKSPACE2 + seq_of("TT")
+# Conditional 3-cluster-to-5-cluster scripts A21 -> A11 and A22 -> A11,
+# keyed by the input's offset from 9A (7 or 8), then indexed by a_class(A).
+SEQ_TO_11 = {
+    7: (seq_of("TB") + SEQ_02_11 + seq_of("FFFDTT"),
+        seq_of("DTTB") + SEQ_02_11 + seq_of("FFF") + SEQ_02_11 + SEQ_11_01
+        + seq_of("T"),
+        SEQ_21_12 + seq_of("TTB") + SEQ_02_11 + seq_of("FFFDT"),
+        seq_of("F") + SEQ_BACKSPACE2 + seq_of("TT")),
+    8: (seq_of("BFFDTT"),
+        seq_of("D") + SEQ_21_12 + seq_of("BF") + SEQ_02_11 + SEQ_11_01
+        + seq_of("T"),
+        seq_of("TB") + SEQ_BACKSPACE2 + SEQ_BACKSPACE2 + seq_of("DT"),
+        SEQ_BACKSPACE2 + SEQ_BACKSPACE2 + seq_of("TT")),
+}
+A_CLASS_NAMES = ("even", "last0", "last1", "last2")   # claim id suffixes
+
+
+def a_class(a: int) -> int:
+    """The class that picks A's conditional script: 0 for even A, else
+    1 + A mod 3, i.e. 1 + the last ternary digit of odd A."""
+    return 0 if a % 2 == 0 else 1 + a % 3
+
 
 # Node-loop hop 3h+2 => h, chosen by h's parity. M1's guards read only
 # x mod 2, x mod 3 and x > 1, so walked on the forms 6s+2 (h = 2s, s >= 1)
@@ -70,17 +80,21 @@ SMALL_TO_FOUR = {
 
 
 def seq_21_to_11(a: int) -> ActionSeq:
-    """A21 -> A11 script selected by A's parity / last ternary digit."""
-    if a % 2 == 0:
-        return SEQ_21_11_EVEN
-    return (SEQ_21_11_LAST0, SEQ_21_11_LAST1, SEQ_21_11_LAST2)[a % 3]
+    """A21 -> A11 script for A's class."""
+    return SEQ_TO_11[7][a_class(a)]
 
 
 def seq_22_to_11(a: int) -> ActionSeq:
-    """A22 -> A11 script selected the same way."""
-    if a % 2 == 0:
-        return SEQ_22_11_EVEN
-    return (SEQ_22_11_LAST0, SEQ_22_11_LAST1, SEQ_22_11_LAST2)[a % 3]
+    """A22 -> A11 script for A's class."""
+    return SEQ_TO_11[8][a_class(a)]
+
+
+# Per residue r = v mod 9: the scripts from 9W+r to A11 = 9W+4 or to A21 =
+# 9W+7, then the conditional script on to 9W+4, if one.
+_TO_HUB = (((SEQ_00_11,), None), ((SEQ_01_11,), None), ((SEQ_02_11,), None),
+           ((SEQ_10_11,), None), ((), None), ((SEQ_12_21,), seq_21_to_11),
+           ((SEQ_20_21,), seq_21_to_11), ((), seq_21_to_11),
+           ((), seq_22_to_11))
 
 
 def to_eleven_script(value: int) -> ActionSeq:
@@ -96,24 +110,10 @@ def to_eleven_script(value: int) -> ActionSeq:
     v = value
     while v > 8:
         w, r = divmod(v, 9)
-        if r == 0:
-            parts.append(SEQ_00_11)
-        elif r == 1:
-            parts.append(SEQ_01_11)
-        elif r == 2:
-            parts.append(SEQ_02_11)
-        elif r == 3:
-            parts.append(SEQ_10_11)
-        elif r == 5:
-            parts.append(SEQ_12_21)
-            parts.append(seq_21_to_11(w))
-        elif r == 6:
-            parts.append(SEQ_20_21)
-            parts.append(seq_21_to_11(w))
-        elif r == 7:
-            parts.append(seq_21_to_11(w))
-        elif r == 8:
-            parts.append(seq_22_to_11(w))
+        lead, hop = _TO_HUB[r]
+        parts += lead
+        if hop:
+            parts.append(hop(w))
         parts.append(seq_of("FF"))
         v = w
     if SMALL_TO_FOUR[v]:
@@ -147,28 +147,25 @@ def _simple(claim_id, offset_in, offset_out, seq, *, applies=None):
     )
 
 
-def _lemma_pair(forward_id, inverse_id, offset_in, seq, applies):
-    """A conditional lemma A.. => A11 and its inverse A11 => A...
+def _lemma_pair(offset, cls):
+    """The conditional lemma A2d => A11 for the A of class cls, where the
+    input 9A + offset ends in the digits 2d, and its inverse A11 => A2d.
 
     The inverse swaps the forward lemma's input and expected value, keeps
     its domain and replays its script inverted, computed once here. In M1,
     T at x is undone by F at 3x+1 and B by D, so the inverse passes for
     exactly the A where the forward lemma passes.
     """
-    forward = _simple(forward_id, offset_in, 4, seq, applies=applies)
+    cluster, name = f"2{offset - 6}", A_CLASS_NAMES[cls]
+    seq = SEQ_TO_11[offset][cls]
+    forward = _simple(f"L.{cluster}-11.{name}", offset, 4, seq,
+                      applies=lambda a: a_class(a) == cls)
     back = inverse_seq(seq)
-    inverse = replace(forward, id=inverse_id, input_fn=forward.expected_fn,
+    inverse = replace(forward, id=f"L.11-{cluster}.{name}",
+                      input_fn=forward.expected_fn,
                       expected_fn=forward.input_fn, build=lambda a: back,
-                      inverse_of=forward_id)
+                      inverse_of=forward.id)
     return forward, inverse
-
-
-def _is_even(a):
-    return a % 2 == 0
-
-
-def _odd_last(digit):
-    return lambda a: a % 2 == 1 and a % 3 == digit
 
 
 # How many trailing 2s T.append2 appends and T.backspace2 erases.
@@ -203,22 +200,8 @@ def build_claims() -> dict[str, Claim]:
             build=lambda a: SEQ_ATTACH,
         ),
         # 3-cluster to 5-cluster, conditional on A, each with its inverse.
-        *_lemma_pair("L.21-11.even", "L.11-21.even", 7, SEQ_21_11_EVEN,
-                     _is_even),
-        *_lemma_pair("L.21-11.last0", "L.11-21.last0", 7, SEQ_21_11_LAST0,
-                     _odd_last(0)),
-        *_lemma_pair("L.21-11.last1", "L.11-21.last1", 7, SEQ_21_11_LAST1,
-                     _odd_last(1)),
-        *_lemma_pair("L.21-11.last2", "L.11-21.last2", 7, SEQ_21_11_LAST2,
-                     _odd_last(2)),
-        *_lemma_pair("L.22-11.even", "L.11-22.even", 8, SEQ_22_11_EVEN,
-                     _is_even),
-        *_lemma_pair("L.22-11.last0", "L.11-22.last0", 8, SEQ_22_11_LAST0,
-                     _odd_last(0)),
-        *_lemma_pair("L.22-11.last1", "L.11-22.last1", 8, SEQ_22_11_LAST1,
-                     _odd_last(1)),
-        *_lemma_pair("L.22-11.last2", "L.11-22.last2", 8, SEQ_22_11_LAST2,
-                     _odd_last(2)),
+        *(claim for offset in SEQ_TO_11 for cls in range(len(A_CLASS_NAMES))
+          for claim in _lemma_pair(offset, cls)),
         Claim(
             id="T.append2",
             input_fn=lambda a: a,

@@ -11,6 +11,9 @@ from .errors import DepthExceeded
 from .models import INTEGER_PREDECESSORS, SUCCESSORS, predecessors
 from .models import successors  # noqa: F401  bound for bench/tracer.py
 
+_NO_CAP = float("inf")               # the value cap of an uncapped M0 walk
+_M0_LETTERS = (Action.B, Action.T)   # M0's move out of x, by x & 1
+
 
 @dataclass(frozen=True)
 class SearchBounds:
@@ -167,28 +170,24 @@ def bfs_until(model: ModelId, start: int, accept, bounds: SearchBounds):
     return bfs(model, SUCCESSORS[model], start, accept, bounds)
 
 
-def collatz_step(x: int) -> int:
-    return 3 * x + 1 if x % 2 else x // 2
-
-
 def trajectory(n: int, max_depth: int = 100_000) -> Path:
     """Deterministic M0 iteration from n down to 1.
 
-    Raises DepthExceeded if 1 is not reached within max_depth steps (which
-    would be a conjecture counterexample signal at desk scale).
+    A chain of ``m0_descent`` walks with no value cap: each ends below its
+    start, so the chain stops at 1. Raises DepthExceeded if 1 is not reached
+    within max_depth steps (which would be a conjecture counterexample
+    signal at desk scale).
     """
     if n < 1:
         raise ValueError(f"positive integer required, got {n}")
     values = [n]
-    actions = []
-    x = n
-    while x != 1:
-        if len(actions) >= max_depth:
+    while values[-1] != 1:
+        x = values[-1]
+        walk = m0_descent(x, _NO_CAP, max_depth - len(values) + 1)
+        if walk[-1] >= x:
             raise DepthExceeded(n, max_depth)
-        actions.append(Action.T if x % 2 else Action.B)
-        x = collatz_step(x)
-        values.append(x)
-    return Path(model=ModelId.M0, start=n, actions=ActionSeq(tuple(actions)),
+        values += walk[1:]
+    return Path(model=ModelId.M0, start=n, actions=m0_script(values),
                 end=1, values=tuple(values))
 
 
@@ -208,7 +207,7 @@ def stopping_stats(values, max_depth: int = 100_000):
             raise ValueError(f"positive integer required, got {n}")
         x, j, peak = n, 0, n
         while x not in memo and j < max_depth:
-            x = collatz_step(x)
+            x = 3 * x + 1 if x & 1 else x >> 1
             j += 1
             if x > peak:
                 peak = x
@@ -262,17 +261,31 @@ def m0_undecided(limit: int, max_depth: int):
 
 def m0_descent(n: int, max_value: int, max_depth: int) -> list[int]:
     """The M0 walk's values from n up to the first value <= n; it stops
-    after max_depth steps, or before the first value above max_value."""
+    after max_depth steps, or before the first value above max_value.
+
+    Requires n <= max_value. T is the one move that raises a value and B
+    the one that lowers it, so the cap is checked only after T and the
+    floor only after B.
+    """
     values = [n]
     x = n
     for _ in range(max_depth):
-        x = 3 * x + 1 if x & 1 else x >> 1
-        if x > max_value:
-            break
-        values.append(x)
-        if x <= n:
-            break
+        if x & 1:
+            x = 3 * x + 1
+            if x > max_value:
+                break
+            values.append(x)
+        else:
+            x >>= 1
+            values.append(x)
+            if x <= n:
+                break
     return values
+
+
+def m0_script(values) -> ActionSeq:
+    """The T/B letters of an M0 walk through values, read off parities."""
+    return ActionSeq(tuple([_M0_LETTERS[x & 1] for x in values[:-1]]))
 
 
 def all_reach_one(limit: int, max_depth: int = 100_000):
@@ -283,6 +296,5 @@ def all_reach_one(limit: int, max_depth: int = 100_000):
     ``m0_undecided(limit, max_depth)`` that fail to descend within max_depth
     (empty means all reach 1).
     """
-    cap = limit << 2 * max_depth   # no walk passes it, as 3x + 1 <= 4x
     return sorted(n for n in m0_undecided(limit, max_depth)
-                  if n > 1 and m0_descent(n, cap, max_depth)[-1] >= n)
+                  if n > 1 and m0_descent(n, _NO_CAP, max_depth)[-1] >= n)

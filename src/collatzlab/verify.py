@@ -12,12 +12,12 @@ import time
 from dataclasses import dataclass, field
 
 from . import catalog
-from .actions import (Action, ActionSeq, ModelId, Path, apply_seq,
-                      evaluate_exact, inverse_seq, seq_of)
+from .actions import (ModelId, Path, apply_seq, evaluate_exact, inverse_seq,
+                      seq_of)
 from .actions import apply  # noqa: F401  bound for bench/tracer.py
 from .errors import DomainViolation, GuardViolation, UnknownClaim
 from .search import (SearchBounds, Unreachable, bfs_reach,
-                     bfs_reach_bidirectional, m0_descent)
+                     bfs_reach_bidirectional, m0_descent, m0_script)
 
 
 @dataclass
@@ -240,7 +240,6 @@ def _cluster(kind):
 
 
 _SEQ_F = seq_of("F")
-_M0_LETTERS = (Action.B, Action.T)   # M0's move out of x, by x & 1
 
 
 def descending_witness(a: int, model: ModelId,
@@ -256,10 +255,9 @@ def descending_witness(a: int, model: ModelId,
     cap = bounds.max_value if bounds is not None else a * 2**20
     if a % 6 == 1 and a > 1 and (a - 1) // 3 <= cap:
         return apply_seq(_SEQ_F, a, model)
-    walk = m0_descent(a, cap, limit)
+    walk = m0_descent(a, cap, limit) if a <= cap else [a]
     if walk[-1] < a:
-        steps = [_M0_LETTERS[x & 1] for x in walk[:-1]]
-        return apply_seq(ActionSeq(tuple(steps)), a, model)
+        return apply_seq(m0_script(walk), a, model)
     from .search import bfs_until
     result = bfs_until(model, a, lambda v: v < a,
                        bounds or SearchBounds(max_value=cap, max_depth=limit))

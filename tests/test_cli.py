@@ -182,6 +182,22 @@ GOLDEN_OUTPUTS = [
      "051c4b2905809b839e37c6ae28b62c54e4566021e88029bcefad5a2c9e1fd032"),
     (["cluster", "--kind", "five", "--k", "9700..9730"], 1,
      "3937237515cf30bc959fec3eae77632275dbbc438649c9b83bb683fbf4a3688d"),
+    # Recorded while trajectory still had its own 3x+1 loop, verify had its
+    # own parity-to-letter table and the catalog split A's class in three
+    # places. The 951-line trajectory peaks near 10^12; at depth 110, 27
+    # misses 1 and stdout stays empty; under cap 2 every A > 2 is above it.
+    (["traj", "63728127", "--format", "csv"], 0,
+     "3ccb2e38e9c526fb3b1ad7e3da3a80ab5da30343dd4351810cb7eb90ba409054"),
+    (["traj", "27", "--max-depth", "111"], 0,
+     "6df6c44c52cca3cf3cfb0e276032ae06da094d31a751e67e0d8764e67cb11547"),
+    (["traj", "27", "--max-depth", "110"], 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["verify", "--claim", "T.descend-ms,L.descend-m1", "--range", "2..12",
+      "--max-value", "2"], 1,
+     "3b83109edec720f08a33223d764f94b051166a3d62c9d2a3c16ff5f69c1963f7"),
+    (["verify", "--claim", "T.a-11,L.21-11.last1,L.11-22.last0",
+      "--range", "1..3000"], 0,
+     "7e72123523882efdeadc895e72dfcf66eef73992456bc19b58059a9052e8beb8"),
 ]
 
 

@@ -3,7 +3,10 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "collatzlab"
+import collatzlab
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "collatzlab"
 
 
 def unused_imports(source):
@@ -46,3 +49,60 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = [f"{p.name}:{line}: {name}" for p in modules
               for line, name in unused_imports(p.read_text())]
     assert unused == []
+
+
+def names_read(source):
+    """Every identifier a source names: bare names, attributes, imported
+    names and identifier-shaped string constants, which is how setattr-style
+    wiring names an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names.add(node.value)
+    return names
+
+
+def dead_definitions(modules, readers, exported):
+    """(module, line, name) for every top-level def or class of a module
+    source that no reader source names and exported does not list.
+
+    A definition's own header does not name it; a function that only calls
+    itself still counts as named.
+    """
+    read = set().union(*map(names_read, readers))
+    return [(module, node.lineno, node.name)
+            for module, source in modules.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name not in read and node.name not in exported]
+
+
+def test_dead_definition_check_flags_only_unnamed_definitions():
+    module = ("def called():\n    pass\n"
+              "def exported():\n    pass\n"
+              "class Dead:\n    def method(self):\n        pass\n"
+              "def collatz_step(x):\n    return x\n"
+              "def wired():\n    pass\n"
+              "def read_as_attribute():\n    pass\n")
+    reader = ("from m import called\nimport m\n"
+              "setattr(m, 'wired', m.read_as_attribute)\n")
+    assert dead_definitions({"m.py": module}, [module, reader],
+                            {"exported"}) == [("m.py", 5, "Dead"),
+                                              ("m.py", 8, "collatz_step")]
+
+
+def test_every_top_level_definition_is_named_or_exported():
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))
+               if p.name != "__init__.py"}
+    assert modules
+    readers = [p.read_text() for p in sorted(SRC.glob("*.py"))
+               + sorted((ROOT / "bench").glob("*.py"))]
+    assert dead_definitions(modules, readers, set(collatzlab.__all__)) == []

@@ -1,5 +1,7 @@
 """Bounded reachability search and the deterministic trajectory engine."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,6 +198,65 @@ def test_descent_sieve_matches_a_walk_per_class():
             n = bound + 1 + (r - bound - 1) % 2**k   # least n > bound in r
             assert n > 1 and n % 2**k == r, (k, r)
             assert first_drop_step(n) == j, (k, r, n)
+
+
+def plain_walk(n):
+    """Values and T/B letters of n's 3x+1 walk down to 1, by a plain loop."""
+    values, letters = [n], ""
+    while values[-1] != 1:
+        x = values[-1]
+        letters += "T" if x % 2 else "B"
+        values.append(3 * x + 1 if x % 2 else x // 2)
+    return tuple(values), letters
+
+
+def test_trajectory_is_the_plain_walk_at_exactly_its_step_count():
+    assert trajectory(1, 1).values == (1,)
+    for n in range(1, 3001):
+        values, letters = plain_walk(n)
+        path = trajectory(n, len(letters))
+        assert (path.values, str(path.actions)) == (values, letters), n
+        if n > 1:
+            with pytest.raises(DepthExceeded):
+                trajectory(n, len(letters) - 1)
+
+
+def plain_descent(n, max_value, max_depth):
+    """n's 3x+1 walk up to the first value <= n, at most max_depth steps,
+    stopping before the first value above max_value."""
+    values, x = [n], n
+    for _ in range(max_depth):
+        x = 3 * x + 1 if x % 2 else x // 2
+        if x > max_value:
+            break
+        values.append(x)
+        if x <= n:
+            break
+    return values
+
+
+def test_m0_descent_matches_a_plain_loop():
+    for n in range(1, 301):
+        for max_value in (n, n + 1, 3 * n, 3 * n + 1, 10**4, 10**15):
+            for max_depth in (0, 1, 2, 3, 7, 40, 200):
+                assert search.m0_descent(n, max_value, max_depth) == (
+                    plain_descent(n, max_value, max_depth)), (
+                        n, max_value, max_depth)
+
+
+@pytest.mark.parametrize("walk, expected", [
+    (lambda: all_reach_one(1000, 10**9), []),
+    (lambda: trajectory(27, 10**9).values, plain_walk(27)[0]),
+], ids=["all_reach_one", "trajectory"])
+def test_uncapped_walks_use_little_memory_at_a_huge_depth(walk, expected):
+    tracemalloc.start()
+    try:
+        result = walk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == expected
+    assert peak < 2**20
 
 
 def test_path_render():
