@@ -9,10 +9,10 @@ guard-edge removal).
 
 from .actions import (Action, ActionSeq, ModelId, Path, action_function,
                       apply, apply_seq, evaluate_exact, inverse_seq, is_legal,
-                      parse_seq, validate_trace)
+                      seq_of, validate_trace)
 from .catalog import Claim, build_claims
 from .errors import (CollatzlabError, DepthExceeded, DomainViolation,
-                     GuardViolation, ParseError, UnknownClaim)
+                     GuardViolation, UnknownClaim)
 from .experiments import DeloopReport, cycle_census, delooping_experiment
 from .models import (BoundedGraph, bounded_graph, predecessors, successors,
                      to_dot)
@@ -26,11 +26,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action", "ActionSeq", "ModelId", "Path", "action_function", "apply",
-    "apply_seq", "evaluate_exact", "inverse_seq", "is_legal", "parse_seq",
+    "apply_seq", "evaluate_exact", "inverse_seq", "is_legal", "seq_of",
     "validate_trace",
     "Claim", "build_claims",
     "CollatzlabError", "DepthExceeded", "DomainViolation", "GuardViolation",
-    "ParseError", "UnknownClaim",
+    "UnknownClaim",
     "DeloopReport", "cycle_census", "delooping_experiment",
     "BoundedGraph", "bounded_graph", "predecessors", "successors", "to_dot",
     "SearchBounds", "Unreachable", "all_reach_one", "bfs_reach",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainViolation, GuardViolation, ParseError
+from .errors import DomainViolation, GuardViolation
 from .ternary import to_ternary  # noqa: F401  bound for bench/tracer.py
 
 
@@ -158,24 +158,9 @@ class ActionSeq:
         return "".join(a.value for a in self.steps)
 
 
-def parse_seq(text: str) -> ActionSeq:
-    """Parse a sequence string; quotes and whitespace are ignored."""
-    steps = []
-    seen = False
-    for i, c in enumerate(text):
-        if c in "'\" \t\n":
-            continue
-        if c not in "TBFD":
-            raise ParseError(text, i)
-        steps.append(Action(c))
-        seen = True
-    if not seen:
-        raise ValueError("empty action sequence")
-    return ActionSeq(tuple(steps))
-
-
 def seq_of(text: str) -> ActionSeq:
-    """Internal constructor for literal sequences (no source text kept)."""
+    """The sequence spelled by a string of T/B/F/D letters, first letter
+    first; any other character raises ValueError."""
     return ActionSeq(tuple(Action(c) for c in text))
 
 

@@ -1,9 +1,9 @@
 """Executable catalog of the ternary-suffix lemmas and theorems.
 
 Each claim instantiates an input from the parameter A (the cluster base),
-runs a witness script under M1 guards (MS where noted), and compares the
-endpoint against an arithmetic target. Every witness is one literal action
-script, chosen by A's residue class.
+runs a witness script under M1 guards, and compares the endpoint against an
+arithmetic target. Every witness is one literal action script, chosen by A's
+residue class.
 
 Suffix-digit arithmetic used throughout (base 3, A is the prefix value):
     A0 = 3A, A1 = 3A+1, A2 = 3A+2, and e.g. A21 = 9A+7.
@@ -89,6 +89,8 @@ def seq_22_to_11(a: int) -> ActionSeq:
     return SEQ_TO_11[8][a_class(a)]
 
 
+_SEQ_FF = seq_of("FF")   # erases a trailing '11': 9W+4 -> 3W+1 -> W
+
 # Per residue r = v mod 9: the scripts from 9W+r to A11 = 9W+4 or to A21 =
 # 9W+7, then the conditional script on to 9W+4, if one.
 _TO_HUB = (((SEQ_00_11,), None), ((SEQ_01_11,), None), ((SEQ_02_11,), None),
@@ -114,7 +116,7 @@ def to_eleven_script(value: int) -> ActionSeq:
         parts += lead
         if hop:
             parts.append(hop(w))
-        parts.append(seq_of("FF"))
+        parts.append(_SEQ_FF)
         v = w
     if SMALL_TO_FOUR[v]:
         parts.append(seq_of(SMALL_TO_FOUR[v]))

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 clean, 1 verified finding (a claim failure, an unexpected
-cycle, a trajectory not at 1 within --max-depth), 2 usage error. Identical
-invocations produce byte-identical output; timing only appears with --timing.
+cycle, a traj not at 1 or a stats row of -1 within --max-depth, an
+unreachable reach target, a deloop phase 1 or 3 miss or phase-3/M0
+mismatch), 2 usage error. Identical invocations produce byte-identical
+output; timing only appears with --timing.
 """
 
 from __future__ import annotations
@@ -92,11 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="cluster connectivity check")
     p.add_argument("--kind", choices=tuple(verify_mod.CLUSTER_MEMBERS),
                    required=True)
-    p.add_argument("--k", type=parse_range, required=True, dest="k_range",
+    p.add_argument("--k", type=parse_range, required=True, dest="a_range",
                    metavar="LO..HI")
-    p.add_argument("--value-bound", type=positive_int, default=None)
+    p.add_argument("--value-bound", type=positive_int, default=None,
+                   dest="max_value", metavar="VALUE_BOUND")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--timing", action="store_true")
+    p.set_defaults(max_depth=None, workers=1)
 
     p = sub.add_parser("deloop", help="E1/E4 edge-removal experiment")
     p.add_argument("--max", type=positive_int, required=True, dest="max_value")
@@ -150,7 +154,6 @@ def _merge_reports(parts):
             head.bounds[dips] += other.bounds[dips]
         head.range = (head.range[0], other.range[1])
         head.passed += other.passed
-        head.failed += other.failed
         head.skipped += other.skipped
         head.failures.extend(other.failures)
         head.wall_ms += other.wall_ms
@@ -231,12 +234,8 @@ def cmd_reach(args, out) -> int:
 
 
 def cmd_cluster(args, out) -> int:
-    bounds = (None if args.value_bound is None
-              else SearchBounds(max_value=args.value_bound))
-    report = verify_mod.run_any_claim(f"T.cluster-{args.kind}", args.k_range,
-                                      bounds)
-    _emit_reports([report], args.format, args.timing, out)
-    return EXIT_FINDING if report.failed else EXIT_OK
+    args.claim = f"T.cluster-{args.kind}"
+    return cmd_verify(args, out)
 
 
 def cmd_deloop(args, out) -> int:

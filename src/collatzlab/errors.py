@@ -10,19 +10,6 @@ class CollatzlabError(Exception):
     """Base class for all package errors."""
 
 
-class ParseError(CollatzlabError):
-    """Invalid character in an action-sequence string."""
-
-    def __init__(self, text, position):
-        super().__init__(text, position)
-        self.text = text
-        self.position = position
-
-    def __str__(self):
-        return (f"invalid action symbol {self.text[self.position]!r} "
-                f"at index {self.position}")
-
-
 def _at(step_index):
     return "" if step_index is None else f" (step {step_index})"
 
@@ -43,7 +30,7 @@ class GuardViolation(CollatzlabError):
 
 
 class DomainViolation(CollatzlabError):
-    """A result left the model's domain (non-positive, or non-integer)."""
+    """A walk was started at a value that is not an integer >= 1."""
 
     def __init__(self, action, value, result, model, step_index=None):
         super().__init__(action, value, result, model, step_index)

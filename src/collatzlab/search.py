@@ -153,16 +153,12 @@ def bfs_reach_bidirectional(model: ModelId, start: int, target: int,
 
 
 def _join(model, start, target, fwd, bwd, meet):
+    """start => meet => target; bwd read from meet is the tail reversed."""
     head = _build_path(model, start, fwd, meet)
-    actions = list(head.actions.steps)
-    values = list(head.values)
-    v = meet
-    while v != target:
-        v, action = bwd[v]
-        actions.append(action)
-        values.append(v)
-    return Path(model=model, start=start, actions=ActionSeq(tuple(actions)),
-                end=target, values=tuple(values))
+    tail = _build_path(model, target, bwd, meet)   # target => meet
+    steps = head.actions.steps + tail.actions.steps[::-1]
+    return Path(model=model, start=start, actions=ActionSeq(steps),
+                end=target, values=head.values + tail.values[-2::-1])
 
 
 def bfs_until(model: ModelId, start: int, accept, bounds: SearchBounds):

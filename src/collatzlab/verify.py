@@ -42,14 +42,16 @@ class VerifyReport:
     model: str
     range: tuple[int, int]
     passed: int = 0
-    failed: int = 0
     skipped: int = 0
     failures: list[Failure] = field(default_factory=list)
     bounds: dict = field(default_factory=dict)
     wall_ms: float = 0.0
 
+    @property
+    def failed(self) -> int:
+        return len(self.failures)
+
     def record_failure(self, failure: Failure):
-        self.failed += 1
         self.failures.append(failure)
 
     def to_dict(self, include_timing: bool = False) -> dict:

@@ -13,9 +13,9 @@ from collatzlab import search
 from collatzlab.actions import (INTEGER_MODELS, Action, ActionSeq, ModelId,
                                 Path, action_function, apply, apply_seq,
                                 evaluate_exact, inverse_seq, is_legal,
-                                parse_seq, seq_of, validate_trace)
+                                seq_of, validate_trace)
 from collatzlab.errors import (CollatzlabError, DomainViolation,
-                               GuardViolation, ParseError)
+                               GuardViolation)
 
 actions = st.sampled_from(list(Action))
 sequences = st.lists(actions, min_size=1, max_size=12).map(
@@ -85,22 +85,13 @@ def test_apply_guard_and_domain_errors():
     assert apply(Action.F, 1, ModelId.M2) == 0
 
 
-def test_parse_seq():
-    seq = parse_seq("'TDD FFBBT'")
-    assert seq.render() == "TDDFFBBT"
-    with pytest.raises(ParseError) as exc:
-        parse_seq("TDX")
-    assert exc.value.position == 2
-    with pytest.raises(ValueError):
-        parse_seq("  ")
-
-
 def test_parsed_and_literal_sequences_are_equal():
     # a sequence is its steps: how it was spelled does not enter equality
-    parsed = parse_seq("'T B'")
-    assert parsed == seq_of("TB")
-    assert hash(parsed) == hash(seq_of("TB"))
-    assert len({parsed, seq_of("TB"), parse_seq("TB")}) == 1
+    parsed = seq_of("TB")
+    literal = ActionSeq((Action.T, Action.B))
+    assert parsed == literal
+    assert hash(parsed) == hash(literal)
+    assert len({parsed, literal}) == 1
 
 
 def test_sequence_application_order_is_left_to_right():
@@ -111,7 +102,7 @@ def test_sequence_application_order_is_left_to_right():
 
 
 def test_plus_one_identity_pins_the_convention():
-    end, flagged = evaluate_exact(parse_seq("TDDFFBBT"), 10)
+    end, flagged = evaluate_exact(seq_of("TDDFFBBT"), 10)
     assert end == 11 and not flagged
 
 

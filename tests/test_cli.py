@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 
 from hypothesis import given, settings
@@ -198,6 +199,16 @@ GOLDEN_OUTPUTS = [
     (["verify", "--claim", "T.a-11,L.21-11.last1,L.11-22.last0",
       "--range", "1..3000"], 0,
      "7e72123523882efdeadc895e72dfcf66eef73992456bc19b58059a9052e8beb8"),
+    # Recorded while `cluster` still built its own bounds and ran, emitted
+    # and scored its claim apart from `verify`. Under cap 4096 the nine
+    # cluster fails 100 pairs; the text lists the first 10 (11 lines).
+    (["cluster", "--kind", "nine", "--k", "1..120", "--value-bound", "4096",
+      "--format", "text"], 1,
+     "35d27238e8d51cc997b29e101f5fcb543c6270bd733ee481c46c2089bd01b684"),
+    (["cluster", "--kind", "five", "--k", "9700..9730", "--format", "csv"], 1,
+     "9b828376c30610ba7dbf2f1a4a85b318ae97f2a78a816cf50db3f2be4cb45851"),
+    (["cluster", "--kind", "three", "--k", "1..200", "--format", "text"], 0,
+     "0993b669c3830512a45ca1bb53eef374194d864b85765056a8c4be154a7970a0"),
 ]
 
 
@@ -233,6 +244,19 @@ def test_cluster():
     code, text = run(["cluster", "--kind", "five", "--k", "1..5"])
     assert code == 0
     assert json.loads(text)["fail"] == 0
+
+
+def test_cluster_prints_what_verify_prints_for_its_claim():
+    for kind, window, bound, fmt in itertools.product(
+            ("five", "three", "nine"), ("1..12", "110..116"),
+            (None, "300", "4096"), ("json", "csv", "text")):
+        cluster = run(["cluster", "--kind", kind, "--k", window,
+                       "--format", fmt]
+                      + (["--value-bound", bound] if bound else []))
+        verify = run(["verify", "--claim", f"T.cluster-{kind}",
+                      "--range", window, "--format", fmt]
+                     + (["--max-value", bound] if bound else []))
+        assert cluster == verify, (kind, window, bound, fmt)
 
 
 def test_cluster_default_cap_equals_the_explicit_2_pow_20():

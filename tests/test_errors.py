@@ -7,7 +7,7 @@ import pytest
 
 from collatzlab.actions import Action, ModelId
 from collatzlab.errors import (DepthExceeded, DomainViolation, GuardViolation,
-                               ParseError, UnknownClaim)
+                               UnknownClaim)
 
 CASES = [
     (GuardViolation(Action.T, 6, ModelId.M0, 3),
@@ -24,8 +24,6 @@ CASES = [
      {"action": Action.D, "value": -3, "result": -3, "model": ModelId.M0,
       "step_index": None},
      "D at -3 gives -3, outside M0 domain"),
-    (ParseError("TDX", 2), {"text": "TDX", "position": 2},
-     "invalid action symbol 'X' at index 2"),
     (UnknownClaim("L.nope", ("L.10-11", "T.succ1")),
      {"claim_id": "L.nope", "known": ["L.10-11", "T.succ1"]},
      "unknown claim 'L.nope'; known ids: L.10-11, T.succ1"),

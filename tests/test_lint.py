@@ -106,3 +106,40 @@ def test_every_top_level_definition_is_named_or_exported():
     readers = [p.read_text() for p in sorted(SRC.glob("*.py"))
                + sorted((ROOT / "bench").glob("*.py"))]
     assert dead_definitions(modules, readers, set(collatzlab.__all__)) == []
+
+
+TRACER_MARK = "# noqa: F401  bound for bench/tracer.py"
+
+
+def stale_tracer_bindings(modules, tracer):
+    """(module, line, name) for every import on a line marked TRACER_MARK
+    whose name the tracer source no longer wraps, i.e. no longer spells as
+    an identifier-shaped string."""
+    wrapped = {node.value for node in ast.walk(ast.parse(tracer))
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str) and node.value.isidentifier()}
+    stale = []
+    for module, source in modules.items():
+        lines = source.splitlines()
+        stale += [(module, alias.lineno, alias.asname or alias.name)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names
+                  if TRACER_MARK in lines[alias.lineno - 1]
+                  and (alias.asname or alias.name) not in wrapped]
+    return stale
+
+
+def test_stale_tracer_binding_check_flags_only_unwrapped_names():
+    module = (f"from .a import kept  {TRACER_MARK}\n"
+              f"from .b import gone  {TRACER_MARK}\n"
+              "from .c import plain\n")
+    tracer = "_set(mod, 'kept', wrapper)\nprint(gone, 'plain')\n"
+    assert stale_tracer_bindings({"m.py": module}, tracer) == [
+        ("m.py", 2, "gone")]
+
+
+def test_every_tracer_binding_names_a_wrapped_function():
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    tracer = (ROOT / "bench" / "tracer.py").read_text()
+    assert stale_tracer_bindings(modules, tracer) == []

@@ -365,22 +365,21 @@ def test_cluster_failures_use_the_shared_tag():
 
 
 def test_replay_rejects_scripts_that_do_not_witness_the_pair():
-    from collatzlab.actions import parse_seq
     from collatzlab.verify import _replay_known
 
     # 9 -T-> 28 -B-> 14 -B-> 7 -F-> 2 -D-> 4 -T-> 13: cluster-five, k = 1
-    good = parse_seq("TBBFDT")
+    good = seq_of("TBBFDT")
     wide = SearchBounds(max_value=2**20)
-    assert not _replay_known([parse_seq("BBFDT")], 9, 13, wide)   # guard
-    assert not _replay_known([parse_seq("TBBFD")], 9, 13, wide)   # endpoint
+    assert not _replay_known([seq_of("BBFDT")], 9, 13, wide)   # guard
+    assert not _replay_known([seq_of("TBBFD")], 9, 13, wide)   # endpoint
     assert not _replay_known([good], 9, 13, SearchBounds(max_value=27))
     assert not _replay_known([good], 9, 13,
                              SearchBounds(max_value=2**20, max_depth=5))
     # an endpoint above the cap also rejects, although the search allows it
-    assert not _replay_known([parse_seq("B")], 14, 7,
+    assert not _replay_known([seq_of("B")], 14, 7,
                              SearchBounds(max_value=13))
     assert not _replay_known([], 9, 13, wide)
-    scripts = [parse_seq("BBFDT"), parse_seq("TBBFD"), good]
+    scripts = [seq_of("BBFDT"), seq_of("TBBFD"), good]
     assert _replay_known(scripts, 9, 13,
                          SearchBounds(max_value=28, max_depth=6))
-    assert scripts == [good, parse_seq("BBFDT"), parse_seq("TBBFD")]
+    assert scripts == [good, seq_of("BBFDT"), seq_of("TBBFD")]
