@@ -222,3 +222,19 @@ def test_scripted_witnesses_match_the_recorded_golden_digest():
     assert len(lines) == 5151
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
         "ee26eb79fd8a10f75a6a4f7c92d5ee05e613eb76c3a2b9f023d27ab92fcf568b")
+
+
+def test_every_witness_for_a_up_to_3000_matches_the_recorded_digest():
+    # Every claim, inverse lemmas and odd-A node-loop witnesses included:
+    # start, expected value and script text per A in the claim's domain.
+    claims = build_claims()
+    lines = []
+    for claim_id, claim in claims.items():
+        for a in range(1, 3001):
+            if claim.applies(a):
+                w = build_witness(claim, a)
+                lines.append(f"{claim_id} {a} {w.start} "
+                             f"{claim.expected_fn(a)} {w.actions.render()}\n")
+    assert len(lines) == 59_000
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "6fd265dc7707aa4bd830ad56e4be6649e9d838be9a4f1865d8f733b7ad3a39cc")
