@@ -1,9 +1,8 @@
 """Executable catalog of the ternary-suffix lemmas and theorems.
 
-Each claim instantiates an input from the parameter A (the cluster base),
-runs a witness script under M1 guards, and compares the endpoint against an
-arithmetic target. Every witness is one literal action script, chosen by A's
-residue class.
+Each claim is rows of affine data in the parameter A (the cluster base):
+for the A of a residue class, one literal action script run under M1
+guards takes an input affine in A to an expected value affine in A.
 
 Suffix-digit arithmetic used throughout (base 3, A is the prefix value):
     A0 = 3A, A1 = 3A+1, A2 = 3A+2, and e.g. A21 = 9A+7.
@@ -11,8 +10,8 @@ Suffix-digit arithmetic used throughout (base 3, A is the prefix value):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 from .actions import ActionSeq, ModelId, inverse_seq, seq_of
 
@@ -126,132 +125,122 @@ def to_eleven_script(value: int) -> ActionSeq:
 
 @dataclass(frozen=True)
 class Claim:
-    """One catalog entry: an executable reading of a lemma or theorem."""
+    """One catalog entry: an id and rows (modulus, residue, start, end,
+    script, least). A row holds for A = modulus*s + residue with s >= least:
+    its script takes start to end, where a form (m, c) means m*s + c, and
+    a None script is build_fn's. A's first matching row gives its input,
+    expected value and script; A is in the claim's domain when some row
+    matches."""
 
     id: str
-    input_fn: Callable[[int], int]
-    expected_fn: Callable[[int], int]
-    build: Callable[[int], ActionSeq]
-    applies: Callable[[int], bool] = lambda a: True
-    model: ModelId = ModelId.M1
+    rows: tuple[tuple, ...]
     inverse_of: str | None = None  # a label: bench/child.py reads it
     close_cycle: bool = False
-    min_a: int = 1
+    build_fn: Callable[[int], ActionSeq] | None = None   # T.a-11 only
+    model: ClassVar[ModelId] = ModelId.M1
+    min_a: ClassVar[int] = 1
+
+    def at(self, a: int) -> tuple[int, int, ActionSeq] | None:
+        """(input, expected value, script) of A's first row, or None."""
+        for modulus, residue, start, end, script, least in self.rows:
+            if a % modulus == residue and (s := a // modulus) >= least:
+                return (start[0] * s + start[1], end[0] * s + end[1],
+                        self.build_fn(a) if script is None else script)
+        return None
+
+    def applies(self, a: int) -> bool:
+        return self.at(a) is not None
+
+    def expected_fn(self, a: int) -> int:
+        return self.at(a)[1]
+
+    def build(self, a: int) -> ActionSeq:
+        return self.at(a)[2]
 
 
-def _simple(claim_id, offset_in, offset_out, seq, *, applies=None):
-    return Claim(
-        id=claim_id,
-        input_fn=lambda a: 9 * a + offset_in,
-        expected_fn=lambda a: 9 * a + offset_out,
-        build=lambda a: seq,
-        applies=applies or (lambda a: True),
-    )
+def _row(start, end, script, modulus=1, residue=0):
+    """The row on A = modulus*s + residue >= 1 of a claim whose input and
+    expected value are the forms start and end in A."""
+    (m, c), (m2, c2) = start, end
+    return (modulus, residue, (m * modulus, m * residue + c),
+            (m2 * modulus, m2 * residue + c2), script, int(residue == 0))
+
+
+def _inverse(rows):
+    """rows, which share one script, with their forms swapped and that
+    script inverted. In M1, T at x is undone by F at 3x+1 and B by D, so
+    each inverse row holds wherever its row holds."""
+    back = inverse_seq(rows[0][4])
+    return tuple((modulus, residue, end, start, back, least)
+                 for modulus, residue, start, end, _, least in rows)
+
+
+def _class_residues(cls):
+    """(modulus, residues) of the A with a_class(A) == cls, for the least
+    modulus whose residues cover exactly the class's residues mod 6 (a_class
+    reads only A mod 6). One row per class keeps the per-A lookup short."""
+    in_class = [r for r in range(6) if a_class(r) == cls]
+    for modulus in (1, 2, 3, 6):
+        kept = sorted({r % modulus for r in in_class})
+        if len(kept) * 6 == len(in_class) * modulus:
+            return modulus, kept
 
 
 def _lemma_pair(offset, cls):
     """The conditional lemma A2d => A11 for the A of class cls, where the
-    input 9A + offset ends in the digits 2d, and its inverse A11 => A2d.
-
-    The inverse swaps the forward lemma's input and expected value, keeps
-    its domain and replays its script inverted, computed once here. In M1,
-    T at x is undone by F at 3x+1 and B by D, so the inverse passes for
-    exactly the A where the forward lemma passes.
-    """
+    input 9A + offset ends in the digits 2d, and its inverse A11 => A2d."""
     cluster, name = f"2{offset - 6}", A_CLASS_NAMES[cls]
-    seq = SEQ_TO_11[offset][cls]
-    forward = _simple(f"L.{cluster}-11.{name}", offset, 4, seq,
-                      applies=lambda a: a_class(a) == cls)
-    back = inverse_seq(seq)
-    inverse = replace(forward, id=f"L.11-{cluster}.{name}",
-                      input_fn=forward.expected_fn,
-                      expected_fn=forward.input_fn, build=lambda a: back,
-                      inverse_of=forward.id)
+    modulus, residues = _class_residues(cls)
+    rows = tuple(_row((9, offset), (9, 4), SEQ_TO_11[offset][cls], modulus,
+                      r) for r in residues)
+    forward = Claim(f"L.{cluster}-11.{name}", rows)
+    inverse = Claim(f"L.11-{cluster}.{name}", _inverse(rows),
+                    inverse_of=forward.id)
     return forward, inverse
 
 
-# How many trailing 2s T.append2 appends and T.backspace2 erases.
+# How many trailing 2s T.append2 appends and T.backspace2 erases. Appending
+# one '2' maps v to 3v + 2, i.e. v + 1 triples.
 APPEND_DEPTH = 6
-SEQ_APPEND2_ITERATED = ActionSeq(SEQ_APPEND2.steps * APPEND_DEPTH)
-SEQ_BACKSPACE2_ITERATED = ActionSeq(SEQ_BACKSPACE2.steps * APPEND_DEPTH)
-
-
-def _append2_expected(a):
-    # Appending one '2' maps v to 3v + 2, i.e. v + 1 triples.
-    return (a + 1) * 3**APPEND_DEPTH - 1
+_APPEND2_ROWS = (_row((1, 0), (3**APPEND_DEPTH, 3**APPEND_DEPTH - 1),
+                      ActionSeq(SEQ_APPEND2.steps * APPEND_DEPTH), 3, 2),)
 
 
 def build_claims() -> dict[str, Claim]:
     claims = [
-        _simple("L.10-11", 3, 4, SEQ_10_11),
-        _simple("L.11-10", 4, 3, SEQ_11_10),
-        _simple("L.02-11", 2, 4, SEQ_02_11),
-        _simple("L.11-02", 4, 2, SEQ_11_02),
-        _simple("L.01-11", 1, 4, SEQ_01_11),
-        _simple("L.11-01", 4, 1, SEQ_11_01),
-        _simple("L.00-11", 0, 4, SEQ_00_11),
-        _simple("L.11-00", 4, 0, SEQ_11_00),
-        _simple("L.20-21", 6, 7, SEQ_20_21),
-        _simple("L.21-20", 7, 6, SEQ_21_20),
-        _simple("L.12-21", 5, 7, SEQ_12_21),
-        _simple("L.21-12", 7, 5, SEQ_21_12),
-        Claim(
-            id="T.attach",
-            input_fn=lambda a: a,
-            expected_fn=lambda a: 9 * a + 4,
-            build=lambda a: SEQ_ATTACH,
-        ),
+        Claim("L.10-11", (_row((9, 3), (9, 4), SEQ_10_11),)),
+        Claim("L.11-10", (_row((9, 4), (9, 3), SEQ_11_10),)),
+        Claim("L.02-11", (_row((9, 2), (9, 4), SEQ_02_11),)),
+        Claim("L.11-02", (_row((9, 4), (9, 2), SEQ_11_02),)),
+        Claim("L.01-11", (_row((9, 1), (9, 4), SEQ_01_11),)),
+        Claim("L.11-01", (_row((9, 4), (9, 1), SEQ_11_01),)),
+        Claim("L.00-11", (_row((9, 0), (9, 4), SEQ_00_11),)),
+        Claim("L.11-00", (_row((9, 4), (9, 0), SEQ_11_00),)),
+        Claim("L.20-21", (_row((9, 6), (9, 7), SEQ_20_21),)),
+        Claim("L.21-20", (_row((9, 7), (9, 6), SEQ_21_20),)),
+        Claim("L.12-21", (_row((9, 5), (9, 7), SEQ_12_21),)),
+        Claim("L.21-12", (_row((9, 7), (9, 5), SEQ_21_12),)),
+        Claim("T.attach", (_row((1, 0), (9, 4), SEQ_ATTACH),)),
         # 3-cluster to 5-cluster, conditional on A, each with its inverse.
         *(claim for offset in SEQ_TO_11 for cls in range(len(A_CLASS_NAMES))
           for claim in _lemma_pair(offset, cls)),
-        Claim(
-            id="T.append2",
-            input_fn=lambda a: a,
-            expected_fn=_append2_expected,
-            build=lambda a: SEQ_APPEND2_ITERATED,
-            applies=lambda a: a % 3 == 2,
-        ),
-        Claim(
-            id="T.backspace2",
-            input_fn=_append2_expected,
-            expected_fn=lambda a: a,
-            build=lambda a: SEQ_BACKSPACE2_ITERATED,
-            applies=lambda a: a % 3 == 2,
-        ),
-        Claim(
-            id="T.a-11",
-            input_fn=lambda a: a,
-            expected_fn=lambda a: 4,
-            build=to_eleven_script,
-        ),
-        Claim(
-            id="T.node-loop",
-            input_fn=lambda a: a,
-            expected_fn=_node_loop_waypoint,
-            build=_node_loop_build,
-            close_cycle=True,
-        ),
+        Claim("T.append2", _APPEND2_ROWS),
+        Claim("T.backspace2", _inverse(_APPEND2_ROWS)),
+        Claim("T.a-11", (_row((1, 0), (0, 4), None),),
+              build_fn=to_eleven_script),
+        # Walks A to A // 2. Even A: A => A11 => (A/2)02 => (A/2)11 => A/2.
+        # Odd A = 2h+1: A => A111 => h's ..202 => ..211 => h's ..2 = 3h+2,
+        # then the hop 3h+2 => h for h's parity. A = 1 cycles through 4 and
+        # 2: TBB takes 4s+1 to 3s+1 for every s, but the row before it
+        # takes the A = 4s+1 from 5 on, so only A = 1 reaches it.
+        Claim("T.node-loop", (
+            (2, 0, (2, 0), (1, 0), seq_of("TTB") + SEQ_02_11 + seq_of("FF"),
+             1),
+            (4, 1, (4, 1), (2, 0), seq_of("TTTB") + SEQ_02_11 + seq_of("FF")
+             + SEQ_HOP_EVEN, 1),
+            (4, 3, (4, 3), (2, 1), seq_of("TTTB") + SEQ_02_11 + seq_of("FF")
+             + SEQ_HOP_ODD, 0),
+            (4, 1, (4, 1), (3, 1), seq_of("TBB"), 0)),
+              close_cycle=True),
     ]
     return {c.id: c for c in claims}
-
-
-def _node_loop_waypoint(a: int) -> int:
-    # Descend to floor(a/2) per the source argument; a=1 cycles through 4,2.
-    return 1 if a == 1 else a // 2
-
-
-# A = 1 cycles through 4 and 2. Even A: A => A11 => (A/2)02 => (A/2)11 =>
-# A/2. Odd A = 2h+1: A => A111 => h's ..202 => ..211 => h's ..2 = 3h+2,
-# then the hop 3h+2 => h for h's parity.
-_NODE_LOOP_ONE = seq_of("TBB")
-_NODE_LOOP_EVEN = seq_of("TTB") + SEQ_02_11 + seq_of("FF")
-_NODE_LOOP_ODD = tuple(seq_of("TTTB") + SEQ_02_11 + seq_of("FF") + hop
-                       for hop in (SEQ_HOP_EVEN, SEQ_HOP_ODD))
-
-
-def _node_loop_build(a: int) -> ActionSeq:
-    if a == 1:
-        return _NODE_LOOP_ONE
-    if a % 2 == 0:
-        return _NODE_LOOP_EVEN
-    return _NODE_LOOP_ODD[a // 2 % 2]

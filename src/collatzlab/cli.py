@@ -3,8 +3,9 @@
 Exit codes: 0 clean, 1 verified finding (a claim failure, an unexpected
 cycle, a traj not at 1 or a stats row of -1 within --max-depth, an
 unreachable reach target, a deloop phase 1 or 3 miss or phase-3/M0
-mismatch), 2 usage error. Identical invocations produce byte-identical
-output; timing only appears with --timing.
+mismatch) or an output pipe that the reader closed early, 2 usage error.
+Identical invocations produce byte-identical output; timing only appears
+with --timing.
 """
 
 from __future__ import annotations
@@ -190,9 +191,9 @@ def _run_claims(ids, rng, bounds, workers, claims):
     """One report per claim id; one process pool for the whole run.
 
     A serial run reuses the caller's catalog. With workers > 1 the work
-    units are (claim, range chunk) pairs, each unit builds its own catalog
-    (a Claim holds lambdas, which do not pickle), and each claim's chunk
-    reports are merged back in range order.
+    units are (claim id, range chunk) pairs, each unit builds its own
+    catalog (a build takes well under a millisecond), and each claim's
+    chunk reports are merged back in range order.
     """
     if workers <= 1 or len(rng) < 2 * workers:
         return [verify_mod.run_any_claim(c, rng, bounds, claims) for c in ids]
@@ -288,7 +289,14 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args, out)
+        code = _COMMANDS[args.command](args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`): as Python's SIGPIPE note
+        # says, point stdout at devnull so the exit flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DepthExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINDING

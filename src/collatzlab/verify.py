@@ -88,21 +88,23 @@ def _bounds_dict(bounds: SearchBounds | None) -> dict:
 
 
 def build_witness(claim: catalog.Claim, a: int) -> Path:
-    """Run a claim's witness script for one A under the claim's guards.
+    """Run a claim's witness script for one A in its domain, under M1.
 
     Returns the full guard-checked Path; raises Guard/DomainViolation on an
     illegal step.
     """
-    return apply_seq(claim.build(a), claim.input_fn(a), claim.model)
+    start, _, script = claim.at(a)
+    return apply_seq(script, start, claim.model)
 
 
-def _check_one(claim, a):
-    """Verdict plus witness for one A: None on PASS, else the Failure."""
+def _check_one(claim, a, row):
+    """Verdict for one A from its row claim.at(a): None on PASS, else the
+    Failure."""
+    start, expected, script = row
     try:
-        witness = build_witness(claim, a)
+        witness = apply_seq(script, start, claim.model)
     except (GuardViolation, DomainViolation) as exc:
         return Failure(a, exc.step_index, str(exc))
-    expected = claim.expected_fn(a)
     if witness.end != expected:
         return Failure(a, None,
                        f"endpoint {witness.end} != expected {expected}",
@@ -126,9 +128,10 @@ def _check_one(claim, a):
 
 def _catalog_claim(claim):
     def check(a, search_bounds):
-        if a < claim.min_a or not claim.applies(a):
+        row = claim.at(a)
+        if row is None:
             return None
-        failure = _check_one(claim, a)
+        failure = _check_one(claim, a, row)
         return [failure] if failure else []
 
     # Catalog witnesses are scripts: no search bound applies to them.

@@ -187,6 +187,35 @@ def test_every_single_letter_mutation_of_the_odd_hop_fails():
     assert survivors == []
 
 
+def _proves(script, start, end, least):
+    try:
+        return walk_affine(script, *start, least) == end
+    except ValueError:
+        return False
+
+
+def test_every_catalog_row_is_proved_on_its_forms_and_no_mutant_is():
+    # A row (modulus, residue, start, end, script, least) reads A =
+    # modulus*s + residue for s >= least and claims that its script takes
+    # the start form to the end form. T.a-11 builds its script per A, so
+    # it has no script to walk.
+    rows = [(claim_id, row) for claim_id, claim in build_claims().items()
+            for row in claim.rows if row[4] is not None]
+    assert len(rows) == 35
+    unproved, survivors = [], []
+    for claim_id, (_, residue, start, end, seq, least) in rows:
+        script = seq.render()
+        if not _proves(script, start, end, least):
+            unproved.append((claim_id, residue))
+        for i, letter in enumerate(script):
+            for c in "TBFD".replace(letter, ""):
+                mutant = script[:i] + c + script[i + 1:]
+                if _proves(mutant, start, end, least):
+                    survivors.append((claim_id, residue, mutant))
+    assert unproved == []
+    assert survivors == []
+
+
 def test_node_loop_scripts_replay_for_every_a_up_to_1e5():
     build = build_claims()["T.node-loop"].build
     for a in range(1, 100_001):

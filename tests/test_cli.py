@@ -5,6 +5,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -416,3 +420,21 @@ def test_cli_fuzz_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue(), argv
     if "--claim" in argv and not argv[argv.index("--claim") + 1].strip(" ,"):
         assert code == 2, argv  # an empty claim list is a usage error
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    # The read end is closed before the command starts, so its first write
+    # fails, as under `collatzlab cycles --model ms --max 10000 | head -1`
+    # once head has gone.
+    src = Path(__file__).resolve().parent.parent / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "collatzlab.cli", "cycles", "--model",
+             "ms", "--max", "10000"], stdout=write_end, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -78,18 +78,21 @@ def test_every_single_letter_mutation_of_an_inverse_script_fails():
     for claim_id, claim in claims.items():
         if claim.inverse_of is None:
             continue
-        steps = claim.build(1).steps
-        for i, letter in enumerate(steps):
-            for other in Action:
-                if other is letter:
-                    continue
-                mutant = ActionSeq(steps[:i] + (other,) + steps[i + 1:])
-                mutated = dict(claims)
-                mutated[claim_id] = dataclasses.replace(
-                    claim, build=lambda a, seq=mutant: seq)
-                report = run_any_claim(claim_id, range(1, 37),
-                                       claims=mutated)
-                assert report.failed > 0, (claim_id, mutant.render())
+        for j, row in enumerate(claim.rows):
+            steps = row[4].steps
+            for i, letter in enumerate(steps):
+                for other in Action:
+                    if other is letter:
+                        continue
+                    mutant = ActionSeq(steps[:i] + (other,) + steps[i + 1:])
+                    rows = list(claim.rows)
+                    rows[j] = row[:4] + (mutant,) + row[5:]
+                    mutated = dict(claims)
+                    mutated[claim_id] = dataclasses.replace(
+                        claim, rows=tuple(rows))
+                    report = run_any_claim(claim_id, range(1, 37),
+                                           claims=mutated)
+                    assert report.failed > 0, (claim_id, mutant.render())
 
 
 def test_build_witness_validates():
