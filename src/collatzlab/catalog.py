@@ -151,11 +151,17 @@ class Claim:
     def applies(self, a: int) -> bool:
         return self.at(a) is not None
 
+    def row(self, a: int) -> tuple[int, int, ActionSeq]:
+        """at(a), or ValueError when A is outside the claim's domain."""
+        if (found := self.at(a)) is None:
+            raise ValueError(f"A = {a} is outside the domain of {self.id}")
+        return found
+
     def expected_fn(self, a: int) -> int:
-        return self.at(a)[1]
+        return self.row(a)[1]
 
     def build(self, a: int) -> ActionSeq:
-        return self.at(a)[2]
+        return self.row(a)[2]
 
 
 def _row(start, end, script, modulus=1, residue=0):
@@ -167,12 +173,11 @@ def _row(start, end, script, modulus=1, residue=0):
 
 
 def _inverse(rows):
-    """rows, which share one script, with their forms swapped and that
-    script inverted. In M1, T at x is undone by F at 3x+1 and B by D, so
-    each inverse row holds wherever its row holds."""
-    back = inverse_seq(rows[0][4])
-    return tuple((modulus, residue, end, start, back, least)
-                 for modulus, residue, start, end, _, least in rows)
+    """rows with their forms swapped and their scripts inverted. In M1, T
+    at x is undone by F at 3x+1 and B by D, so each inverse row holds
+    wherever its row holds, and visits the same values in reverse."""
+    return tuple((modulus, residue, end, start, inverse_seq(script), least)
+                 for modulus, residue, start, end, script, least in rows)
 
 
 def _class_residues(cls):
@@ -206,20 +211,42 @@ _APPEND2_ROWS = (_row((1, 0), (3**APPEND_DEPTH, 3**APPEND_DEPTH - 1),
                       ActionSeq(SEQ_APPEND2.steps * APPEND_DEPTH), 3, 2),)
 
 
+# The unconditional suffix lemmas, as (digits d, digits d2, script): the
+# script moves 9A + int(d, 3) to 9A + int(d2, 3) for every A >= 1.
+_SUFFIX_LEMMAS = tuple(
+    Claim(f"L.{d}-{d2}", (_row((9, int(d, 3)), (9, int(d2, 3)), seq),))
+    for d, d2, seq in (("10", "11", SEQ_10_11), ("11", "10", SEQ_11_10),
+                       ("02", "11", SEQ_02_11), ("11", "02", SEQ_11_02),
+                       ("01", "11", SEQ_01_11), ("11", "01", SEQ_11_01),
+                       ("00", "11", SEQ_00_11), ("11", "00", SEQ_11_00),
+                       ("20", "21", SEQ_20_21), ("21", "20", SEQ_21_20),
+                       ("12", "21", SEQ_12_21), ("21", "12", SEQ_21_12)))
+
+# Moves 9k+r => 9k+4 (digits d => 11, r = int(d, 3)) inside the nine
+# cluster, one script per parity p of k = 2s+p. Walked on the forms
+# 18s + 9p + r, every M1 guard holds for all s >= 1 - p.
+_SPLIT_TO_11 = (("12", "DFDTTBTBBFFD", "BFDT"),
+                ("20", "TDDFFBBBFDTT", "TDDFFBFDTTBTBBFFDT"),
+                ("21", "FBFDTT", "FDFDTTBTBBFFDT"),
+                ("22", "BFFDTT", "DFDTTBTBBFFDFDFDTTBTBBFFDT"))
+_SPLIT_ROWS = {digits: tuple(_row((9, int(digits, 3)), (9, 4), seq_of(text),
+                                  2, p) for p, text in enumerate(scripts))
+               for digits, *scripts in _SPLIT_TO_11}
+
+# Per ordered pair (src_r, dst_r) of a cluster member and its hub, the claim
+# whose rows take 9k + src_r to 9k + dst_r for every k >= 1; src_r and dst_r
+# are the constant terms of its first row's forms.
+CLUSTER_TABLE = {
+    (claim.rows[0][2][1], claim.rows[0][3][1]): claim for claim in (
+        *_SUFFIX_LEMMAS,
+        *(Claim(f"C.{d}-11", rows) for d, rows in _SPLIT_ROWS.items()),
+        *(Claim(f"C.11-{d}", _inverse(rows))
+          for d, rows in _SPLIT_ROWS.items()))}
+
+
 def build_claims() -> dict[str, Claim]:
     claims = [
-        Claim("L.10-11", (_row((9, 3), (9, 4), SEQ_10_11),)),
-        Claim("L.11-10", (_row((9, 4), (9, 3), SEQ_11_10),)),
-        Claim("L.02-11", (_row((9, 2), (9, 4), SEQ_02_11),)),
-        Claim("L.11-02", (_row((9, 4), (9, 2), SEQ_11_02),)),
-        Claim("L.01-11", (_row((9, 1), (9, 4), SEQ_01_11),)),
-        Claim("L.11-01", (_row((9, 4), (9, 1), SEQ_11_01),)),
-        Claim("L.00-11", (_row((9, 0), (9, 4), SEQ_00_11),)),
-        Claim("L.11-00", (_row((9, 4), (9, 0), SEQ_11_00),)),
-        Claim("L.20-21", (_row((9, 6), (9, 7), SEQ_20_21),)),
-        Claim("L.21-20", (_row((9, 7), (9, 6), SEQ_21_20),)),
-        Claim("L.12-21", (_row((9, 5), (9, 7), SEQ_12_21),)),
-        Claim("L.21-12", (_row((9, 7), (9, 5), SEQ_21_12),)),
+        *_SUFFIX_LEMMAS,
         Claim("T.attach", (_row((1, 0), (9, 4), SEQ_ATTACH),)),
         # 3-cluster to 5-cluster, conditional on A, each with its inverse.
         *(claim for offset in SEQ_TO_11 for cls in range(len(A_CLASS_NAMES))

@@ -91,9 +91,9 @@ def build_witness(claim: catalog.Claim, a: int) -> Path:
     """Run a claim's witness script for one A in its domain, under M1.
 
     Returns the full guard-checked Path; raises Guard/DomainViolation on an
-    illegal step.
+    illegal step, and ValueError for an A outside the claim's domain.
     """
-    start, _, script = claim.at(a)
+    start, _, script = claim.row(a)
     return apply_seq(script, start, claim.model)
 
 
@@ -201,18 +201,19 @@ def _replay_known(scripts, src, dst, bounds):
 def _cluster(kind):
     """Pairwise mutual reachability inside each cluster, by bounded search.
 
-    Independent of the scripted lemmas: every member is connected to a hub
-    member in both directions, which yields every ordered pair by path
-    composition. Each pair that fails is its own failure.
+    Every member is connected to a hub member in both directions, which
+    yields every ordered pair by path composition. Each pair that fails is
+    its own failure.
 
     M1's guards read only x mod 2, x mod 3 and x > 1, so one action script
     joins the same residue pair for a whole class of k. Each pair first
-    replays the scripts learned at earlier k (most recently used first),
-    keyed by the pair's offsets from 9k; only when none fits does the
-    bidirectional search run, and a path it finds is learned. A script that
-    replays is a path the search would also accept, so every verdict is the
-    search's, except that a pair whose search would run out of max_states
-    can pass on a replay.
+    replays its proved row for k from catalog.CLUSTER_TABLE, then the
+    scripts learned at earlier k (most recently used first), keyed by the
+    pair's offsets from 9k; only when none fits does the bidirectional
+    search run, and a path it finds is learned. A script that replays is a
+    path the search would also accept, so every verdict is the search's,
+    except that a pair whose search would run out of max_states can pass on
+    a replay.
     """
     residues = CLUSTER_MEMBERS[kind]
     hub_r = CLUSTER_HUB[kind]
@@ -229,8 +230,10 @@ def _cluster(kind):
                 continue
             for src_r, dst_r in ((r, hub_r), (hub_r, r)):
                 src, dst = base + src_r, base + dst_r
+                proved = catalog.CLUSTER_TABLE[src_r, dst_r].at(k)[2]
                 scripts = learned.setdefault((src_r, dst_r), [])
-                if _replay_known(scripts, src, dst, bounds):
+                if (_replay_known([proved], src, dst, bounds)
+                        or _replay_known(scripts, src, dst, bounds)):
                     continue
                 result = bfs_reach_bidirectional(ModelId.M1, src, dst, bounds)
                 if isinstance(result, Unreachable):

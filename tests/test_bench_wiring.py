@@ -25,11 +25,13 @@ def test_tracer_installs_against_the_library():
 
 def test_tracer_sees_cluster_replays_and_searches():
     # replays and fallback searches go through verify.apply_seq and
-    # verify.bfs_reach_bidirectional, the attributes the tracer wraps
+    # verify.bfs_reach_bidirectional, the attributes the tracer wraps; under
+    # cap 4096 and depth 12 most proved table scripts miss, so it searches
     code = ("import sys, json; sys.path.insert(0, 'bench'); import tracer; "
             "tr = tracer.Tracer(); tracer.install(tr); "
-            "from collatzlab import verify; "
-            "verify.run_any_claim('T.cluster-five', range(1, 40)); "
+            "from collatzlab import search, verify; "
+            "verify.run_any_claim('T.cluster-five', range(1, 40), "
+            "search.SearchBounds(max_value=4096, max_depth=12)); "
             "print(json.dumps(dict(tr.count)))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,

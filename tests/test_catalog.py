@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatzlab.actions import ModelId, apply_seq, evaluate_exact, inverse_seq
-from collatzlab.catalog import (SEQ_00_11, SEQ_01_11, SEQ_02_11, SEQ_10_11,
-                                SEQ_11_00, SEQ_11_01, SEQ_11_02, SEQ_11_10,
-                                SEQ_12_21, SEQ_20_21, SEQ_21_12, SEQ_21_20,
-                                SEQ_APPEND2, SEQ_BACKSPACE2, SEQ_HOP_EVEN,
-                                SEQ_HOP_ODD, SMALL_TO_FOUR, SUCCESSION_SEQS,
-                                build_claims, seq_21_to_11, seq_22_to_11,
-                                to_eleven_script)
-from collatzlab.verify import build_witness
+from collatzlab.catalog import (CLUSTER_TABLE, SEQ_00_11, SEQ_01_11,
+                                SEQ_02_11, SEQ_10_11, SEQ_11_00, SEQ_11_01,
+                                SEQ_11_02, SEQ_11_10, SEQ_12_21, SEQ_20_21,
+                                SEQ_21_12, SEQ_21_20, SEQ_APPEND2,
+                                SEQ_BACKSPACE2, SEQ_HOP_EVEN, SEQ_HOP_ODD,
+                                SMALL_TO_FOUR, SUCCESSION_SEQS, build_claims,
+                                seq_21_to_11, seq_22_to_11, to_eleven_script)
+from collatzlab.verify import (CLUSTER_HUB, CLUSTER_MEMBERS,
+                               build_witness)
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000)).filter(
@@ -194,14 +195,14 @@ def _proves(script, start, end, least):
         return False
 
 
-def test_every_catalog_row_is_proved_on_its_forms_and_no_mutant_is():
-    # A row (modulus, residue, start, end, script, least) reads A =
-    # modulus*s + residue for s >= least and claims that its script takes
-    # the start form to the end form. T.a-11 builds its script per A, so
-    # it has no script to walk.
-    rows = [(claim_id, row) for claim_id, claim in build_claims().items()
-            for row in claim.rows if row[4] is not None]
-    assert len(rows) == 35
+def _unproved_and_survivors(rows):
+    """The (claim id, residue) of each row in rows that walk_affine does
+    not prove, and each one-letter mutant of a row's script that it does.
+
+    A row (modulus, residue, start, end, script, least) reads A =
+    modulus*s + residue for s >= least and claims that its script takes
+    the start form to the end form.
+    """
     unproved, survivors = [], []
     for claim_id, (_, residue, start, end, seq, least) in rows:
         script = seq.render()
@@ -212,8 +213,49 @@ def test_every_catalog_row_is_proved_on_its_forms_and_no_mutant_is():
                 mutant = script[:i] + c + script[i + 1:]
                 if _proves(mutant, start, end, least):
                     survivors.append((claim_id, residue, mutant))
-    assert unproved == []
-    assert survivors == []
+    return unproved, survivors
+
+
+def test_every_catalog_row_is_proved_on_its_forms_and_no_mutant_is():
+    # T.a-11 builds its script per A, so it has no script to walk.
+    rows = [(claim_id, row) for claim_id, claim in build_claims().items()
+            for row in claim.rows if row[4] is not None]
+    assert len(rows) == 35
+    assert _unproved_and_survivors(rows) == ([], [])
+
+
+def test_every_cluster_table_row_is_proved_and_no_mutant_is():
+    rows = [(claim.id, row) for claim in CLUSTER_TABLE.values()
+            for row in claim.rows]
+    assert len(rows) == 28
+    assert _unproved_and_survivors(rows) == ([], [])
+
+
+def test_cluster_table_covers_every_member_hub_pair_for_both_parities():
+    # A = k here, and k = 1..4 covers both parities of k and both rows of
+    # a pair split on it.
+    pairs = {pair for kind, hub in CLUSTER_HUB.items()
+             for r in CLUSTER_MEMBERS[kind] if r != hub
+             for pair in ((r, hub), (hub, r))}
+    assert set(CLUSTER_TABLE) == pairs and len(pairs) == 20
+    for (src, dst), claim in CLUSTER_TABLE.items():
+        assert {row[:2] for row in claim.rows} in ({(1, 0)},
+                                                   {(2, 0), (2, 1)})
+        for k in range(1, 5):
+            start, end, _ = claim.at(k)
+            assert (start, end) == (9 * k + src, 9 * k + dst)
+
+
+def test_unsplit_cluster_pairs_are_the_suffix_lemma_rows():
+    claims = build_claims()
+    unsplit = {pair: claim.rows for pair, claim in CLUSTER_TABLE.items()
+               if len(claim.rows) == 1}
+    lemmas = {"L.00-11": (0, 4), "L.01-11": (1, 4), "L.02-11": (2, 4),
+              "L.10-11": (3, 4), "L.11-00": (4, 0), "L.11-01": (4, 1),
+              "L.11-02": (4, 2), "L.11-10": (4, 3), "L.12-21": (5, 7),
+              "L.20-21": (6, 7), "L.21-12": (7, 5), "L.21-20": (7, 6)}
+    assert unsplit == {pair: claims[claim_id].rows
+                       for claim_id, pair in lemmas.items()}
 
 
 def test_node_loop_scripts_replay_for_every_a_up_to_1e5():

@@ -213,6 +213,15 @@ GOLDEN_OUTPUTS = [
      "9b828376c30610ba7dbf2f1a4a85b318ae97f2a78a816cf50db3f2be4cb45851"),
     (["cluster", "--kind", "three", "--k", "1..200", "--format", "text"], 0,
      "0993b669c3830512a45ca1bb53eef374194d864b85765056a8c4be154a7970a0"),
+    # Recorded before the cluster checks replayed a proved script table.
+    # Around k = 6,473 some nine-cluster table scripts leave the 2^20 cap;
+    # under cap 2^14 and depth 20 the five cluster fails 128 pairs from
+    # k = 156 on. In both, table replays and searches interleave.
+    (["cluster", "--kind", "nine", "--k", "6460..6490"], 0,
+     "5241e71b982a4b462308687914bc040082a4aad55cf66fdc3947042eb955f7ab"),
+    (["verify", "--claim", "T.cluster-five", "--range", "1..400",
+      "--max-value", "16384", "--max-depth", "20"], 1,
+     "7908c097e2ff36d7612765cad892e554ae872b31f63a6dc96e530fc25520417d"),
 ]
 
 

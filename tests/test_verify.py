@@ -296,6 +296,16 @@ def test_edge_loop_verdicts_match_a_search_that_skips_the_edge():
     assert got == {a: edge_loop_verdict(a, capped) for a in range(2, 101, 2)}
 
 
+def test_witness_outside_a_claims_domain_names_the_claim_and_a():
+    claim = build_claims()["L.21-11.even"]   # even A only
+    for call in (lambda: build_witness(claim, 3), lambda: claim.build(3),
+                 lambda: claim.expected_fn(3)):
+        with pytest.raises(ValueError,
+                           match=r"A = 3 is outside the domain of "
+                                 r"L\.21-11\.even"):
+            call()
+
+
 def test_run_any_claim_dispatch():
     ids = all_claim_ids()
     assert ids[0] == "T.succ1" and "T.edge-loop" in ids
@@ -354,10 +364,45 @@ def _search_only_cluster(kind, a_range, search_bounds=None):
     # k >= 116,508 puts the pairs above the default cap of 2^20: scripts
     # learned below it stop replaying and the search reports every miss
     ("nine", range(116495, 116516), None),
+    # the first k whose proved table script leaves the 2^20 cap: 8 => 4 at
+    # k = 6,473 (nine) and 0 => 4 at k = 7,282 (five); the search decides
+    ("nine", range(6471, 6476), None),
+    ("five", range(7280, 7285), None),
 ])
 def test_cluster_replay_matches_search_only(kind, a_range, bounds):
     report = run_any_claim(f"T.cluster-{kind}", a_range, bounds)
     assert report.to_dict() == _search_only_cluster(kind, a_range, bounds)
+
+
+def _count_searches(monkeypatch):
+    from collatzlab import verify
+
+    calls = []
+    search = verify.bfs_reach_bidirectional
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return search(*args)
+
+    monkeypatch.setattr(verify, "bfs_reach_bidirectional", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["five", "three", "nine"])
+def test_cluster_claims_to_1000_replay_the_table_and_run_no_search(
+        monkeypatch, kind):
+    calls = _count_searches(monkeypatch)
+    report = run_any_claim(f"T.cluster-{kind}", range(1, 1001))
+    assert (report.passed, report.failed, calls) == (1000, 0, [])
+
+
+def test_cluster_search_still_runs_where_the_table_misses(monkeypatch):
+    # under cap 4096 and depth 12 most table scripts do not fit
+    calls = _count_searches(monkeypatch)
+    bounds = SearchBounds(max_value=4096, max_depth=12)
+    report = run_any_claim("T.cluster-five", range(1, 40), bounds)
+    assert len(calls) == 58
+    assert (report.passed, report.failed) == (22, 34)
 
 
 def test_cluster_failures_use_the_shared_tag():
