@@ -51,8 +51,9 @@ class Action(enum.Enum):
 
 # Keyed by letter: hashing a str skips the Python-level Enum.__hash__.
 _INVERSE = {"T": Action.F, "F": Action.T, "B": Action.D, "D": Action.B}
-# Plain globals for the per-step code in _replay and evaluate_exact: one dict
-# lookup per use instead of a global lookup plus an enum attribute access.
+# Plain globals for the per-step code in _replay, evaluate_exact and their
+# column twins: one dict lookup per use instead of a global lookup plus an
+# enum attribute access.
 _T, _B, _F, _D = Action.T, Action.B, Action.F, Action.D
 _M0, _M1 = ModelId.M0, ModelId.M1
 
@@ -129,6 +130,49 @@ def _replay(steps, x, model: ModelId, first=0) -> list:
         return values
     index = None if first is None else first + len(values) - 1
     raise GuardViolation(action, x, model, index)
+
+
+def replay_column(steps, xs, model: ModelId, cap=None) -> list | None:
+    """_replay over a column of integer starts under an integer model: the
+    list of ends, or None when _replay would raise for some start or one of
+    its values exceeds cap (the start included, as in Path.peak).
+
+    One pass per step over the whole column, so a script pays its Python
+    overhead once per step, not once per value. B and F divide every x and
+    then check the sums: x = 2(x >> 1) + (x & 1) and x - 1 = 3((x - 1) // 3)
+    + (x - 1) % 3 with nonnegative remainders, so the sums match exactly
+    when every remainder is 0.
+    """
+    if cap is not None and xs and max(xs) > cap:
+        return None
+    if not steps or not xs:
+        return list(xs)
+    if min(xs) < 1:
+        return None
+    free = model is _M1  # T and D unguarded
+    has_f = model is not _M0
+    for action in steps:
+        if action is _T:
+            if not (free or all(x & 1 for x in xs)):
+                return None
+            ys = [3 * x + 1 for x in xs]
+        elif action is _B:
+            ys = [x >> 1 for x in xs]
+            if sum(xs) != 2 * sum(ys):
+                return None
+        elif action is _F:
+            ys = [(x - 1) // 3 for x in xs]
+            if not has_f or sum(xs) - len(xs) != 3 * sum(ys) or 0 in ys:
+                return None
+        elif free:
+            ys = [x << 1 for x in xs]
+        else:
+            return None
+        if cap is not None and (action is _T or action is _D) \
+                and max(ys) > cap:
+            return None
+        xs = ys
+    return xs
 
 
 def apply(action: Action, x, model: ModelId, step_index=None):
@@ -257,3 +301,29 @@ def evaluate_exact(seq: ActionSeq, x):
     if p % q:
         return Fraction(p, q), flagged
     return p // q, flagged
+
+
+def evaluate_column(seq: ActionSeq, xs) -> tuple[list, int, set]:
+    """evaluate_exact over a column of integer starts, one pass per step.
+
+    Returns (ps, q, dipped): the end of xs[i] is ps[i] / q, and dipped holds
+    every i whose evaluation has an intermediate <= 0. All values share the
+    denominator q = 2^#B * 3^#F, so B only doubles q and every other step
+    is one comprehension over the numerators. T, B and D keep a value > 0
+    above 0, so a first value <= 0 comes either from the first step or
+    from an F: the signs are read after those steps only.
+    """
+    ps, q, dipped = list(xs), 1, set()
+    for i, action in enumerate(seq.steps):
+        if action is _T:
+            ps = [3 * p + q for p in ps]
+        elif action is _D:
+            ps = [p << 1 for p in ps]
+        elif action is _B:
+            q <<= 1
+        else:  # F
+            ps = [p - q for p in ps]
+            q *= 3
+        if (i == 0 or action is _F) and ps and min(ps) <= 0:
+            dipped.update(j for j, p in enumerate(ps) if p <= 0)
+    return ps, q, dipped

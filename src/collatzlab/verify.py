@@ -1,8 +1,12 @@
 """Range verification of claims, with replayable witnesses.
 
 Every claim id, catalog lemma or special theorem, is one entry in an
-ordered registry: its model, its bounds dict and a check run once per A.
-run_any_claim is the one loop that turns those checks into a report.
+ordered registry: its model, its bounds dict, a check run once per A and,
+for the scripted claims, a column check run once per chunk of A. A column
+check replays each script once over the whole chunk and only says whether
+every A passed; on any miss the chunk is checked again A by A, so every
+failure and count comes from the per-A check. run_any_claim is the one
+loop that turns those checks into a report.
 """
 
 from __future__ import annotations
@@ -10,10 +14,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from math import gcd
 
 from . import catalog
-from .actions import (ModelId, Path, apply_seq, evaluate_exact, inverse_seq,
-                      seq_of)
+from .actions import (ModelId, Path, apply_seq, evaluate_column,
+                      evaluate_exact, inverse_seq, replay_column, seq_of)
 from .actions import apply  # noqa: F401  bound for bench/tracer.py
 from .errors import DomainViolation, GuardViolation, UnknownClaim
 from .search import (SearchBounds, Unreachable, bfs_reach,
@@ -125,6 +130,29 @@ def _check_one(claim, a, row):
 
 # Per-A checks: check(a, search_bounds) returns None when A is outside the
 # claim's domain (skipped), else the list of failures (empty on PASS).
+# Column checks: column(chunk, search_bounds) takes a step-1 range of at
+# most CHUNK A and returns (passed, skipped) when every A in the claim's
+# domain passes, else None, leaving every tally and learned script as it
+# was.
+
+CHUNK = 1024
+
+
+def _row_groups(rows, chunk):
+    """(row, the A of chunk whose first matching row it is) for each row
+    that some A of chunk, a step-1 range, matches: Claim.at's choice made
+    once per row, not once per A. A row drops the A of an earlier row only
+    when the two residue classes can meet."""
+    for j, row in enumerate(rows):
+        modulus, residue, least = row[0], row[1], row[5]
+        lo = max(chunk.start, modulus * least + residue)
+        group = range(lo + (residue - lo) % modulus, chunk.stop, modulus)
+        for m, r, *_, s0 in rows[:j]:
+            if (residue - r) % gcd(modulus, m) == 0:
+                group = [a for a in group if a % m != r or a // m < s0]
+        if group:
+            yield row, group
+
 
 def _catalog_claim(claim):
     def check(a, search_bounds):
@@ -134,8 +162,25 @@ def _catalog_claim(claim):
         failure = _check_one(claim, a, row)
         return [failure] if failure else []
 
+    def column(chunk, search_bounds):
+        passed = 0
+        for (modulus, _, (m, c), (m2, c2), script, _), group in _row_groups(
+                claim.rows, chunk):
+            ss = [a // modulus for a in group]
+            starts = [m * s + c for s in ss]
+            ends = replay_column(script.steps, starts, claim.model)
+            if ends != [m2 * s + c2 for s in ss]:
+                return None
+            if claim.close_cycle and replay_column(
+                    inverse_seq(script).steps, ends, claim.model) != starts:
+                return None
+            passed += len(group)
+        return passed, len(chunk) - passed
+
     # Catalog witnesses are scripts: no search bound applies to them.
-    return claim.model, lambda search_bounds: {}, check
+    # T.a-11 builds its script per A, so it has no column check.
+    return (claim.model, lambda search_bounds: {}, check,
+            column if claim.build_fn is None else None)
 
 
 def _succession(offset):
@@ -156,7 +201,15 @@ def _succession(offset):
             return []
         return [Failure(x, None, f"ended at {end}, expected {x + offset}")]
 
-    return ModelId.M2, lambda search_bounds: tally, check
+    def column(chunk, search_bounds):
+        xs = list(chunk)
+        ps, q, dipped = evaluate_column(seq, xs)
+        if ps != [(x + offset) * q for x in xs]:
+            return None
+        tally["nonpositive_intermediate_inputs"] += len(dipped)
+        return len(xs), 0
+
+    return ModelId.M2, lambda search_bounds: tally, check, column
 
 
 CLUSTER_MEMBERS = {
@@ -214,9 +267,14 @@ def _cluster(kind):
     path the search would also accept, so every verdict is the search's,
     except that a pair whose search would run out of max_states can pass on
     a replay.
+
+    The column check replays each pair's table rows once over a chunk of
+    k and passes the chunk only when every table script fits every k, the
+    case in which the per-k check neither learns nor searches.
     """
-    residues = CLUSTER_MEMBERS[kind]
     hub_r = CLUSTER_HUB[kind]
+    pairs = [pair for r in CLUSTER_MEMBERS[kind] if r != hub_r
+             for pair in ((r, hub_r), (hub_r, r))]
     learned = {}
 
     def check(k, search_bounds):
@@ -225,26 +283,39 @@ def _cluster(kind):
         bounds = _cluster_bounds(search_bounds)
         base = 9 * k
         failures = []
-        for r in residues:
-            if r == hub_r:
+        for src_r, dst_r in pairs:
+            src, dst = base + src_r, base + dst_r
+            proved = catalog.CLUSTER_TABLE[src_r, dst_r].at(k)[2]
+            scripts = learned.setdefault((src_r, dst_r), [])
+            if (_replay_known([proved], src, dst, bounds)
+                    or _replay_known(scripts, src, dst, bounds)):
                 continue
-            for src_r, dst_r in ((r, hub_r), (hub_r, r)):
-                src, dst = base + src_r, base + dst_r
-                proved = catalog.CLUSTER_TABLE[src_r, dst_r].at(k)[2]
-                scripts = learned.setdefault((src_r, dst_r), [])
-                if (_replay_known([proved], src, dst, bounds)
-                        or _replay_known(scripts, src, dst, bounds)):
-                    continue
-                result = bfs_reach_bidirectional(ModelId.M1, src, dst, bounds)
-                if isinstance(result, Unreachable):
-                    failures.append(Failure(
-                        k, None, f"{result.tag}: pair {src} => "
-                                 f"{dst} with cap {bounds.max_value}"))
-                elif result.actions not in scripts:
-                    scripts.insert(0, result.actions)
+            result = bfs_reach_bidirectional(ModelId.M1, src, dst, bounds)
+            if isinstance(result, Unreachable):
+                failures.append(Failure(
+                    k, None, f"{result.tag}: pair {src} => "
+                             f"{dst} with cap {bounds.max_value}"))
+            elif result.actions not in scripts:
+                scripts.insert(0, result.actions)
         return failures
 
-    return ModelId.M1, _cluster_bounds_dict, check
+    def column(chunk, search_bounds):
+        bounds = _cluster_bounds(search_bounds)
+        ks = range(max(chunk.start, 1), max(chunk.stop, 1))
+        for src_r, dst_r in pairs:
+            rows = catalog.CLUSTER_TABLE[src_r, dst_r].rows
+            for row, group in _row_groups(rows, ks):
+                script = row[4]
+                if len(script) > bounds.max_depth:
+                    return None
+                ends = replay_column(script.steps,
+                                     [9 * k + src_r for k in group],
+                                     ModelId.M1, bounds.max_value)
+                if ends != [9 * k + dst_r for k in group]:
+                    return None
+        return len(ks), len(chunk) - len(ks)
+
+    return ModelId.M1, _cluster_bounds_dict, check, column
 
 
 _SEQ_F = seq_of("F")
@@ -287,7 +358,7 @@ def _descend(model):
                             list(witness.values))]
         return []
 
-    return model, _bounds_dict, check
+    return model, _bounds_dict, check, None
 
 
 def _edge_loop(a, search_bounds):
@@ -310,7 +381,8 @@ def _edge_loop(a, search_bounds):
 
 
 def _registry(claims: dict) -> dict:
-    """Claim id -> (model, bounds-dict function, per-A check).
+    """Claim id -> (model, bounds-dict function, per-A check, column check
+    or None).
 
     Insertion order is the `verify --claim all` order. Built afresh for
     each run, because the succession checks count as they go.
@@ -322,7 +394,7 @@ def _registry(claims: dict) -> dict:
                     for kind in CLUSTER_MEMBERS)
     registry["T.descend-ms"] = _descend(ModelId.MS)
     registry["L.descend-m1"] = _descend(ModelId.M1)
-    registry["T.edge-loop"] = (ModelId.MS, _bounds_dict, _edge_loop)
+    registry["T.edge-loop"] = (ModelId.MS, _bounds_dict, _edge_loop, None)
     return registry
 
 
@@ -335,25 +407,39 @@ def all_claim_ids(claims: dict | None = None) -> list[str]:
 def run_any_claim(claim_id: str, a_range: range,
                   search_bounds: SearchBounds | None = None,
                   claims: dict | None = None) -> VerifyReport:
-    """Check one claim (catalog or special) for every A in a_range."""
+    """Check one claim (catalog or special) for every A in a_range.
+
+    Walks a_range in chunks of CHUNK A. A chunk that the claim's column
+    check passes adds its counts; any other chunk goes through the per-A
+    check, A by A, which gives every failure, tally and learned script.
+    """
     registry = _registry(claims if claims is not None
                          else catalog.build_claims())
     if claim_id not in registry:
         raise UnknownClaim(claim_id, sorted(registry))
-    model, bounds_dict, check = registry[claim_id]
+    model, bounds_dict, check, column = registry[claim_id]
+    if a_range.step != 1:
+        column = None  # column checks read a chunk as consecutive A
     t0 = time.perf_counter()
     report = VerifyReport(claim_id=claim_id, model=model.name,
                           range=(a_range.start, a_range[-1]))
     passed = skipped = 0
-    for a in a_range:
-        failures = check(a, search_bounds)
-        if failures is None:
-            skipped += 1
-        elif failures:
-            for failure in failures:
-                report.record_failure(failure)
-        else:
-            passed += 1
+    for i in range(0, len(a_range), CHUNK):
+        chunk = a_range[i:i + CHUNK]
+        counts = column(chunk, search_bounds) if column else None
+        if counts is not None:
+            passed += counts[0]
+            skipped += counts[1]
+            continue
+        for a in chunk:
+            failures = check(a, search_bounds)
+            if failures is None:
+                skipped += 1
+            elif failures:
+                for failure in failures:
+                    report.record_failure(failure)
+            else:
+                passed += 1
     report.passed, report.skipped = passed, skipped
     report.bounds = bounds_dict(search_bounds)
     report.wall_ms = (time.perf_counter() - t0) * 1000

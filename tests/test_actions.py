@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 import collatzlab
 from collatzlab import search
 from collatzlab.actions import (INTEGER_MODELS, Action, ActionSeq, ModelId,
-                                Path, action_function, apply, apply_seq,
-                                evaluate_exact, inverse_seq, is_legal,
-                                seq_of, validate_trace)
+                                Path, _replay, action_function, apply,
+                                apply_seq, evaluate_column, evaluate_exact,
+                                inverse_seq, is_legal, replay_column, seq_of,
+                                validate_trace)
+from collatzlab.catalog import CLUSTER_TABLE, SUCCESSION_SEQS
 from collatzlab.errors import (CollatzlabError, DomainViolation,
                                GuardViolation)
 
@@ -420,3 +423,106 @@ def test_enum_members_hash_by_identity_and_survive_pickling(member):
     copied = pickle.loads(pickle.dumps(table))
     assert copied[member] == table[member]
 
+
+
+COLUMN_XS = range(1, 2 * 10**4 + 1)
+# The letters each integer model can take at some x.
+MODEL_LETTERS = {ModelId.M0: "TB", ModelId.MS: "TBF", ModelId.M1: "TBFD"}
+
+
+def random_scripts(rng, letters, count):
+    return [tuple(Action(rng.choice(letters))
+                  for _ in range(rng.randint(1, 16))) for _ in range(count)]
+
+
+def check_column_against_replay(steps, model):
+    """replay_column agrees with _replay, x by x, over COLUMN_XS; returns
+    how many x replay."""
+    walks = {}
+    for x in COLUMN_XS:
+        try:
+            walks[x] = _replay(steps, x, model)
+        except (GuardViolation, DomainViolation):
+            walks[x] = None
+    legal = [x for x, walk in walks.items() if walk is not None]
+    illegal = [x for x, walk in walks.items() if walk is None]
+    assert replay_column(steps, legal, model) == [walks[x][-1] for x in legal]
+    assert (replay_column(steps, list(COLUMN_XS), model) is None) \
+        == bool(illegal)
+    # one start that raises sinks the column, wherever it sits
+    for x in illegal[:2] + illegal[-2:]:
+        assert replay_column(steps, legal + [x], model) is None
+        assert replay_column(steps, [x] + legal, model) is None
+    # a cap at a column's peak keeps it, one below the peak sinks it
+    for column in [legal] + [[x] for x in legal[:5] + legal[-5:]]:
+        if column:
+            peak = max(max(walks[x]) for x in column)
+            assert replay_column(steps, column, model, peak) \
+                == [walks[x][-1] for x in column]
+            assert replay_column(steps, column, model, peak - 1) is None
+    return len(legal)
+
+
+@pytest.mark.parametrize("model", INTEGER_MODELS, ids=str)
+def test_replay_column_matches_replay_for_every_single_action(model):
+    legal = {action.value: check_column_against_replay((action,), model)
+             for action in Action}
+    assert legal == {
+        ModelId.M0: {"T": 10**4, "B": 10**4, "F": 0, "D": 0},
+        ModelId.MS: {"T": 10**4, "B": 10**4, "F": 6666, "D": 0},
+        ModelId.M1: {"T": 2 * 10**4, "B": 10**4, "F": 6666, "D": 2 * 10**4},
+    }[model]
+
+
+@pytest.mark.parametrize("model", INTEGER_MODELS, ids=str)
+def test_replay_column_matches_replay_on_seeded_random_scripts(model):
+    rng = random.Random(23)
+    scripts = (random_scripts(rng, MODEL_LETTERS[model], 10)
+               + random_scripts(rng, "TBFD", 4))
+    legal = [check_column_against_replay(steps, model) for steps in scripts]
+    # both outcomes are met: some scripts replay somewhere, some nowhere
+    assert any(legal) and not all(legal)
+
+
+def test_replay_column_matches_replay_on_the_cluster_table_scripts():
+    scripts = {row[4].steps for claim in CLUSTER_TABLE.values()
+               for row in claim.rows}
+    assert len(scripts) == 26   # 28 rows; two scripts serve two pairs each
+    for steps in scripts:
+        assert check_column_against_replay(steps, ModelId.M1) > 0, steps
+
+
+def test_replay_column_edge_cases():
+    for model in INTEGER_MODELS:
+        assert replay_column((Action.T,), [], model) == []
+        # a start below 1 raises in _replay, so it sinks the column
+        assert replay_column((Action.B,), [4, 0], model) is None
+        assert replay_column((Action.T,), [-3, 5], model) is None
+        # no step: every start is its own end, as in _replay, but the start
+        # still counts toward the cap
+        assert replay_column((), [0, -3], model) == [0, -3]
+        assert replay_column((), [7], model, 7) == [7]
+        assert replay_column((), [7], model, 6) is None
+    # F at 1 would give 0: it breaks the guard, as in _replay
+    assert replay_column((Action.F,), [4, 1], ModelId.MS) is None
+    assert replay_column((Action.F,), [4, 7], ModelId.MS) == [1, 2]
+
+
+def test_evaluate_column_matches_evaluate_exact():
+    xs = list(range(-200, 2 * 10**4 + 1))
+    rng = random.Random(23)
+    seqs = ([ActionSeq((action,)) for action in Action]
+            + list(SUCCESSION_SEQS.values())
+            + [ActionSeq(steps) for steps in random_scripts(rng, "TBFD", 12)])
+    dipped_positive = 0
+    for seq in seqs:
+        ps, q, dipped = evaluate_column(seq, xs)
+        assert len(ps) == len(xs) and q > 0
+        for i, x in enumerate(xs):
+            end, flagged = evaluate_exact(seq, x)
+            assert ps[i] * end.denominator == end.numerator * q, (seq, x)
+            assert (i in dipped) == bool(flagged), (seq, x)
+        dipped_positive += sum(xs[i] > 0 for i in dipped)
+    assert dipped_positive > 0
+    assert evaluate_column(seq_of("FF"), [1, 7]) == ([-3, 3], 9, {0})
+    assert evaluate_column(seq_of("TB"), []) == ([], 2, set())

@@ -42,25 +42,28 @@ def test_tracer_sees_cluster_replays_and_searches():
     assert 1 <= count["search.bidir.calls"] < 8 * 39
 
 
-def test_tracer_counts_node_loop_steps_and_no_searches():
-    # every node-loop step goes through verify.apply_seq, which the tracer
-    # counts, once for the witness and once for the cycle-closing replay;
-    # the odd-A hop no longer searches
+def test_tracer_counts_a_11_steps_and_no_node_loop_searches():
+    # T.a-11 builds its script per A, so each of its steps goes through
+    # verify.apply_seq, which the tracer counts; T.node-loop runs no search
+    # (its scripts replay a chunk of A at a time, past the tracer)
     code = ("import sys, json; sys.path.insert(0, 'bench'); import tracer; "
             "tr = tracer.Tracer(); tracer.install(tr); "
             "from collatzlab import catalog, verify; "
             "verify.run_any_claim('T.node-loop', range(1, 200)); "
-            "claim = catalog.build_claims()['T.node-loop']; "
-            "print(json.dumps({'count': dict(tr.count), "
+            "searches = tr.count.get('search.bidir.calls', 0); "
+            "tr.count.clear(); "
+            "verify.run_any_claim('T.a-11', range(1, 200)); "
+            "print(json.dumps({'searches': searches, "
             "'steps': tracer.layer_metrics(tr)['actions.steps_applied'], "
-            "'script': sum(len(claim.build(a)) for a in range(1, 200))}))")
+            "'script': sum(len(catalog.to_eleven_script(a)) "
+            "for a in range(1, 200))}))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["count"].get("search.bidir.calls", 0) == 0
-    assert out["steps"] == 2 * out["script"] == 6154
+    assert out["searches"] == 0
+    assert out["steps"] == out["script"] == 5377
 
 
 def run_child(mode, workload, inputs):

@@ -15,8 +15,8 @@ from collatzlab.catalog import (CLUSTER_TABLE, SEQ_00_11, SEQ_01_11,
                                 SEQ_BACKSPACE2, SEQ_HOP_EVEN, SEQ_HOP_ODD,
                                 SMALL_TO_FOUR, SUCCESSION_SEQS, build_claims,
                                 seq_21_to_11, seq_22_to_11, to_eleven_script)
-from collatzlab.verify import (CLUSTER_HUB, CLUSTER_MEMBERS,
-                               build_witness)
+from collatzlab.verify import (CHUNK, CLUSTER_HUB, CLUSTER_MEMBERS,
+                               _row_groups, build_witness)
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000)).filter(
@@ -244,6 +244,42 @@ def test_cluster_table_covers_every_member_hub_pair_for_both_parities():
         for k in range(1, 5):
             start, end, _ = claim.at(k)
             assert (start, end) == (9 * k + src, 9 * k + dst)
+
+
+def _matching_rows(claim, a):
+    """Indexes of every row of claim that A matches, in row order."""
+    return [j for j, (modulus, residue, *_, least) in enumerate(claim.rows)
+            if a % modulus == residue and a // modulus >= least]
+
+
+def test_only_the_node_loop_rows_overlap_and_column_groups_keep_first_match():
+    claims = [*build_claims().values(), *CLUSTER_TABLE.values()]
+    a_range = range(-40, 3001)
+    shared = {}
+    for claim in claims:
+        for a in a_range:
+            rows = _matching_rows(claim, a)
+            assert (claim.at(a) is None) == (not rows), (claim.id, a)
+            if len(rows) > 1:
+                shared.setdefault((claim.id, *rows), []).append(a)
+    # the two 4s+1 rows of T.node-loop both match every A = 4s+1 >= 5,
+    # where the first wins, so the later TBB row is A's first only at A = 1;
+    # the two rows of a split CLUSTER_TABLE pair never meet (k's parity)
+    assert shared == {("T.node-loop", 1, 3): list(range(5, 3001, 4))}
+    node_loop = build_claims()["T.node-loop"]
+    assert [a for a in a_range if _matching_rows(node_loop, a)[:1] == [3]] \
+        == [1]
+    # a column check's groups are the A of each first matching row
+    for claim in claims:
+        for chunk in (range(-40, 41), range(1, CHUNK + 1),
+                      range(997, 997 + CHUNK)):
+            groups = {claim.rows.index(row): list(group)
+                      for row, group in _row_groups(claim.rows, chunk)}
+            first = {}
+            for a in chunk:
+                if rows := _matching_rows(claim, a):
+                    first.setdefault(rows[0], []).append(a)
+            assert groups == first, (claim.id, chunk)
 
 
 def test_unsplit_cluster_pairs_are_the_suffix_lemma_rows():

@@ -6,12 +6,13 @@ import json
 import pytest
 
 from collatzlab.actions import (Action, ActionSeq, ModelId, apply_seq,
-                                inverse_seq, seq_of)
-from collatzlab.catalog import build_claims
-from collatzlab.errors import UnknownClaim
+                                evaluate_exact, inverse_seq, seq_of)
+from collatzlab.catalog import CLUSTER_TABLE, SUCCESSION_SEQS, build_claims
+from collatzlab.errors import DomainViolation, GuardViolation, UnknownClaim
 from collatzlab.models import successors
 from collatzlab.search import SearchBounds, Unreachable, bfs_until
-from collatzlab.verify import (CSV_HEADER, Failure, VerifyReport,
+from collatzlab.verify import (CHUNK, CLUSTER_HUB, CLUSTER_MEMBERS,
+                               CSV_HEADER, Failure, VerifyReport,
                                all_claim_ids, build_witness,
                                descending_witness, run_any_claim)
 
@@ -316,10 +317,11 @@ def test_run_any_claim_dispatch():
     assert report.failed == 0
 
 
-def _search_only_cluster(kind, a_range, search_bounds=None):
-    """Reference: one bidirectional search per ordered (member, hub) pair."""
+def _search_only_cluster(kind, a_range, search_bounds=None, table=False):
+    """Reference: one bidirectional search per ordered (member, hub) pair;
+    with table, only where the pair's CLUSTER_TABLE row for k, from
+    Claim.at and replayed through apply_seq, does not fit the bounds."""
     from collatzlab.search import bfs_reach_bidirectional
-    from collatzlab.verify import CLUSTER_HUB, CLUSTER_MEMBERS
 
     if search_bounds is None:
         bounds = SearchBounds(max_value=2**20)
@@ -339,6 +341,12 @@ def _search_only_cluster(kind, a_range, search_bounds=None):
                 continue
             member, hub = 9 * k + r, 9 * k + hub_r
             for src, dst in ((member, hub), (hub, member)):
+                if table:
+                    script = CLUSTER_TABLE[src - 9 * k, dst - 9 * k].at(k)[2]
+                    path = apply_seq(script, src, ModelId.M1)
+                    if (path.end == dst and path.peak <= bounds.max_value
+                            and len(path) <= bounds.max_depth):
+                        continue
                 result = bfs_reach_bidirectional(ModelId.M1, src, dst, bounds)
                 if isinstance(result, Unreachable):
                     tag = ("budget-exceeded" if result.bound_exhausted
@@ -368,6 +376,9 @@ def _search_only_cluster(kind, a_range, search_bounds=None):
     # k = 6,473 (nine) and 0 => 4 at k = 7,282 (five); the search decides
     ("nine", range(6471, 6476), None),
     ("five", range(7280, 7285), None),
+    # longer than a chunk, and most table scripts miss under these bounds,
+    # so every chunk goes back through the per-k check
+    ("five", range(1, CHUNK + 3), SearchBounds(max_value=4096, max_depth=12)),
 ])
 def test_cluster_replay_matches_search_only(kind, a_range, bounds):
     report = run_any_claim(f"T.cluster-{kind}", a_range, bounds)
@@ -431,3 +442,100 @@ def test_replay_rejects_scripts_that_do_not_witness_the_pair():
     assert _replay_known(scripts, 9, 13,
                          SearchBounds(max_value=28, max_depth=6))
     assert scripts == [good, seq_of("BBFDT"), seq_of("TBBFD")]
+
+
+def _per_a_catalog(claim, a_range):
+    """Reference: each A checked on its own from Claim.at and apply_seq."""
+    report = VerifyReport(claim_id=claim.id, model="M1",
+                          range=(a_range.start, a_range[-1]))
+    for a in a_range:
+        row = claim.at(a)
+        if row is None:
+            report.skipped += 1
+            continue
+        start, expected, script = row
+        try:
+            witness = apply_seq(script, start, ModelId.M1)
+        except (GuardViolation, DomainViolation) as exc:
+            report.record_failure(Failure(a, exc.step_index, str(exc)))
+            continue
+        if witness.end != expected:
+            report.record_failure(Failure(
+                a, None, f"endpoint {witness.end} != expected {expected}",
+                list(witness.values)))
+            continue
+        if claim.close_cycle:
+            try:
+                back = apply_seq(inverse_seq(script), witness.end, ModelId.M1)
+            except (GuardViolation, DomainViolation) as exc:
+                report.record_failure(Failure(
+                    a, exc.step_index, f"cycle-closing replay illegal: {exc}",
+                    list(witness.values)))
+                continue
+            if back.end != start:
+                report.record_failure(Failure(
+                    a, None, f"cycle did not close: {back.end}",
+                    list(back.values)))
+                continue
+        report.passed += 1
+    return report.to_dict()
+
+
+def _per_a_succession(offset, a_range):
+    """Reference: each x evaluated on its own with evaluate_exact."""
+    report = VerifyReport(claim_id=f"T.succ{offset}", model="M2",
+                          range=(a_range.start, a_range[-1]))
+    dipped = 0
+    for x in a_range:
+        end, flagged = evaluate_exact(SUCCESSION_SEQS[offset], x)
+        dipped += bool(flagged)
+        if end == x + offset:
+            report.passed += 1
+        else:
+            report.record_failure(Failure(
+                x, None, f"ended at {end}, expected {x + offset}"))
+    report.bounds = {"nonpositive_intermediate_inputs": dipped}
+    return report.to_dict()
+
+
+def _oracle(claim_id, a_range):
+    if claim_id.startswith("T.succ"):
+        return _per_a_succession(int(claim_id[len("T.succ"):]), a_range)
+    if claim_id.startswith("T.cluster-"):
+        return _search_only_cluster(claim_id[len("T.cluster-"):], a_range,
+                                    table=True)
+    return _per_a_catalog(build_claims()[claim_id], a_range)
+
+
+@pytest.mark.parametrize("claim_id", [
+    "T.succ2", "T.node-loop", "L.21-11.last1", "T.cluster-five"])
+@pytest.mark.parametrize("a_range", [
+    range(1, CHUNK), range(1, CHUNK + 1), range(1, CHUNK + 2),
+    range(0, CHUNK + 1), range(-CHUNK - 4, 3), range(-5, 2 * CHUNK - 3)],
+    ids=["chunk-1", "chunk", "chunk+1", "from0", "negative", "across"])
+def test_column_checks_match_a_per_a_oracle_at_chunk_boundaries(
+        claim_id, a_range):
+    report = run_any_claim(claim_id, a_range)
+    assert report.to_dict() == _oracle(claim_id, a_range)
+
+
+@pytest.mark.parametrize("claim_id, row, index", [
+    ("T.node-loop", 3, 2),     # the A = 1 row: only the first chunk misses
+    ("T.node-loop", 2, 5),     # A = 4s+3: every chunk misses
+    ("L.21-11.last1", 0, 0),
+])
+def test_a_mutant_row_falls_back_to_the_per_a_check(claim_id, row, index):
+    claims = build_claims()
+    claim = claims[claim_id]
+    entry = claim.rows[row]
+    steps = entry[4].steps
+    other = next(a for a in Action if a is not steps[index])
+    mutant = ActionSeq(steps[:index] + (other,) + steps[index + 1:])
+    rows = list(claim.rows)
+    rows[row] = entry[:4] + (mutant,) + entry[5:]
+    mutated = dict(claims)
+    mutated[claim_id] = dataclasses.replace(claim, rows=tuple(rows))
+    a_range = range(1, 3 * CHUNK + 2)
+    report = run_any_claim(claim_id, a_range, claims=mutated)
+    assert report.failed > 0
+    assert report.to_dict() == _per_a_catalog(mutated[claim_id], a_range)
