@@ -11,6 +11,7 @@ Suffix-digit arithmetic used throughout (base 3, A is the prefix value):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, ClassVar
 
 from .actions import ActionSeq, ModelId, inverse_seq, seq_of
@@ -135,7 +136,6 @@ class Claim:
     id: str
     rows: tuple[tuple, ...]
     inverse_of: str | None = None  # a label: bench/child.py reads it
-    close_cycle: bool = False
     build_fn: Callable[[int], ActionSeq] | None = None   # T.a-11 only
     model: ClassVar[ModelId] = ModelId.M1
     min_a: ClassVar[int] = 1
@@ -147,6 +147,24 @@ class Claim:
                 return (start[0] * s + start[1], end[0] * s + end[1],
                         self.build_fn(a) if script is None else script)
         return None
+
+    def columns(self, chunk: range):
+        """at over a step-1 range, a row at a time: (inputs, expected
+        values, script) for each row that is the first matching row of some
+        A of chunk, over those A in order; a None script is build_fn's. A
+        row drops the A of an earlier row only when the two residue classes
+        can meet."""
+        for j, (modulus, residue, (m, c), (m2, c2), script, least) in \
+                enumerate(self.rows):
+            lo = max(chunk.start, modulus * least + residue)
+            group = range(lo + (residue - lo) % modulus, chunk.stop, modulus)
+            for m0, r0, *_, s0 in self.rows[:j]:
+                if (residue - r0) % gcd(modulus, m0) == 0:
+                    group = [a for a in group if a % m0 != r0 or a // m0 < s0]
+            if group:
+                ss = [a // modulus for a in group]
+                yield ([m * s + c for s in ss], [m2 * s + c2 for s in ss],
+                       script)
 
     def applies(self, a: int) -> bool:
         return self.at(a) is not None
@@ -267,7 +285,6 @@ def build_claims() -> dict[str, Claim]:
              + SEQ_HOP_EVEN, 1),
             (4, 3, (4, 3), (2, 1), seq_of("TTTB") + SEQ_02_11 + seq_of("FF")
              + SEQ_HOP_ODD, 0),
-            (4, 1, (4, 1), (3, 1), seq_of("TBB"), 0)),
-              close_cycle=True),
+            (4, 1, (4, 1), (3, 1), seq_of("TBB"), 0))),
     ]
     return {c.id: c for c in claims}

@@ -5,8 +5,10 @@ ordered registry: its model, its bounds dict, a check run once per A and,
 for the scripted claims, a column check run once per chunk of A. A column
 check replays each script once over the whole chunk and only says whether
 every A passed; on any miss the chunk is checked again A by A, so every
-failure and count comes from the per-A check. run_any_claim is the one
-loop that turns those checks into a report.
+failure and count comes from the per-A check. The catalog and cluster
+column checks are one replay, _rows_hold, over Claim.columns, so only the
+catalog reads a claim's rows. run_any_claim is the one loop that turns
+those checks into a report.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from math import gcd
 
 from . import catalog
 from .actions import (ModelId, Path, apply_seq, evaluate_column,
-                      evaluate_exact, inverse_seq, replay_column, seq_of)
+                      evaluate_exact, replay_column, seq_of)
 from .actions import apply  # noqa: F401  bound for bench/tracer.py
 from .errors import DomainViolation, GuardViolation, UnknownClaim
 from .search import (SearchBounds, Unreachable, bfs_reach,
@@ -102,32 +103,6 @@ def build_witness(claim: catalog.Claim, a: int) -> Path:
     return apply_seq(script, start, claim.model)
 
 
-def _check_one(claim, a, row):
-    """Verdict for one A from its row claim.at(a): None on PASS, else the
-    Failure."""
-    start, expected, script = row
-    try:
-        witness = apply_seq(script, start, claim.model)
-    except (GuardViolation, DomainViolation) as exc:
-        return Failure(a, exc.step_index, str(exc))
-    if witness.end != expected:
-        return Failure(a, None,
-                       f"endpoint {witness.end} != expected {expected}",
-                       list(witness.values))
-    if claim.close_cycle:
-        try:
-            back = apply_seq(inverse_seq(witness.actions), witness.end,
-                             claim.model)
-        except (GuardViolation, DomainViolation) as exc:
-            return Failure(a, exc.step_index,
-                           f"cycle-closing replay illegal: {exc}",
-                           list(witness.values))
-        if back.end != witness.start:
-            return Failure(a, None, f"cycle did not close: {back.end}",
-                           list(back.values))
-    return None
-
-
 # Per-A checks: check(a, search_bounds) returns None when A is outside the
 # claim's domain (skipped), else the list of failures (empty on PASS).
 # Column checks: column(chunk, search_bounds) takes a step-1 range of at
@@ -138,44 +113,44 @@ def _check_one(claim, a, row):
 CHUNK = 1024
 
 
-def _row_groups(rows, chunk):
-    """(row, the A of chunk whose first matching row it is) for each row
-    that some A of chunk, a step-1 range, matches: Claim.at's choice made
-    once per row, not once per A. A row drops the A of an earlier row only
-    when the two residue classes can meet."""
-    for j, row in enumerate(rows):
-        modulus, residue, least = row[0], row[1], row[5]
-        lo = max(chunk.start, modulus * least + residue)
-        group = range(lo + (residue - lo) % modulus, chunk.stop, modulus)
-        for m, r, *_, s0 in rows[:j]:
-            if (residue - r) % gcd(modulus, m) == 0:
-                group = [a for a in group if a % m != r or a // m < s0]
-        if group:
-            yield row, group
+def _rows_hold(claim, chunk, bounds=None):
+    """How many A of chunk, a step-1 range, are in claim's domain, when
+    each of claim.columns(chunk) replays to its expected values under the
+    claim's model, in at most bounds.max_depth steps and with every value
+    <= bounds.max_value when bounds is given; None on any miss."""
+    cap = None if bounds is None else bounds.max_value
+    passed = 0
+    for inputs, expected, script in claim.columns(chunk):
+        if bounds is not None and len(script) > bounds.max_depth:
+            return None
+        if replay_column(script.steps, inputs, claim.model, cap) != expected:
+            return None
+        passed += len(inputs)
+    return passed
 
 
 def _catalog_claim(claim):
+    # A witness needs no replay back: in M1 the inverse of every legal step
+    # is legal where the step lands (T at x by F at 3x+1, B by D), so a
+    # witness that ends where it should always walks back.
     def check(a, search_bounds):
-        row = claim.at(a)
-        if row is None:
+        found = claim.at(a)
+        if found is None:
             return None
-        failure = _check_one(claim, a, row)
-        return [failure] if failure else []
+        start, expected, script = found
+        try:
+            witness = apply_seq(script, start, claim.model)
+        except (GuardViolation, DomainViolation) as exc:
+            return [Failure(a, exc.step_index, str(exc))]
+        if witness.end != expected:
+            return [Failure(a, None,
+                            f"endpoint {witness.end} != expected {expected}",
+                            list(witness.values))]
+        return []
 
     def column(chunk, search_bounds):
-        passed = 0
-        for (modulus, _, (m, c), (m2, c2), script, _), group in _row_groups(
-                claim.rows, chunk):
-            ss = [a // modulus for a in group]
-            starts = [m * s + c for s in ss]
-            ends = replay_column(script.steps, starts, claim.model)
-            if ends != [m2 * s + c2 for s in ss]:
-                return None
-            if claim.close_cycle and replay_column(
-                    inverse_seq(script).steps, ends, claim.model) != starts:
-                return None
-            passed += len(group)
-        return passed, len(chunk) - passed
+        passed = _rows_hold(claim, chunk)
+        return None if passed is None else (passed, len(chunk) - passed)
 
     # Catalog witnesses are scripts: no search bound applies to them.
     # T.a-11 builds its script per A, so it has no column check.
@@ -300,20 +275,14 @@ def _cluster(kind):
         return failures
 
     def column(chunk, search_bounds):
+        # Every table claim's domain is k >= 1, the k that check does not
+        # skip, so each pair passes the same count.
         bounds = _cluster_bounds(search_bounds)
-        ks = range(max(chunk.start, 1), max(chunk.stop, 1))
-        for src_r, dst_r in pairs:
-            rows = catalog.CLUSTER_TABLE[src_r, dst_r].rows
-            for row, group in _row_groups(rows, ks):
-                script = row[4]
-                if len(script) > bounds.max_depth:
-                    return None
-                ends = replay_column(script.steps,
-                                     [9 * k + src_r for k in group],
-                                     ModelId.M1, bounds.max_value)
-                if ends != [9 * k + dst_r for k in group]:
-                    return None
-        return len(ks), len(chunk) - len(ks)
+        for pair in pairs:
+            passed = _rows_hold(catalog.CLUSTER_TABLE[pair], chunk, bounds)
+            if passed is None:
+                return None
+        return passed, len(chunk) - passed
 
     return ModelId.M1, _cluster_bounds_dict, check, column
 
@@ -323,26 +292,27 @@ _SEQ_F = seq_of("F")
 
 def descending_witness(a: int, model: ModelId,
                        bounds: SearchBounds | None = None):
-    """A guard-legal Path whose end is below a, or the search's Unreachable.
+    """A guard-legal Path whose end is below a, or the search's Unreachable;
+    ValueError when a < 1.
 
     Fast paths, each taken only when its values are within the value cap:
     strip when a = 1 (mod 6); otherwise ``m0_descent``, whose T/B moves are
-    legal in both MS and M1. Falls back to bounded BFS. With no bounds, both
+    legal in both MS and M1, so its walk is the Path as it stands. Falls
+    back to bounded BFS, whose Path is guard-legal too. With no bounds, both
     walks use depth 512 and cap a * 2^20.
     """
+    if a < 1:
+        raise ValueError(f"positive integer required, got {a}")
     limit = bounds.max_depth if bounds is not None else 512
     cap = bounds.max_value if bounds is not None else a * 2**20
     if a % 6 == 1 and a > 1 and (a - 1) // 3 <= cap:
         return apply_seq(_SEQ_F, a, model)
     walk = m0_descent(a, cap, limit) if a <= cap else [a]
     if walk[-1] < a:
-        return apply_seq(m0_script(walk), a, model)
+        return Path(model, a, m0_script(walk), walk[-1], tuple(walk))
     from .search import bfs_until
-    result = bfs_until(model, a, lambda v: v < a,
-                       bounds or SearchBounds(max_value=cap, max_depth=limit))
-    if isinstance(result, Unreachable):
-        return result
-    return apply_seq(result.actions, a, model)
+    return bfs_until(model, a, lambda v: v < a,
+                     bounds or SearchBounds(max_value=cap, max_depth=limit))
 
 
 def _descend(model):
@@ -418,6 +388,8 @@ def run_any_claim(claim_id: str, a_range: range,
     if claim_id not in registry:
         raise UnknownClaim(claim_id, sorted(registry))
     model, bounds_dict, check, column = registry[claim_id]
+    if not a_range:
+        raise ValueError(f"empty range {a_range}")
     if a_range.step != 1:
         column = None  # column checks read a chunk as consecutive A
     t0 = time.perf_counter()

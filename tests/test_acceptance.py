@@ -15,17 +15,15 @@ headroom 2^12 clears it.
 import io
 import random
 
-from collatzlab.actions import (ActionSeq, Action, ModelId, apply_seq,
-                                evaluate_exact, inverse_seq)
+from collatzlab.actions import (ActionSeq, Action, ModelId, evaluate_exact,
+                                inverse_seq)
 from collatzlab.cli import main as cli_main
-from collatzlab.errors import DomainViolation, GuardViolation
 from collatzlab.experiments import cycle_census, delooping_experiment
 from collatzlab.models import successors
-from collatzlab.search import (SearchBounds, Unreachable, all_reach_one,
-                               bfs_reach_bidirectional, stopping_stats)
+from collatzlab.search import all_reach_one, stopping_stats
 from collatzlab.ternary import from_ternary, to_ternary
-from collatzlab.verify import (CLUSTER_HUB, CLUSTER_MEMBERS, Failure,
-                               VerifyReport, run_any_claim)
+from collatzlab.verify import run_any_claim
+from test_verify import cluster_oracle
 
 CATALOG_LEMMA_IDS = [
     "L.10-11", "L.11-10", "L.02-11", "L.11-02", "L.01-11", "L.11-01",
@@ -65,61 +63,14 @@ def test_criterion_2_lemma_catalog_to_10000():
                    f"{len(CATALOG_LEMMA_IDS)} scripted lemmas, A <= 10000"), bad
 
 
-def learned_search_cluster(kind, a_range):
-    """Oracle: the cluster report from bidirectional search alone, under the
-    default cap 2^20 and depth 64.
-
-    Each ordered (member, hub) pair replays only the paths that the search
-    found for it at earlier k, never a catalog script, and searches when
-    none fits. A replay counts when it is guard-legal, ends at the pair's
-    target, stays within the cap and is no longer than the depth cap.
-    """
-    bounds = SearchBounds(max_value=2**20)
-    hub_r = CLUSTER_HUB[kind]
-    learned = {}
-    report = VerifyReport(claim_id=f"T.cluster-{kind}", model="M1",
-                          range=(a_range.start, a_range[-1]))
-
-    def fits(seq, src, dst):
-        try:
-            path = apply_seq(seq, src, ModelId.M1)
-        except (GuardViolation, DomainViolation):
-            return False
-        return (path.end == dst and path.peak <= bounds.max_value
-                and len(seq) <= bounds.max_depth)
-
-    for k in a_range:
-        failures = []
-        for r in CLUSTER_MEMBERS[kind]:
-            if r == hub_r:
-                continue
-            for src_r, dst_r in ((r, hub_r), (hub_r, r)):
-                src, dst = 9 * k + src_r, 9 * k + dst_r
-                paths = learned.setdefault((src_r, dst_r), [])
-                if any(fits(seq, src, dst) for seq in paths):
-                    continue
-                result = bfs_reach_bidirectional(ModelId.M1, src, dst, bounds)
-                if isinstance(result, Unreachable):
-                    failures.append(Failure(
-                        k, None, f"{result.tag}: pair {src} => {dst} "
-                                 f"with cap {bounds.max_value}"))
-                else:
-                    paths.append(result.actions)
-        for failure in failures:
-            report.record_failure(failure)
-        report.passed += not failures
-    report.bounds = {"max_value": bounds.max_value,
-                     "max_depth": bounds.max_depth}
-    return report.to_dict()
-
-
 def test_criterion_3_cluster_connectivity_to_1000():
     # Decided by search: the claim's reports, which replay the catalog's
-    # proved cluster scripts first, must equal the search-only oracle's.
+    # proved cluster scripts first, must equal those of an oracle that
+    # replays only the paths its own searches found at earlier k.
     bad = []
     for kind in ("five", "three", "nine"):
         report = run_any_claim(f"T.cluster-{kind}", range(1, 1001)).to_dict()
-        oracle = learned_search_cluster(kind, range(1, 1001))
+        oracle = cluster_oracle(kind, range(1, 1001), replay="learned")
         if report != oracle or oracle["fail"]:
             bad.append((kind, oracle["failures"][:1], report["failures"][:1]))
     assert verdict(3, not bad, "k <= 1000, value cap 2^20, zero pairs missed"), bad

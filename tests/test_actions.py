@@ -16,7 +16,7 @@ from collatzlab.actions import (INTEGER_MODELS, Action, ActionSeq, ModelId,
                                 apply_seq, evaluate_column, evaluate_exact,
                                 inverse_seq, is_legal, replay_column, seq_of,
                                 validate_trace)
-from collatzlab.catalog import CLUSTER_TABLE, SUCCESSION_SEQS
+from collatzlab.catalog import CLUSTER_TABLE, SUCCESSION_SEQS, Claim
 from collatzlab.errors import (CollatzlabError, DomainViolation,
                                GuardViolation)
 
@@ -115,6 +115,36 @@ def test_inverse_seq_round_trips_exactly(seq, x):
     forward, _ = evaluate_exact(seq, x)
     back, _ = evaluate_exact(inverse_seq(seq), forward)
     assert back == x
+
+
+def test_every_legal_m1_step_has_a_legal_inverse_back():
+    # The fact that spares verify a cycle-closing replay: T at x is undone
+    # by F at 3x+1 >= 4, B by D, F by T and D by B. Every catalog claim runs
+    # under M1, so a model change must bring that replay back.
+    assert Claim.model is ModelId.M1
+    legal = 0
+    for action in Action:
+        for x in range(1, 61):   # every residue mod 6, and x = 1
+            if is_legal(action, x, ModelId.M1):
+                y = apply(action, x, ModelId.M1)
+                assert is_legal(action.inverse, y, ModelId.M1), (action, x)
+                assert apply(action.inverse, y, ModelId.M1) == x
+                legal += 1
+    assert legal == 60 + 30 + 19 + 60   # T, B (even x), F (7, 10, ..), D
+
+
+@given(positives, st.lists(st.integers(0, 3), max_size=20))
+@settings(max_examples=300)
+def test_the_inverse_of_a_legal_m1_walk_walks_back(x, picks):
+    steps = []
+    y = x
+    for pick in picks:
+        legal = [a for a in Action if is_legal(a, y, ModelId.M1)]
+        steps.append(legal[pick % len(legal)])
+        y = apply(steps[-1], y, ModelId.M1)
+    walk = apply_seq(ActionSeq(tuple(steps)), x, ModelId.M1)
+    back = apply_seq(inverse_seq(walk.actions), walk.end, ModelId.M1)
+    assert back.values == walk.values[::-1]
 
 
 @given(sequences)

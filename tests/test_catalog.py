@@ -16,7 +16,7 @@ from collatzlab.catalog import (CLUSTER_TABLE, SEQ_00_11, SEQ_01_11,
                                 SMALL_TO_FOUR, SUCCESSION_SEQS, build_claims,
                                 seq_21_to_11, seq_22_to_11, to_eleven_script)
 from collatzlab.verify import (CHUNK, CLUSTER_HUB, CLUSTER_MEMBERS,
-                               _row_groups, build_witness)
+                               build_witness)
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000)).filter(
@@ -110,7 +110,6 @@ def test_build_claims_ids_are_stable():
     assert "L.10-11" in claims
     assert "T.node-loop" in claims
     assert claims["L.11-21.even"].inverse_of == "L.21-11.even"
-    assert claims["T.node-loop"].close_cycle
     # applicability predicates agree with documented side conditions
     assert claims["L.21-11.even"].applies(2)
     assert not claims["L.21-11.even"].applies(3)
@@ -118,8 +117,8 @@ def test_build_claims_ids_are_stable():
     assert not claims["L.21-11.last1"].applies(9)
 
 
-# The node-loop hop 3h+2 => h and the scripts around it, proved on affine
-# forms. walk_affine is test-local and independent of collatzlab: it runs a
+# Catalog rows, and the node-loop hops 3h+2 => h inside them, proved on
+# affine forms. walk_affine is test-local and independent of collatzlab: it runs a
 # script on x = a*s + b and raises unless every M1 guard is decided for all
 # s >= s0. M1's guards read only x mod 2, x mod 3 and x > 1; with a >= 1,
 # x grows with s, so x > 1 is checked at s0.
@@ -152,40 +151,6 @@ def test_affine_walker_proves_a_known_lemma_and_rejects_undecided_guards():
                              ("F", 2, 1, 0), ("F", 3, 2, 0), ("F", 3, 1, 0)):
         with pytest.raises(ValueError):
             walk_affine(script, a, b, s0)
-
-
-def test_node_loop_hops_are_proved_for_every_h():
-    assert SEQ_HOP_EVEN.render() == "BFD"
-    assert SEQ_HOP_ODD.render() == "DFDDTTBBBBFDF"
-    assert walk_affine(SEQ_HOP_EVEN.render(), 6, 2, 1) == (2, 0)  # h = 2s
-    assert walk_affine(SEQ_HOP_ODD.render(), 6, 5, 0) == (2, 1)   # h = 2s+1
-
-
-def test_node_loop_scripts_are_proved_for_every_a():
-    build = build_claims()["T.node-loop"].build
-    for start, step, form, s0, end in ((2, 2, (2, 0), 1, (1, 0)),
-                                       (5, 4, (4, 1), 1, (2, 0)),
-                                       (3, 4, (4, 3), 0, (2, 1))):
-        # one script per class of A ...
-        scripts = {build(a).render() for a in range(start, 2000, step)}
-        assert len(scripts) == 1
-        # ... and it takes the whole class to A // 2
-        assert walk_affine(scripts.pop(), *form, s0) == end
-
-
-def test_every_single_letter_mutation_of_the_odd_hop_fails():
-    hop = SEQ_HOP_ODD.render()
-    survivors = []
-    for i, letter in enumerate(hop):
-        for c in "TBFD".replace(letter, ""):
-            mutant = hop[:i] + c + hop[i + 1:]
-            try:
-                proved = walk_affine(mutant, 6, 5, 0) == (2, 1)
-            except ValueError:
-                proved = False
-            if proved:
-                survivors.append(mutant)
-    assert survivors == []
 
 
 def _proves(script, start, end, least):
@@ -221,6 +186,12 @@ def test_every_catalog_row_is_proved_on_its_forms_and_no_mutant_is():
     rows = [(claim_id, row) for claim_id, claim in build_claims().items()
             for row in claim.rows if row[4] is not None]
     assert len(rows) == 35
+    # The node-loop hops 3h+2 => h, walked on their own forms as rows of A:
+    # 6s+2 (h = 2s, s >= 1) and 6s+5 (h = 2s+1, s >= 0).
+    assert SEQ_HOP_EVEN.render() == "BFD"
+    assert SEQ_HOP_ODD.render() == "DFDDTTBBBBFDF"
+    rows += [("SEQ_HOP_EVEN", (6, 2, (6, 2), (2, 0), SEQ_HOP_EVEN, 1)),
+             ("SEQ_HOP_ODD", (6, 5, (6, 5), (2, 1), SEQ_HOP_ODD, 0))]
     assert _unproved_and_survivors(rows) == ([], [])
 
 
@@ -269,17 +240,18 @@ def test_only_the_node_loop_rows_overlap_and_column_groups_keep_first_match():
     node_loop = build_claims()["T.node-loop"]
     assert [a for a in a_range if _matching_rows(node_loop, a)[:1] == [3]] \
         == [1]
-    # a column check's groups are the A of each first matching row
+    # a column holds the A of one row, the first matching row of each
     for claim in claims:
         for chunk in (range(-40, 41), range(1, CHUNK + 1),
                       range(997, 997 + CHUNK)):
-            groups = {claim.rows.index(row): list(group)
-                      for row, group in _row_groups(claim.rows, chunk)}
             first = {}
             for a in chunk:
                 if rows := _matching_rows(claim, a):
                     first.setdefault(rows[0], []).append(a)
-            assert groups == first, (claim.id, chunk)
+            assert list(claim.columns(chunk)) == [
+                ([claim.at(a)[0] for a in group],
+                 [claim.at(a)[1] for a in group], claim.rows[j][4])
+                for j, group in sorted(first.items())], (claim.id, chunk)
 
 
 def test_unsplit_cluster_pairs_are_the_suffix_lemma_rows():

@@ -143,3 +143,27 @@ def test_every_tracer_binding_names_a_wrapped_function():
     modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     tracer = (ROOT / "bench" / "tracer.py").read_text()
     assert stale_tracer_bindings(modules, tracer) == []
+
+
+def rows_readers(modules):
+    """(module, line) for every read of a ``.rows`` attribute in a module
+    source: only the catalog may read a claim's rows."""
+    return [(module, node.lineno)
+            for module, source in modules.items()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "rows"
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_rows_reader_check_flags_only_rows_reads():
+    source = ("rows = claim.at(1)\n"
+              "for row in claim.rows:\n    pass\n"
+              "print(claim.columns, getattr(claim, 'rows'))\n")
+    assert rows_readers({"m.py": source}) == [("m.py", 2)]
+
+
+def test_only_the_catalog_reads_a_claims_rows():
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))
+               if p.name != "catalog.py"}
+    assert modules
+    assert rows_readers(modules) == []

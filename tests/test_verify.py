@@ -230,6 +230,10 @@ def test_descending_witness_is_guard_legal():
         assert trace is not None
         assert trace.end < a
         assert trace.values[0] == a
+    # the walks are returned as built, not replayed, so A must be >= 1
+    for a in (0, -5):
+        with pytest.raises(ValueError, match="positive integer required"):
+            descending_witness(a, ModelId.MS, SearchBounds(max_value=100))
 
 
 def test_descending_witness_default_depth_is_512():
@@ -317,10 +321,16 @@ def test_run_any_claim_dispatch():
     assert report.failed == 0
 
 
-def _search_only_cluster(kind, a_range, search_bounds=None, table=False):
-    """Reference: one bidirectional search per ordered (member, hub) pair;
-    with table, only where the pair's CLUSTER_TABLE row for k, from
-    Claim.at and replayed through apply_seq, does not fit the bounds."""
+def cluster_oracle(kind, a_range, search_bounds=None, replay=None):
+    """Reference cluster report: one bidirectional search per ordered
+    (member, hub) pair and k >= 1, under the claim's value and depth caps.
+
+    A replay spares the search when it is guard-legal, ends at the pair's
+    target, stays within the cap and is no longer than the depth cap: with
+    replay="table", the pair's CLUSTER_TABLE row for k, from Claim.at; with
+    replay="learned", any path the search found for the pair at an earlier
+    k, never a catalog script.
+    """
     from collatzlab.search import bfs_reach_bidirectional
 
     if search_bounds is None:
@@ -328,7 +338,17 @@ def _search_only_cluster(kind, a_range, search_bounds=None, table=False):
     else:
         bounds = SearchBounds(max_value=search_bounds.max_value,
                               max_depth=search_bounds.max_depth)
+
+    def fits(seq, src, dst):
+        try:
+            path = apply_seq(seq, src, ModelId.M1)
+        except (GuardViolation, DomainViolation):
+            return False
+        return (path.end == dst and path.peak <= bounds.max_value
+                and len(seq) <= bounds.max_depth)
+
     hub_r = CLUSTER_HUB[kind]
+    learned = {}
     report = VerifyReport(claim_id=f"T.cluster-{kind}", model="M1",
                           range=(a_range.start, a_range[-1]))
     for k in a_range:
@@ -339,14 +359,14 @@ def _search_only_cluster(kind, a_range, search_bounds=None, table=False):
         for r in CLUSTER_MEMBERS[kind]:
             if r == hub_r:
                 continue
-            member, hub = 9 * k + r, 9 * k + hub_r
-            for src, dst in ((member, hub), (hub, member)):
-                if table:
-                    script = CLUSTER_TABLE[src - 9 * k, dst - 9 * k].at(k)[2]
-                    path = apply_seq(script, src, ModelId.M1)
-                    if (path.end == dst and path.peak <= bounds.max_value
-                            and len(path) <= bounds.max_depth):
-                        continue
+            for src_r, dst_r in ((r, hub_r), (hub_r, r)):
+                src, dst = 9 * k + src_r, 9 * k + dst_r
+                paths = learned.setdefault((src_r, dst_r), [])
+                replays = (paths if replay == "learned" else
+                           [CLUSTER_TABLE[src_r, dst_r].at(k)[2]]
+                           if replay == "table" else [])
+                if any(fits(seq, src, dst) for seq in replays):
+                    continue
                 result = bfs_reach_bidirectional(ModelId.M1, src, dst, bounds)
                 if isinstance(result, Unreachable):
                     tag = ("budget-exceeded" if result.bound_exhausted
@@ -354,10 +374,11 @@ def _search_only_cluster(kind, a_range, search_bounds=None, table=False):
                     failures.append(Failure(
                         k, None, f"{tag}: pair {src} => {dst} "
                                  f"with cap {bounds.max_value}"))
+                else:
+                    paths.append(result.actions)
         for failure in failures:
             report.record_failure(failure)
-        if not failures:
-            report.passed += 1
+        report.passed += not failures
     report.bounds = {"max_value": bounds.max_value,
                      "max_depth": bounds.max_depth}
     return report.to_dict()
@@ -382,7 +403,7 @@ def _search_only_cluster(kind, a_range, search_bounds=None, table=False):
 ])
 def test_cluster_replay_matches_search_only(kind, a_range, bounds):
     report = run_any_claim(f"T.cluster-{kind}", a_range, bounds)
-    assert report.to_dict() == _search_only_cluster(kind, a_range, bounds)
+    assert report.to_dict() == cluster_oracle(kind, a_range, bounds)
 
 
 def _count_searches(monkeypatch):
@@ -464,7 +485,7 @@ def _per_a_catalog(claim, a_range):
                 a, None, f"endpoint {witness.end} != expected {expected}",
                 list(witness.values)))
             continue
-        if claim.close_cycle:
+        if claim.id == "T.node-loop":
             try:
                 back = apply_seq(inverse_seq(script), witness.end, ModelId.M1)
             except (GuardViolation, DomainViolation) as exc:
@@ -502,8 +523,8 @@ def _oracle(claim_id, a_range):
     if claim_id.startswith("T.succ"):
         return _per_a_succession(int(claim_id[len("T.succ"):]), a_range)
     if claim_id.startswith("T.cluster-"):
-        return _search_only_cluster(claim_id[len("T.cluster-"):], a_range,
-                                    table=True)
+        return cluster_oracle(claim_id[len("T.cluster-"):], a_range,
+                              replay="table")
     return _per_a_catalog(build_claims()[claim_id], a_range)
 
 
@@ -517,6 +538,25 @@ def test_column_checks_match_a_per_a_oracle_at_chunk_boundaries(
         claim_id, a_range):
     report = run_any_claim(claim_id, a_range)
     assert report.to_dict() == _oracle(claim_id, a_range)
+
+
+COLUMN_CLAIMS = [*(f"T.succ{i}" for i in SUCCESSION_SEQS),
+                 *(claim_id for claim_id, claim in build_claims().items()
+                   if claim.build_fn is None),
+                 *(f"T.cluster-{kind}" for kind in CLUSTER_MEMBERS)]
+
+
+@pytest.mark.parametrize("claim_id", COLUMN_CLAIMS)
+def test_every_column_check_matches_the_oracle_across_a_chunk_edge(claim_id):
+    a_range = range(CHUNK - 40, CHUNK + 41)
+    report = run_any_claim(claim_id, a_range)
+    assert report.to_dict() == _oracle(claim_id, a_range)
+
+
+def test_an_empty_range_is_a_value_error():
+    for claim_id in ("L.10-11", "T.cluster-five", "T.edge-loop"):
+        with pytest.raises(ValueError, match="empty range"):
+            run_any_claim(claim_id, range(5, 5))
 
 
 @pytest.mark.parametrize("claim_id, row, index", [
