@@ -153,6 +153,40 @@ def test_affine_walker_proves_a_known_lemma_and_rejects_undecided_guards():
             walk_affine(script, a, b, s0)
 
 
+def test_node_loop_hops_are_proved_for_every_h():
+    assert SEQ_HOP_EVEN.render() == "BFD"
+    assert SEQ_HOP_ODD.render() == "DFDDTTBBBBFDF"
+    assert walk_affine(SEQ_HOP_EVEN.render(), 6, 2, 1) == (2, 0)  # h = 2s
+    assert walk_affine(SEQ_HOP_ODD.render(), 6, 5, 0) == (2, 1)   # h = 2s+1
+
+
+def test_node_loop_scripts_are_proved_for_every_a():
+    build = build_claims()["T.node-loop"].build
+    for start, step, form, s0, end in ((2, 2, (2, 0), 1, (1, 0)),
+                                       (5, 4, (4, 1), 1, (2, 0)),
+                                       (3, 4, (4, 3), 0, (2, 1))):
+        # one script per class of A ...
+        scripts = {build(a).render() for a in range(start, 2000, step)}
+        assert len(scripts) == 1
+        # ... and it takes the whole class to A // 2
+        assert walk_affine(scripts.pop(), *form, s0) == end
+
+
+def test_every_single_letter_mutation_of_the_odd_hop_fails():
+    hop = SEQ_HOP_ODD.render()
+    survivors = []
+    for i, letter in enumerate(hop):
+        for c in "TBFD".replace(letter, ""):
+            mutant = hop[:i] + c + hop[i + 1:]
+            try:
+                proved = walk_affine(mutant, 6, 5, 0) == (2, 1)
+            except ValueError:
+                proved = False
+            if proved:
+                survivors.append(mutant)
+    assert survivors == []
+
+
 def _proves(script, start, end, least):
     try:
         return walk_affine(script, *start, least) == end
@@ -188,8 +222,6 @@ def test_every_catalog_row_is_proved_on_its_forms_and_no_mutant_is():
     assert len(rows) == 35
     # The node-loop hops 3h+2 => h, walked on their own forms as rows of A:
     # 6s+2 (h = 2s, s >= 1) and 6s+5 (h = 2s+1, s >= 0).
-    assert SEQ_HOP_EVEN.render() == "BFD"
-    assert SEQ_HOP_ODD.render() == "DFDDTTBBBBFDF"
     rows += [("SEQ_HOP_EVEN", (6, 2, (6, 2), (2, 0), SEQ_HOP_EVEN, 1)),
              ("SEQ_HOP_ODD", (6, 5, (6, 5), (2, 1), SEQ_HOP_ODD, 0))]
     assert _unproved_and_survivors(rows) == ([], [])
