@@ -8,6 +8,7 @@ rationals, which pins the reading of every other sequence.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -52,7 +53,7 @@ class Action(enum.Enum):
 # Keyed by letter: hashing a str skips the Python-level Enum.__hash__.
 _INVERSE = {"T": Action.F, "F": Action.T, "B": Action.D, "D": Action.B}
 # Plain globals for the per-step code in _replay, evaluate_exact and their
-# column twins: one dict lookup per use instead of a global lookup plus an
+# form twins: one dict lookup per use instead of a global lookup plus an
 # enum attribute access.
 _T, _B, _F, _D = Action.T, Action.B, Action.F, Action.D
 _M0, _M1 = ModelId.M0, ModelId.M1
@@ -132,47 +133,44 @@ def _replay(steps, x, model: ModelId, first=0) -> list:
     raise GuardViolation(action, x, model, index)
 
 
-def replay_column(steps, xs, model: ModelId, cap=None) -> list | None:
-    """_replay over a column of integer starts under an integer model: the
-    list of ends, or None when _replay would raise for some start or one of
-    its values exceeds cap (the start included, as in Path.peak).
+def walk_form(steps, a, b, least, model: ModelId):
+    """_replay on the form x = a*s + b for every integer s >= least at once:
+    (end form, peak forms), or None when some such s would make _replay
+    raise.
 
-    One pass per step over the whole column, so a script pays its Python
-    overhead once per step, not once per value. B and F divide every x and
-    then check the sums: x = 2(x >> 1) + (x & 1) and x - 1 = 3((x - 1) // 3)
-    + (x - 1) % 3 with nonnegative remainders, so the sums match exactly
-    when every remainder is 0.
+    M1's guards read only x mod 2, x mod 3 and x > 1, and M0's and MS's
+    only x mod 2 and x mod 3, so a guard either holds for every s or fails
+    for some s within six of least; x > 1 is read at least, since a >= 0
+    keeps x growing with s. The largest value of the walk at any s is the
+    largest of the peak forms at that s: the forms before each B or F,
+    which lower a value, and the end.
     """
-    if cap is not None and xs and max(xs) > cap:
-        return None
-    if not steps or not xs:
-        return list(xs)
-    if min(xs) < 1:
+    if steps and (a < 0 or a * least + b < 1):
         return None
     free = model is _M1  # T and D unguarded
     has_f = model is not _M0
+    peaks = []
     for action in steps:
         if action is _T:
-            if not (free or all(x & 1 for x in xs)):
+            if not (free or (not a & 1 and b & 1)):   # odd for all s
                 return None
-            ys = [3 * x + 1 for x in xs]
+            a, b = 3 * a, 3 * b + 1
         elif action is _B:
-            ys = [x >> 1 for x in xs]
-            if sum(xs) != 2 * sum(ys):
+            if a & 1 or b & 1:
                 return None
+            peaks.append((a, b))
+            a, b = a >> 1, b >> 1
         elif action is _F:
-            ys = [(x - 1) // 3 for x in xs]
-            if not has_f or sum(xs) - len(xs) != 3 * sum(ys) or 0 in ys:
+            if not has_f or a % 3 or b % 3 != 1 or a * least + b == 1:
                 return None
+            peaks.append((a, b))
+            a, b = a // 3, (b - 1) // 3
         elif free:
-            ys = [x << 1 for x in xs]
+            a, b = a << 1, b << 1
         else:
             return None
-        if cap is not None and (action is _T or action is _D) \
-                and max(ys) > cap:
-            return None
-        xs = ys
-    return xs
+    peaks.append((a, b))
+    return (a, b), tuple(peaks)
 
 
 def apply(action: Action, x, model: ModelId, step_index=None):
@@ -303,27 +301,28 @@ def evaluate_exact(seq: ActionSeq, x):
     return p // q, flagged
 
 
-def evaluate_column(seq: ActionSeq, xs) -> tuple[list, int, set]:
-    """evaluate_exact over a column of integer starts, one pass per step.
+def evaluate_form(seq: ActionSeq) -> tuple[int, int, int, int | float]:
+    """evaluate_exact on the start x itself, for every x at once: (alpha,
+    beta, q, low), where x ends at (alpha*x + beta) / q and an integer x
+    meets an intermediate <= 0 exactly when x <= low (-inf when none does).
 
-    Returns (ps, q, dipped): the end of xs[i] is ps[i] / q, and dipped holds
-    every i whose evaluation has an intermediate <= 0. All values share the
-    denominator q = 2^#B * 3^#F, so B only doubles q and every other step
-    is one comprehension over the numerators. T, B and D keep a value > 0
-    above 0, so a first value <= 0 comes either from the first step or
-    from an F: the signs are read after those steps only.
+    The numerator stays affine in x over one denominator q = 2^#B * 3^#F:
+    B only doubles q, F subtracts q and triples it. alpha > 0 throughout, so
+    the value after a step is <= 0 exactly for the x <= -beta // alpha. T, B
+    and D keep a value > 0 above 0, so a first value <= 0 comes either from
+    the first step or from an F: low is read after those steps only.
     """
-    ps, q, dipped = list(xs), 1, set()
+    alpha, beta, q, low = 1, 0, 1, -math.inf
     for i, action in enumerate(seq.steps):
         if action is _T:
-            ps = [3 * p + q for p in ps]
+            alpha, beta = 3 * alpha, 3 * beta + q
         elif action is _D:
-            ps = [p << 1 for p in ps]
+            alpha, beta = alpha << 1, beta << 1
         elif action is _B:
             q <<= 1
         else:  # F
-            ps = [p - q for p in ps]
+            beta -= q
             q *= 3
-        if (i == 0 or action is _F) and ps and min(ps) <= 0:
-            dipped.update(j for j, p in enumerate(ps) if p <= 0)
-    return ps, q, dipped
+        if i == 0 or action is _F:
+            low = max(low, -beta // alpha)
+    return alpha, beta, q, low

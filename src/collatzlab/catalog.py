@@ -149,22 +149,22 @@ class Claim:
         return None
 
     def columns(self, chunk: range):
-        """at over a step-1 range, a row at a time: (inputs, expected
-        values, script) for each row that is the first matching row of some
-        A of chunk, over those A in order; a None script is build_fn's. A
-        row drops the A of an earlier row only when the two residue classes
-        can meet."""
-        for j, (modulus, residue, (m, c), (m2, c2), script, least) in \
+        """at over a step-1 range, a row at a time: (ss, start, end, script,
+        least) for each row that is the first matching row of some A of
+        chunk, where ss holds the row's s of those A, ascending, as a range
+        of consecutive s; a None script is build_fn's. A row drops the A of
+        an earlier row only when the two residue classes can meet, and then
+        ss is a list."""
+        for j, (modulus, residue, start, end, script, least) in \
                 enumerate(self.rows):
-            lo = max(chunk.start, modulus * least + residue)
-            group = range(lo + (residue - lo) % modulus, chunk.stop, modulus)
+            ss = range(max(least, -((residue - chunk.start) // modulus)),
+                       (chunk.stop - 1 - residue) // modulus + 1)
             for m0, r0, *_, s0 in self.rows[:j]:
                 if (residue - r0) % gcd(modulus, m0) == 0:
-                    group = [a for a in group if a % m0 != r0 or a // m0 < s0]
-            if group:
-                ss = [a // modulus for a in group]
-                yield ([m * s + c for s in ss], [m2 * s + c2 for s in ss],
-                       script)
+                    ss = [s for s in ss if (a := modulus * s + residue) % m0
+                          != r0 or a // m0 < s0]
+            if ss:
+                yield ss, start, end, script, least
 
     def applies(self, a: int) -> bool:
         return self.at(a) is not None

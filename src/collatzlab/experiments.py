@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 from .actions import ModelId
 from .models import SUCCESSORS, bounded_graph
-from .search import SearchBounds, Unreachable, bfs, m0_descent, m0_undecided
+from .search import (SearchBounds, Unreachable, bfs, m0_descent, m0_drop,
+                     m0_undecided)
 
 
 def _circuits(s, adjacency):
@@ -168,7 +169,8 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
     # One ascending node loop for the three phases; each phase's induction
     # reads only its own ok of smaller nodes. The M0 walk from n is legal in
     # every phase and passes only values >= n before its first value d below
-    # n, so one walk serves all three phases.
+    # n, so one walk serves all three phases, and where the descent sieve
+    # shows that walk inside the cap and depth, m0_drop reads d off it.
     phases, runs = [], []
     for phase, dropped in _PHASE_DROPS.items():
         result = PhaseResult(phase=phase,
@@ -179,8 +181,10 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
         phases.append(result)
         runs.append((result, _phase_step(dropped), ok))
     for n in range(2, max_value + 1):
-        walk = m0_descent(n, bounds.max_value, bounds.max_depth)
-        d = walk[-1] if walk[-1] < n else 0
+        d = m0_drop(n, bounds.max_value, bounds.max_depth)
+        if d is None:
+            walk = m0_descent(n, bounds.max_value, bounds.max_depth)
+            d = walk[-1] if walk[-1] < n else 0
         for result, step, ok in runs:
             if ok[d] or _reaches_known(n, step, bounds, ok):
                 ok[n] = 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .actions import Action, ActionSeq, ModelId, Path
 from .actions import apply_seq  # noqa: F401  bound for bench/tracer.py
@@ -221,27 +222,46 @@ def stats_csv(values, max_depth: int = 100_000):
     return "\n".join(lines) + "\n"
 
 
+class SieveRow(NamedTuple):
+    """A decided class of the descent sieve: from n in the class, after j
+    steps with o triplings and h halvings, the walk is at (a*n + c) >> h
+    with a = 3^o, below n for every n > bound; every value before that is
+    at most p*n + q."""
+
+    j: int
+    bound: int
+    a: int
+    c: int
+    h: int
+    p: int
+    q: int
+
+
 @cache
 def _sieve(k):
     """Descent sieve of M0 modulo 2^k (Terras 1976; Everett 1977).
 
     For n = r (mod 2^k), n's walk has a fixed parity vector while fewer than
     k halvings have happened: after j steps with o triplings and h halvings
-    its value is (3^o * n + c) / 2^h. At the first j with 3^o < 2^h, every
-    n > c // (2^h - 3^o) drops below n at step j, and not earlier, since
-    every shorter prefix has 3^o >= 2^h. Row r is (j, that bound), or None
-    when the class stays open within k halvings (OEIS A076227 counts them).
+    its value is (3^o * n + c) >> h, exactly. At the first j with 3^o < 2^h,
+    every n > c // (2^h - 3^o) drops below n at step j, and not earlier,
+    since every shorter prefix has 3^o >= 2^h. Row r is that SieveRow, or
+    None when the class stays open within k halvings (OEIS A076227 counts
+    them).
     """
     rows = []
     for r in range(1 << k):
         x, a, c, h, j = r, 1, 0, 0, 0   # x = (a * r + c) >> h, a = 3^o
+        p, q = 1, 0                     # ceilings of a / 2^h and c / 2^h
         while h < k and a >= 1 << h:
             if x & 1:
                 x, a, c = 3 * x + 1, 3 * a, 3 * c + (1 << h)
+                p, q = max(p, -(-a >> h)), max(q, -(-c >> h))
             else:
                 x, h = x >> 1, h + 1
             j += 1
-        rows.append((j, c // ((1 << h) - a)) if a < 1 << h else None)
+        rows.append(SieveRow(j, c // ((1 << h) - a), a, c, h, p, q)
+                    if a < 1 << h else None)
     return tuple(rows)   # shared by every caller through the cache
 
 
@@ -251,7 +271,8 @@ def m0_undecided(limit: int, max_depth: int):
     rows whose j exceeds max_depth, and the n at or below a row's bound."""
     rows = _sieve(12)   # 4,096 classes, 226 of them open
     for r, row in enumerate(rows):
-        top = limit if row is None or row[0] > max_depth else min(row[1], limit)
+        top = (limit if row is None or row.j > max_depth
+               else min(row.bound, limit))
         yield from range(r or len(rows), top + 1, len(rows))
 
 
@@ -277,6 +298,19 @@ def m0_descent(n: int, max_value: int, max_depth: int) -> list[int]:
             if x <= n:
                 break
     return values
+
+
+def m0_drop(n: int, max_value: int, max_depth: int) -> int | None:
+    """The last value of ``m0_descent(n, max_value, max_depth)``, read off
+    n's row of the descent sieve with no walk, when the row shows it below
+    n: n above the row's bound, the row's j steps within max_depth and
+    every value before, at most p*n + q, within max_value; else None."""
+    rows = _sieve(12)
+    row = rows[n % len(rows)]
+    if (row is not None and n > row.bound and row.j <= max_depth
+            and row.p * n + row.q <= max_value):
+        return (row.a * n + row.c) >> row.h
+    return None
 
 
 def m0_script(values) -> ActionSeq:

@@ -2,13 +2,15 @@
 
 Every claim id, catalog lemma or special theorem, is one entry in an
 ordered registry: its model, its bounds dict, a check run once per A and,
-for the scripted claims, a column check run once per chunk of A. A column
-check replays each script once over the whole chunk and only says whether
-every A passed; on any miss the chunk is checked again A by A, so every
-failure and count comes from the per-A check. The catalog and cluster
-column checks are one replay, _rows_hold, over Claim.columns, so only the
-catalog reads a claim's rows. run_any_claim is the one loop that turns
-those checks into a report.
+for all but T.a-11 and T.edge-loop, a column check run once per chunk of
+A. A column check decides the chunk without a per-A replay where it can:
+the scripted claims walk each row once on its affine forms (_rows_hold,
+over Claim.columns, so only the catalog reads a claim's rows), the
+succession identities compose their sequence once, and the descend claims
+read each A's row of the descent sieve. It only says whether every A
+passed; on any miss the chunk is checked again A by A, so every failure
+and count comes from the per-A check. run_any_claim is the one loop that
+turns those checks into a report.
 """
 
 from __future__ import annotations
@@ -16,14 +18,16 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import compress
 
 from . import catalog
-from .actions import (ModelId, Path, apply_seq, evaluate_column,
-                      evaluate_exact, replay_column, seq_of)
+from .actions import (ModelId, Path, apply_seq, evaluate_exact,
+                      evaluate_form, seq_of, walk_form)
 from .actions import apply  # noqa: F401  bound for bench/tracer.py
 from .errors import DomainViolation, GuardViolation, UnknownClaim
-from .search import (SearchBounds, Unreachable, bfs_reach,
-                     bfs_reach_bidirectional, m0_descent, m0_script)
+from .search import (SearchBounds, SieveRow, Unreachable, _sieve, bfs_reach,
+                     bfs_reach_bidirectional, m0_descent, m0_drop, m0_script)
 
 
 @dataclass
@@ -113,19 +117,29 @@ def build_witness(claim: catalog.Claim, a: int) -> Path:
 CHUNK = 1024
 
 
+@cache
+def _walked(script, start, least, model):
+    """walk_form of a row's script over its start form, once per row: the
+    cache holds one entry per distinct row checked in the process."""
+    return walk_form(script.steps, *start, least, model)
+
+
 def _rows_hold(claim, chunk, bounds=None):
-    """How many A of chunk, a step-1 range, are in claim's domain, when
-    each of claim.columns(chunk) replays to its expected values under the
-    claim's model, in at most bounds.max_depth steps and with every value
-    <= bounds.max_value when bounds is given; None on any miss."""
-    cap = None if bounds is None else bounds.max_value
+    """How many A of chunk, a step-1 range, are in claim's domain, when the
+    script of each of claim.columns(chunk) is proved on the row's start
+    form to end on its end form, in at most bounds.max_depth steps and with
+    every value <= bounds.max_value at the row's largest s in chunk when
+    bounds is given (every form grows with s); None otherwise."""
     passed = 0
-    for inputs, expected, script in claim.columns(chunk):
-        if bounds is not None and len(script) > bounds.max_depth:
+    for ss, start, end, script, least in claim.columns(chunk):
+        walk = _walked(script, start, least, claim.model)
+        if walk is None or walk[0] != end:
             return None
-        if replay_column(script.steps, inputs, claim.model, cap) != expected:
+        if bounds is not None and (
+                len(script) > bounds.max_depth
+                or max(a * ss[-1] + b for a, b in walk[1]) > bounds.max_value):
             return None
-        passed += len(inputs)
+        passed += len(ss)
     return passed
 
 
@@ -163,10 +177,13 @@ def _succession(offset):
 
     Evaluated over signed exact rationals; intermediates that dip to zero
     or below are informational, never failures: they are counted as the
-    loop runs and reported in place of search bounds.
+    loop runs and reported in place of search bounds. The column check
+    composes the sequence once, as (alpha*x + beta) / q, and passes a chunk
+    when that is x + offset for every x.
     """
     seq = catalog.SUCCESSION_SEQS[offset]
     tally = {"nonpositive_intermediate_inputs": 0}
+    alpha, beta, q, low = evaluate_form(seq)
 
     def check(x, search_bounds):
         end, flagged = evaluate_exact(seq, x)
@@ -177,12 +194,11 @@ def _succession(offset):
         return [Failure(x, None, f"ended at {end}, expected {x + offset}")]
 
     def column(chunk, search_bounds):
-        xs = list(chunk)
-        ps, q, dipped = evaluate_column(seq, xs)
-        if ps != [(x + offset) * q for x in xs]:
+        if (alpha, beta) != (q, offset * q):
             return None
-        tally["nonpositive_intermediate_inputs"] += len(dipped)
-        return len(xs), 0
+        tally["nonpositive_intermediate_inputs"] += max(
+            0, min(chunk.stop, low + 1) - chunk.start)
+        return len(chunk), 0
 
     return ModelId.M2, lambda search_bounds: tally, check, column
 
@@ -290,6 +306,14 @@ def _cluster(kind):
 _SEQ_F = seq_of("F")
 
 
+def _descent_budget(a, bounds):
+    """descending_witness's (depth limit, value cap) at a: 512 and a * 2^20
+    when no bounds are given."""
+    if bounds is None:
+        return 512, a * 2**20
+    return bounds.max_depth, bounds.max_value
+
+
 def descending_witness(a: int, model: ModelId,
                        bounds: SearchBounds | None = None):
     """A guard-legal Path whose end is below a, or the search's Unreachable;
@@ -303,8 +327,7 @@ def descending_witness(a: int, model: ModelId,
     """
     if a < 1:
         raise ValueError(f"positive integer required, got {a}")
-    limit = bounds.max_depth if bounds is not None else 512
-    cap = bounds.max_value if bounds is not None else a * 2**20
+    limit, cap = _descent_budget(a, bounds)
     if a % 6 == 1 and a > 1 and (a - 1) // 3 <= cap:
         return apply_seq(_SEQ_F, a, model)
     walk = m0_descent(a, cap, limit) if a <= cap else [a]
@@ -315,8 +338,38 @@ def descending_witness(a: int, model: ModelId,
                      bounds or SearchBounds(max_value=cap, max_depth=limit))
 
 
+def _unsearched(a, bounds):
+    """Whether descending_witness(a, model, bounds), a > 1, passes without
+    a search: by the F strip, or by an m0_descent walk that the descent
+    sieve shows dropping below a within the depth limit and value cap."""
+    limit, cap = _descent_budget(a, bounds)
+    return (a % 6 == 1 and (a - 1) // 3 <= cap
+            or m0_drop(a, cap, limit) is not None)
+
+
+@cache
+def _open_classes():
+    """(flags, top): over two periods of 3 * 2^12, so that the flags from
+    any A's residue on cover a chunk, flags[A % 3 * 2^12] is 1 when neither
+    the F strip nor a decided sieve row can pass A; top holds the largest
+    of each field over the decided rows. So _unsearched passes every A
+    above top.bound whose flag is 0 once top.j <= the depth limit and
+    top.p*A + top.q <= the value cap (p >= 1 and q >= 0, so A is within the
+    cap too)."""
+    rows = _sieve(12)
+    flags = bytes(r % 6 != 1 and rows[r % len(rows)] is None
+                  for r in range(3 * len(rows)))
+    return memoryview(flags * 2), SieveRow(*map(max, zip(*filter(None, rows))))
+
+
 def _descend(model):
-    """Descending theorem: some H with H(A) < A exists for every A >= 2."""
+    """Descending theorem: some H with H(A) < A exists for every A >= 2.
+
+    The column check runs the per-A check only on the A that _unsearched
+    does not pass, which in a chunk above every sieve bound, and within the
+    budget at the sieve's largest j, p and q, are the flagged A of
+    _open_classes. Any failure gives None.
+    """
     def check(a, search_bounds):
         if a < 2:
             return None
@@ -328,7 +381,23 @@ def _descend(model):
                             list(witness.values))]
         return []
 
-    return model, _bounds_dict, check, None
+    def column(chunk, search_bounds):
+        flags, top = _open_classes()
+        # the budget is linear in A: holding at both ends, it holds between
+        if top.bound < chunk.start and all(
+                top.j <= limit and top.p * a + top.q <= cap
+                for a in (chunk.start, chunk[-1])
+                for limit, cap in [_descent_budget(a, search_bounds)]):
+            slow = compress(chunk, flags[chunk.start % (len(flags) // 2):])
+        else:
+            slow = [a for a in chunk
+                    if a > 1 and not _unsearched(a, search_bounds)]
+        if any(check(a, search_bounds) for a in slow):
+            return None
+        passed = len(range(max(chunk.start, 2), chunk.stop))
+        return passed, len(chunk) - passed
+
+    return model, _bounds_dict, check, column
 
 
 def _edge_loop(a, search_bounds):

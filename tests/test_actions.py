@@ -1,6 +1,7 @@
 """Action algebra: exact maps, guard tables, sequences, paths."""
 
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -13,9 +14,9 @@ import collatzlab
 from collatzlab import search
 from collatzlab.actions import (INTEGER_MODELS, Action, ActionSeq, ModelId,
                                 Path, _replay, action_function, apply,
-                                apply_seq, evaluate_column, evaluate_exact,
-                                inverse_seq, is_legal, replay_column, seq_of,
-                                validate_trace)
+                                apply_seq, evaluate_exact, evaluate_form,
+                                inverse_seq, is_legal, seq_of, validate_trace,
+                                walk_form)
 from collatzlab.catalog import CLUSTER_TABLE, SUCCESSION_SEQS, Claim
 from collatzlab.errors import (CollatzlabError, DomainViolation,
                                GuardViolation)
@@ -455,7 +456,10 @@ def test_enum_members_hash_by_identity_and_survive_pickling(member):
 
 
 
-COLUMN_XS = range(1, 2 * 10**4 + 1)
+# Forms x = a*s + b walked from a least s, positive and not; the guards read
+# x mod 6, so s in least .. least + 5 meets every case of every step.
+FORMS = [(a, b, least) for a in (0, 1, 2, 3, 6, 9, 12, 18)
+         for b in range(-4, 13) for least in (0, 1)]
 # The letters each integer model can take at some x.
 MODEL_LETTERS = {ModelId.M0: "TB", ModelId.MS: "TBF", ModelId.M1: "TBFD"}
 
@@ -465,94 +469,102 @@ def random_scripts(rng, letters, count):
                   for _ in range(rng.randint(1, 16))) for _ in range(count)]
 
 
-def check_column_against_replay(steps, model):
-    """replay_column agrees with _replay, x by x, over COLUMN_XS; returns
-    how many x replay."""
-    walks = {}
-    for x in COLUMN_XS:
-        try:
-            walks[x] = _replay(steps, x, model)
-        except (GuardViolation, DomainViolation):
-            walks[x] = None
-    legal = [x for x, walk in walks.items() if walk is not None]
-    illegal = [x for x, walk in walks.items() if walk is None]
-    assert replay_column(steps, legal, model) == [walks[x][-1] for x in legal]
-    assert (replay_column(steps, list(COLUMN_XS), model) is None) \
-        == bool(illegal)
-    # one start that raises sinks the column, wherever it sits
-    for x in illegal[:2] + illegal[-2:]:
-        assert replay_column(steps, legal + [x], model) is None
-        assert replay_column(steps, [x] + legal, model) is None
-    # a cap at a column's peak keeps it, one below the peak sinks it
-    for column in [legal] + [[x] for x in legal[:5] + legal[-5:]]:
-        if column:
-            peak = max(max(walks[x]) for x in column)
-            assert replay_column(steps, column, model, peak) \
-                == [walks[x][-1] for x in column]
-            assert replay_column(steps, column, model, peak - 1) is None
-    return len(legal)
+def replay_or_none(steps, x, model):
+    try:
+        return _replay(steps, x, model)
+    except (GuardViolation, DomainViolation):
+        return None
+
+
+def check_form_against_replay(steps, model, forms=FORMS):
+    """walk_form agrees with _replay, s by s, on every form: it proves a
+    form exactly when every s from least on replays, its end form gives
+    every end and its peak forms every peak; returns how many it proves."""
+    proved = 0
+    for a, b, least in forms:
+        walk = walk_form(steps, a, b, least, model)
+        ss = [*range(least, least + 6), least + 97, least + 10**6]
+        walks = [replay_or_none(steps, a * s + b, model) for s in ss]
+        assert (walk is not None) == all(w is not None for w in walks[:6]), \
+            (steps, a, b, least)
+        if walk is None:
+            continue
+        proved += 1
+        (a_end, b_end), peaks = walk
+        for s, values in zip(ss, walks):
+            assert values[-1] == a_end * s + b_end
+            assert max(values) == max(p * s + c for p, c in peaks)
+    return proved
 
 
 @pytest.mark.parametrize("model", INTEGER_MODELS, ids=str)
-def test_replay_column_matches_replay_for_every_single_action(model):
-    legal = {action.value: check_column_against_replay((action,), model)
-             for action in Action}
-    assert legal == {
-        ModelId.M0: {"T": 10**4, "B": 10**4, "F": 0, "D": 0},
-        ModelId.MS: {"T": 10**4, "B": 10**4, "F": 6666, "D": 0},
-        ModelId.M1: {"T": 2 * 10**4, "B": 10**4, "F": 6666, "D": 2 * 10**4},
-    }[model]
+def test_walk_form_matches_replay_for_every_single_action(model):
+    proved = {action.value: check_form_against_replay((action,), model)
+              for action in Action}
+    # a letter proves on some form exactly when the model can take it, and
+    # on every positive form exactly when it is unguarded
+    positive = sum(a * least + b >= 1 for a, b, least in FORMS)
+    for letter, n in proved.items():
+        assert (n > 0) == (letter in MODEL_LETTERS[model]), letter
+        assert (n == positive) == (model is ModelId.M1 and letter in "TD")
 
 
 @pytest.mark.parametrize("model", INTEGER_MODELS, ids=str)
-def test_replay_column_matches_replay_on_seeded_random_scripts(model):
+def test_walk_form_matches_replay_on_seeded_random_scripts(model):
     rng = random.Random(23)
-    scripts = (random_scripts(rng, MODEL_LETTERS[model], 10)
-               + random_scripts(rng, "TBFD", 4))
-    legal = [check_column_against_replay(steps, model) for steps in scripts]
-    # both outcomes are met: some scripts replay somewhere, some nowhere
-    assert any(legal) and not all(legal)
+    scripts = (random_scripts(rng, MODEL_LETTERS[model], 30)
+               + random_scripts(rng, "TBFD", 8))
+    proved = [check_form_against_replay(steps, model) for steps in scripts]
+    # both outcomes are met: some scripts prove on some form, some on none
+    assert any(proved) and not all(proved)
 
 
-def test_replay_column_matches_replay_on_the_cluster_table_scripts():
-    scripts = {row[4].steps for claim in CLUSTER_TABLE.values()
-               for row in claim.rows}
-    assert len(scripts) == 26   # 28 rows; two scripts serve two pairs each
-    for steps in scripts:
-        assert check_column_against_replay(steps, ModelId.M1) > 0, steps
+def test_walk_form_matches_replay_on_the_cluster_table_scripts():
+    rows = [row for claim in CLUSTER_TABLE.values() for row in claim.rows]
+    assert len({row[4].steps for row in rows}) == 26   # 28 rows
+    for _, _, start, end, script, least in rows:
+        assert walk_form(script.steps, *start, least, ModelId.M1)[0] == end
+        assert check_form_against_replay(script.steps, ModelId.M1,
+                                         [(*start, least)]) == 1
 
 
-def test_replay_column_edge_cases():
+def test_walk_form_edge_cases():
     for model in INTEGER_MODELS:
-        assert replay_column((Action.T,), [], model) == []
-        # a start below 1 raises in _replay, so it sinks the column
-        assert replay_column((Action.B,), [4, 0], model) is None
-        assert replay_column((Action.T,), [-3, 5], model) is None
-        # no step: every start is its own end, as in _replay, but the start
-        # still counts toward the cap
-        assert replay_column((), [0, -3], model) == [0, -3]
-        assert replay_column((), [7], model, 7) == [7]
-        assert replay_column((), [7], model, 6) is None
-    # F at 1 would give 0: it breaks the guard, as in _replay
-    assert replay_column((Action.F,), [4, 1], ModelId.MS) is None
-    assert replay_column((Action.F,), [4, 7], ModelId.MS) == [1, 2]
+        # no step: the start is the end and the peak, even below 1, as in
+        # _replay
+        assert walk_form((), 0, -3, 0, model) == ((0, -3), ((0, -3),))
+        # a start below 1 for some s raises in _replay, so it is no proof
+        assert walk_form((Action.T,), 0, 0, 1, model) is None
+        assert walk_form((Action.T,), -1, 99, 0, model) is None
+        assert walk_form((Action.B,), 2, -2, 1, model) is None
+        assert walk_form((Action.B,), 2, -2, 2, model) == ((1, -1),
+                                                           ((2, -2), (1, -1)))
+    # F at x = 1 would give 0: a form that meets 1 at least is no proof
+    assert walk_form((Action.F,), 3, 1, 0, ModelId.MS) is None
+    assert walk_form((Action.F,), 0, 1, 5, ModelId.MS) is None
+    assert walk_form((Action.F,), 3, 1, 1, ModelId.MS) == ((1, 0),
+                                                           ((3, 1), (1, 0)))
+    # the start is a peak when the walk first goes down, not when it rises
+    assert walk_form(seq_of("TB").steps, 2, 1, 0, ModelId.M1) == (
+        (3, 2), ((6, 4), (3, 2)))
 
 
-def test_evaluate_column_matches_evaluate_exact():
-    xs = list(range(-200, 2 * 10**4 + 1))
+def test_evaluate_form_matches_evaluate_exact():
+    xs = range(-200, 2000)
     rng = random.Random(23)
-    seqs = ([ActionSeq((action,)) for action in Action]
+    seqs = ([ActionSeq(())] + [ActionSeq((action,)) for action in Action]
             + list(SUCCESSION_SEQS.values())
-            + [ActionSeq(steps) for steps in random_scripts(rng, "TBFD", 12)])
+            + [ActionSeq(steps) for steps in random_scripts(rng, "TBFD", 40)])
     dipped_positive = 0
     for seq in seqs:
-        ps, q, dipped = evaluate_column(seq, xs)
-        assert len(ps) == len(xs) and q > 0
-        for i, x in enumerate(xs):
+        alpha, beta, q, low = evaluate_form(seq)
+        assert alpha > 0 and q > 0
+        for x in xs:
             end, flagged = evaluate_exact(seq, x)
-            assert ps[i] * end.denominator == end.numerator * q, (seq, x)
-            assert (i in dipped) == bool(flagged), (seq, x)
-        dipped_positive += sum(xs[i] > 0 for i in dipped)
+            assert end == Fraction(alpha * x + beta, q), (seq, x)
+            assert (x <= low) == bool(flagged), (seq, x)
+        dipped_positive += max(0, min(low, xs[-1]))
     assert dipped_positive > 0
-    assert evaluate_column(seq_of("FF"), [1, 7]) == ([-3, 3], 9, {0})
-    assert evaluate_column(seq_of("TB"), []) == ([], 2, set())
+    assert evaluate_form(seq_of("FF")) == (1, -4, 9, 4)
+    assert evaluate_form(seq_of("TB")) == (3, 1, 2, -1)
+    assert evaluate_form(ActionSeq(())) == (1, 0, 1, -math.inf)

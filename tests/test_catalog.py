@@ -272,7 +272,8 @@ def test_only_the_node_loop_rows_overlap_and_column_groups_keep_first_match():
     node_loop = build_claims()["T.node-loop"]
     assert [a for a in a_range if _matching_rows(node_loop, a)[:1] == [3]] \
         == [1]
-    # a column holds the A of one row, the first matching row of each
+    # a column holds the A of one row, the first matching row of each, as
+    # the row's s: a range of consecutive s but for the overlapping TBB row
     for claim in claims:
         for chunk in (range(-40, 41), range(1, CHUNK + 1),
                       range(997, 997 + CHUNK)):
@@ -280,10 +281,16 @@ def test_only_the_node_loop_rows_overlap_and_column_groups_keep_first_match():
             for a in chunk:
                 if rows := _matching_rows(claim, a):
                     first.setdefault(rows[0], []).append(a)
-            assert list(claim.columns(chunk)) == [
-                ([claim.at(a)[0] for a in group],
-                 [claim.at(a)[1] for a in group], claim.rows[j][4])
+            columns = list(claim.columns(chunk))
+            assert [(list(ss), *rest) for ss, *rest in columns] == [
+                ([a // claim.rows[j][0] for a in group], *claim.rows[j][2:])
                 for j, group in sorted(first.items())], (claim.id, chunk)
+            assert [isinstance(ss, range) for ss, *_ in columns] == [
+                (claim.id, j) != ("T.node-loop", 3) for j in sorted(first)]
+            for (ss, (m, c), (m2, c2), *_), group in zip(
+                    columns, (first[j] for j in sorted(first))):
+                assert [(m * s + c, m2 * s + c2) for s in ss] == [
+                    claim.at(a)[:2] for a in group], (claim.id, chunk)
 
 
 def test_unsplit_cluster_pairs_are_the_suffix_lemma_rows():

@@ -194,10 +194,37 @@ def test_descent_sieve_matches_a_walk_per_class():
         for r, row in enumerate(search._sieve(k)):
             if row is None:
                 continue
-            j, bound = row
+            j, bound, *_ = row
             n = bound + 1 + (r - bound - 1) % 2**k   # least n > bound in r
             assert n > 1 and n % 2**k == r, (k, r)
             assert first_drop_step(n) == j, (k, r, n)
+
+
+def test_every_sieve_row_gives_its_walks_end_and_a_bound_on_their_peak():
+    for k in (8, 12):
+        for r, row in enumerate(search._sieve(k)):
+            if row is None:
+                continue
+            j, bound, a, c, h, p, q = row
+            least = bound + 1 + (r - bound - 1) % 2**k   # least n > bound
+            for n in (least, least + 2**k, least + 7 * 2**k,
+                      least + 12345 * 2**k, least + 2**40 * 2**k):
+                values = [n]
+                for _ in range(j):
+                    x = values[-1]
+                    values.append(3 * x + 1 if x % 2 else x // 2)
+                assert values[-1] < n <= min(values[:-1]), (k, r, n)
+                assert values[-1] == (a * n + c) >> h, (k, r, n)
+                assert p * n + q >= max(values), (k, r, n)
+    # what the column checks read at k = 12: short walks and small bounds,
+    # each below its own residue but at r = 1, so no n > 1 is at or below
+    # its row's bound
+    rows = search._sieve(12)
+    decided = [row for row in rows if row is not None]
+    assert max(row.j for row in decided) == 19
+    assert max(row.bound for row in decided) == 24
+    assert [r for r, row in enumerate(rows) if row and row.bound >= r] \
+        == [0, 1]
 
 
 def plain_walk(n):

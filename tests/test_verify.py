@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from collatzlab.actions import (Action, ActionSeq, ModelId, apply_seq,
+from collatzlab.actions import (Action, ActionSeq, ModelId, Path, apply_seq,
                                 evaluate_exact, inverse_seq, seq_of)
+from collatzlab import search
 from collatzlab.catalog import CLUSTER_TABLE, SUCCESSION_SEQS, build_claims
 from collatzlab.errors import DomainViolation, GuardViolation, UnknownClaim
 from collatzlab.models import successors
@@ -579,3 +580,218 @@ def test_a_mutant_row_falls_back_to_the_per_a_check(claim_id, row, index):
     report = run_any_claim(claim_id, a_range, claims=mutated)
     assert report.failed > 0
     assert report.to_dict() == _per_a_catalog(mutated[claim_id], a_range)
+
+
+# Column verdicts against per-A checks: a column check passes a chunk, with
+# the per-A counts, exactly when no A of it fails, and gives None otherwise.
+ORACLE_CHUNKS = [range(CHUNK - 40, CHUNK + 41), range(-60, 20),
+                 range(1, CHUNK + 1), range(CHUNK + 1, 2 * CHUNK + 1),
+                 range(2 * CHUNK + 1, 3001)]
+ROW_CLAIMS = [*(claim for claim in build_claims().values()
+                if claim.build_fn is None), *CLUSTER_TABLE.values()]
+
+
+def _per_a_rows_hold(claim, chunk, bounds=None):
+    """Reference for verify._rows_hold: A by A, through Claim.at and
+    apply_seq, under the depth and value caps when bounds is given."""
+    passed = 0
+    for a in chunk:
+        if (found := claim.at(a)) is None:
+            continue
+        start, expected, script = found
+        try:
+            path = apply_seq(script, start, claim.model)
+        except (GuardViolation, DomainViolation):
+            return None
+        if path.end != expected or bounds is not None and (
+                len(script) > bounds.max_depth
+                or path.peak > bounds.max_value):
+            return None
+        passed += 1
+    return passed
+
+
+@pytest.mark.parametrize("claim", ROW_CLAIMS,
+                         ids=[f"{claim.id}-{i}" for i, claim
+                              in enumerate(ROW_CLAIMS)])
+def test_every_row_column_verdict_is_the_per_a_verdict(claim):
+    from collatzlab.verify import _rows_hold
+
+    for chunk in ORACLE_CHUNKS:
+        peak = max((apply_seq(found[2], found[0], claim.model).peak
+                    for a in chunk if (found := claim.at(a))), default=None)
+        grid = [None, SearchBounds(max_value=2**20),
+                SearchBounds(max_value=4096, max_depth=12)]
+        if peak is not None:
+            # every row fits at its chunk's largest peak, and one does not
+            # fit a cap one below it
+            grid += [SearchBounds(max_value=peak, max_depth=1000),
+                     SearchBounds(max_value=peak - 1, max_depth=1000)]
+            assert _rows_hold(claim, chunk, grid[-2]) is not None
+            assert _rows_hold(claim, chunk, grid[-1]) is None
+        for bounds in grid:
+            assert _rows_hold(claim, chunk, bounds) == _per_a_rows_hold(
+                claim, chunk, bounds), (claim.id, chunk, bounds)
+
+
+def _column_and_per_a(entry, chunk, bounds):
+    """(column verdict, per-A verdict) of one registry entry on chunk:
+    None when some A fails, else the (passed, skipped) counts."""
+    _, _, check, column = entry
+    results = [check(a, bounds) for a in chunk]
+    per_a = None if any(results) else (results.count([]),
+                                       results.count(None))
+    return column(chunk, bounds), per_a
+
+
+@pytest.mark.parametrize("offset", list(SUCCESSION_SEQS))
+def test_succession_column_verdicts_and_tallies_are_the_per_a_ones(offset):
+    from collatzlab.verify import _succession
+
+    for chunk in [*ORACLE_CHUNKS, range(-3000, -2000)]:
+        column_entry, per_a_entry = _succession(offset), _succession(offset)
+        column, _ = _column_and_per_a(column_entry, chunk, None)
+        _, per_a = _column_and_per_a(per_a_entry, chunk, None)
+        assert column == per_a == (len(chunk), 0)
+        assert column_entry[1](None) == per_a_entry[1](None), chunk
+
+
+@pytest.mark.parametrize("claim_id", ["T.descend-ms", "L.descend-m1"])
+def test_descend_column_verdicts_are_the_per_a_ones(claim_id):
+    from collatzlab.verify import _registry
+
+    entry = _registry({})[claim_id]
+    for chunk in ORACLE_CHUNKS:
+        peak = max(max(descending_witness(a, ModelId.MS).values)
+                   for a in chunk if a > 1)
+        for bounds in (None, SearchBounds(max_value=4096, max_depth=12),
+                       SearchBounds(max_value=300, max_depth=64),
+                       SearchBounds(max_value=10**6, max_depth=30),
+                       SearchBounds(max_value=peak, max_depth=512),
+                       SearchBounds(max_value=peak - 1, max_depth=512)):
+            column, per_a = _column_and_per_a(entry, chunk, bounds)
+            assert column == per_a, (claim_id, chunk, bounds)
+
+
+def _one_letter_mutant(claim, row, index):
+    entry = claim.rows[row]
+    steps = entry[4].steps
+    other = next(a for a in Action if a is not steps[index])
+    mutant = ActionSeq(steps[:index] + (other,) + steps[index + 1:])
+    rows = list(claim.rows)
+    rows[row] = entry[:4] + (mutant,) + entry[5:]
+    return dataclasses.replace(claim, rows=tuple(rows))
+
+
+def test_a_planted_mutant_fails_its_chunk_then_fails_per_a(monkeypatch):
+    from collatzlab import catalog
+    from collatzlab.verify import _rows_hold
+
+    # a catalog row: the chunk fails, and the per-A check gives the texts of
+    # a replay A by A
+    claims = build_claims()
+    mutated = dict(claims)
+    mutated["L.21-11.last1"] = _one_letter_mutant(claims["L.21-11.last1"],
+                                                  0, 3)
+    assert _rows_hold(mutated["L.21-11.last1"], range(1, CHUNK + 1)) is None
+    report = run_any_claim("L.21-11.last1", range(1, 200), claims=mutated)
+    assert report.failed > 0
+    assert report.to_dict() == _per_a_catalog(mutated["L.21-11.last1"],
+                                              range(1, 200))
+    # a cluster table row: the chunk fails, and each pair goes back to the
+    # replay and the search
+    monkeypatch.setitem(catalog.CLUSTER_TABLE, (0, 4),
+                        _one_letter_mutant(CLUSTER_TABLE[0, 4], 0, 2))
+    assert _rows_hold(catalog.CLUSTER_TABLE[0, 4], range(1, 61),
+                      SearchBounds(max_value=2**20)) is None
+    assert run_any_claim("T.cluster-five", range(1, 61)).to_dict() \
+        == cluster_oracle("five", range(1, 61), replay="table")
+    # a sequence for another offset composes to x + 2, not x + 1: its
+    # slope is right, its constant is not
+    monkeypatch.setitem(catalog.SUCCESSION_SEQS, 1, SUCCESSION_SEQS[2])
+    report = run_any_claim("T.succ1", range(1, CHUNK + 5))
+    assert report.failed == CHUNK + 4
+    assert report.failures[0].reason == "ended at 3, expected 2"
+    assert report.to_dict() == _per_a_succession(1, range(1, CHUNK + 5))
+    # a succession sequence: the composition fails, and so does every x
+    mutant = _one_letter_mutant(build_claims()["L.10-11"], 0, 4).rows[0][4]
+    monkeypatch.setitem(catalog.SUCCESSION_SEQS, 1, mutant)
+    report = run_any_claim("T.succ1", range(-5, CHUNK + 5))
+    assert report.failed == len(range(-5, CHUNK + 5))
+    assert report.to_dict() == _per_a_succession(1, range(-5, CHUNK + 5))
+
+
+def test_column_checks_replay_no_script_and_descend_walks_only_open_a(
+        monkeypatch):
+    from collatzlab import actions, search, verify
+
+    replays, walks = [], []
+    replay, descent = actions._replay, verify.m0_descent
+
+    def counted_replay(*args):
+        replays.append(args)
+        return replay(*args)
+
+    def counted_descent(n, *args):
+        walks.append(n)
+        return descent(n, *args)
+
+    monkeypatch.setattr(actions, "_replay", counted_replay)
+    monkeypatch.setattr(verify, "m0_descent", counted_descent)
+    for claim_id in COLUMN_CLAIMS:
+        assert run_any_claim(claim_id, range(1, 5001)).failed == 0
+    assert (replays, walks) == ([], [])
+    # the descend claims walk the A that neither the F strip nor a decided
+    # sieve row passes: the open classes and the A at or below a row's bound
+    rows = search._sieve(12)
+    open_a = [a for a in range(2, 5001) if a % 6 != 1
+              and (rows[a % 4096] is None or a <= rows[a % 4096].bound)]
+    for claim_id in ("T.descend-ms", "L.descend-m1"):
+        assert run_any_claim(claim_id, range(1, 5001)).failed == 0
+    assert replays == [] and walks == 2 * open_a
+    assert 0 < len(open_a) < 5000 // 20
+
+
+def _needs_a_walk(a, bounds):
+    """Whether descending_witness(a, ...) takes neither its F strip nor an
+    m0_descent walk that a decided sieve row shows within the budget: A
+    above the row's bound, the row's j steps within the depth limit and
+    p*A + q within the value cap."""
+    limit, cap = ((512, a * 2**20) if bounds is None
+                  else (bounds.max_depth, bounds.max_value))
+    if a % 6 == 1 and (a - 1) // 3 <= cap:
+        return False
+    row = search._sieve(12)[a % 4096]
+    if row is None or a <= row.bound or row.j > limit:
+        return True
+    return row.p * a + row.q > cap
+
+
+def test_the_descend_column_checks_exactly_the_a_no_sieve_row_passes(
+        monkeypatch):
+    from collatzlab import verify
+
+    # every per-A check passes here, so the column checks all it selects
+    checked = []
+
+    def passing(a, model, bounds):
+        checked.append(a)
+        return Path(model, a, ActionSeq(()), a - 1, (a, a - 1))
+
+    monkeypatch.setattr(verify, "descending_witness", passing)
+    decided = [row for row in search._sieve(12) if row is not None]
+    p, q = max(row.p for row in decided), max(row.q for row in decided)
+    _, _, _, column = verify._registry({})["T.descend-ms"]
+    for chunk in ORACLE_CHUNKS:
+        # the last two caps hold every row's p*A + q only for the lower
+        # part of chunk
+        for bounds in (None, SearchBounds(max_value=4096, max_depth=12),
+                       SearchBounds(max_value=10**6, max_depth=30),
+                       SearchBounds(max_value=max(p * chunk.start + q, 1)),
+                       SearchBounds(max_value=max(12 * chunk[-1], 1))):
+            checked.clear()
+            passed = len(range(max(chunk.start, 2), chunk.stop))
+            assert column(chunk, bounds) == (passed, len(chunk) - passed)
+            assert checked == [a for a in chunk
+                               if a > 1 and _needs_a_walk(a, bounds)], \
+                (chunk, bounds)
