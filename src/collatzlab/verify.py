@@ -19,14 +19,13 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import compress
 
 from . import catalog
 from .actions import (ModelId, Path, apply_seq, evaluate_exact,
                       evaluate_form, seq_of, walk_form)
 from .actions import apply  # noqa: F401  bound for bench/tracer.py
 from .errors import DomainViolation, GuardViolation, UnknownClaim
-from .search import (SearchBounds, SieveRow, Unreachable, _sieve, bfs_reach,
+from .search import (SearchBounds, Unreachable, bfs_reach,
                      bfs_reach_bidirectional, m0_descent, m0_drop, m0_script)
 
 
@@ -314,6 +313,12 @@ def _descent_budget(a, bounds):
     return bounds.max_depth, bounds.max_value
 
 
+def _strips(a, cap):
+    """Whether descending_witness takes its F strip at a: a = 1 (mod 6),
+    a > 1 and the end (a - 1) / 3 within the value cap."""
+    return a % 6 == 1 and a > 1 and (a - 1) // 3 <= cap
+
+
 def descending_witness(a: int, model: ModelId,
                        bounds: SearchBounds | None = None):
     """A guard-legal Path whose end is below a, or the search's Unreachable;
@@ -328,7 +333,7 @@ def descending_witness(a: int, model: ModelId,
     if a < 1:
         raise ValueError(f"positive integer required, got {a}")
     limit, cap = _descent_budget(a, bounds)
-    if a % 6 == 1 and a > 1 and (a - 1) // 3 <= cap:
+    if _strips(a, cap):
         return apply_seq(_SEQ_F, a, model)
     walk = m0_descent(a, cap, limit) if a <= cap else [a]
     if walk[-1] < a:
@@ -339,36 +344,18 @@ def descending_witness(a: int, model: ModelId,
 
 
 def _unsearched(a, bounds):
-    """Whether descending_witness(a, model, bounds), a > 1, passes without
-    a search: by the F strip, or by an m0_descent walk that the descent
-    sieve shows dropping below a within the depth limit and value cap."""
+    """Whether descending_witness(a, model, bounds) passes with no walk: by
+    the F strip, or by an m0_descent walk whose end m0_drop reads below a
+    off the descent sieve (it needs a <= cap, as p*a + q <= cap does)."""
     limit, cap = _descent_budget(a, bounds)
-    return (a % 6 == 1 and (a - 1) // 3 <= cap
-            or m0_drop(a, cap, limit) is not None)
-
-
-@cache
-def _open_classes():
-    """(flags, top): over two periods of 3 * 2^12, so that the flags from
-    any A's residue on cover a chunk, flags[A % 3 * 2^12] is 1 when neither
-    the F strip nor a decided sieve row can pass A; top holds the largest
-    of each field over the decided rows. So _unsearched passes every A
-    above top.bound whose flag is 0 once top.j <= the depth limit and
-    top.p*A + top.q <= the value cap (p >= 1 and q >= 0, so A is within the
-    cap too)."""
-    rows = _sieve(12)
-    flags = bytes(r % 6 != 1 and rows[r % len(rows)] is None
-                  for r in range(3 * len(rows)))
-    return memoryview(flags * 2), SieveRow(*map(max, zip(*filter(None, rows))))
+    return _strips(a, cap) or m0_drop(a, cap, limit) is not None
 
 
 def _descend(model):
     """Descending theorem: some H with H(A) < A exists for every A >= 2.
 
-    The column check runs the per-A check only on the A that _unsearched
-    does not pass, which in a chunk above every sieve bound, and within the
-    budget at the sieve's largest j, p and q, are the flagged A of
-    _open_classes. Any failure gives None.
+    The column check runs the per-A check only on the A > 1 that
+    _unsearched does not pass. Any failure gives None.
     """
     def check(a, search_bounds):
         if a < 2:
@@ -382,17 +369,8 @@ def _descend(model):
         return []
 
     def column(chunk, search_bounds):
-        flags, top = _open_classes()
-        # the budget is linear in A: holding at both ends, it holds between
-        if top.bound < chunk.start and all(
-                top.j <= limit and top.p * a + top.q <= cap
-                for a in (chunk.start, chunk[-1])
-                for limit, cap in [_descent_budget(a, search_bounds)]):
-            slow = compress(chunk, flags[chunk.start % (len(flags) // 2):])
-        else:
-            slow = [a for a in chunk
-                    if a > 1 and not _unsearched(a, search_bounds)]
-        if any(check(a, search_bounds) for a in slow):
+        if any(check(a, search_bounds) for a in chunk
+               if a > 1 and not _unsearched(a, search_bounds)):
             return None
         passed = len(range(max(chunk.start, 2), chunk.stop))
         return passed, len(chunk) - passed
