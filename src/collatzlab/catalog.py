@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 from .actions import ActionSeq, ModelId, inverse_seq, seq_of
 
@@ -78,83 +78,75 @@ SMALL_TO_FOUR = {
     1: "T", 2: "D", 3: "TBTBB", 4: "", 5: "TBB", 6: "BTBTBB", 7: "FD", 8: "B",
 }
 
-
-def seq_21_to_11(a: int) -> ActionSeq:
-    """A21 -> A11 script for A's class."""
-    return SEQ_TO_11[7][a_class(a)]
-
-
-def seq_22_to_11(a: int) -> ActionSeq:
-    """A22 -> A11 script for A's class."""
-    return SEQ_TO_11[8][a_class(a)]
-
-
-_SEQ_FF = seq_of("FF")   # erases a trailing '11': 9W+4 -> 3W+1 -> W
-
-# Per residue r = v mod 9: the scripts from 9W+r to A11 = 9W+4 or to A21 =
-# 9W+7, then the conditional script on to 9W+4, if one.
-_TO_HUB = (((SEQ_00_11,), None), ((SEQ_01_11,), None), ((SEQ_02_11,), None),
-           ((SEQ_10_11,), None), ((), None), ((SEQ_12_21,), seq_21_to_11),
-           ((SEQ_20_21,), seq_21_to_11), ((), seq_21_to_11),
-           ((), seq_22_to_11))
-
-
-def to_eleven_script(value: int) -> ActionSeq:
-    """A full witness script value => 4 built from the cluster lemmas.
-
-    Strips two ternary digits per round: move within the 9-cluster to the
-    hub 9W+4, then erase the '11' suffix; finish with a table lookup once
-    below 9.
-    """
-    if value < 1:
-        raise ValueError(f"positive integer required, got {value}")
-    parts = []
-    v = value
-    while v > 8:
-        w, r = divmod(v, 9)
-        lead, hop = _TO_HUB[r]
-        parts += lead
-        if hop:
-            parts.append(hop(w))
-        parts.append(_SEQ_FF)
-        v = w
-    if SMALL_TO_FOUR[v]:
-        parts.append(seq_of(SMALL_TO_FOUR[v]))
-    steps = tuple(a for part in parts for a in part.steps)
-    return ActionSeq(steps)
+# T.a-11's rows. A round takes A = 9W + r >= 9 to W. _LEADS[r] moves
+# 9W + r to the hub A11 = 9W + 4 when r < 5, else to A21 = 9W + 7 (r < 8)
+# or A22 = 9W + 8, from which SEQ_TO_11[max(r, 7)][a_class(W)] goes on to
+# the hub; then FF erases the '11' (9W+4 -> 3W+1 -> W). a_class reads only
+# W mod 6, so A = 54s + 9c + r, with W = 6s + c >= 1, is one row per (c, r).
+_EMPTY = seq_of("")
+_LEADS = (SEQ_00_11, SEQ_01_11, SEQ_02_11, SEQ_10_11, _EMPTY, SEQ_12_21,
+          SEQ_20_21, _EMPTY, _EMPTY)
+_ROUND_ROWS = tuple(
+    (54, 9 * c + r, (54, 9 * c + r), (6, c),
+     lead + (SEQ_TO_11[max(r, 7)][a_class(c)] if r >= 5 else _EMPTY)
+     + seq_of("FF"), int(c == 0))
+    for c in range(6) for r, lead in enumerate(_LEADS))
+# One base row per v < 9: SMALL_TO_FOUR[v] on the least form m*s + v (m a
+# multiple of 9) it proves on for every s, ending on e*s + 4. The round
+# rows come first and take every A >= 9, so only A = v reaches it; the
+# empty row 4 -> 4 ends the chain.
+_BASE_ROWS = tuple((m, v, (m, v), (e, 4), seq_of(SMALL_TO_FOUR[v]), 0)
+                   for v, m, e in ((1, 9, 27), (2, 9, 18), (3, 72, 81),
+                                   (4, 9, 9), (5, 36, 27), (6, 144, 81),
+                                   (7, 9, 6), (8, 18, 9)))
 
 
 @dataclass(frozen=True)
 class Claim:
     """One catalog entry: an id and rows (modulus, residue, start, end,
     script, least). A row holds for A = modulus*s + residue with s >= least:
-    its script takes start to end, where a form (m, c) means m*s + c, and
-    a None script is build_fn's. A's first matching row gives its input,
-    expected value and script; A is in the claim's domain when some row
-    matches."""
+    its script takes start to end, where a form (m, c) means m*s + c. A's
+    first matching row gives its input, expected value and script; A is in
+    the claim's domain when some row matches. In a chained claim a row's
+    end is the claim's next A: A's script runs on through the rows of that
+    end, and of theirs, up to a row that ends on its own input."""
 
     id: str
     rows: tuple[tuple, ...]
     inverse_of: str | None = None  # a label: bench/child.py reads it
-    build_fn: Callable[[int], ActionSeq] | None = None   # T.a-11 only
+    chained: bool = False   # T.a-11 only
     model: ClassVar[ModelId] = ModelId.M1
     min_a: ClassVar[int] = 1
 
-    def at(self, a: int) -> tuple[int, int, ActionSeq] | None:
-        """(input, expected value, script) of A's first row, or None."""
+    def _first(self, a):
+        """(input, end, script) of A's first matching row, or None."""
         for modulus, residue, start, end, script, least in self.rows:
             if a % modulus == residue and (s := a // modulus) >= least:
-                return (start[0] * s + start[1], end[0] * s + end[1],
-                        self.build_fn(a) if script is None else script)
+                return start[0] * s + start[1], end[0] * s + end[1], script
         return None
+
+    def at(self, a: int) -> tuple[int, int, ActionSeq] | None:
+        """(input, expected value, script) of A, or None: its first row's,
+        or in a chained claim the last end and the scripts of the chain."""
+        found = self._first(a)
+        if found is None or not self.chained:
+            return found
+        start, end, script = found
+        steps, x = script.steps, a
+        while end != x:
+            x = end
+            _, end, script = self._first(x)
+            steps += script.steps
+        return start, end, ActionSeq(steps)
 
     def columns(self, chunk: range):
         """at over a step-1 range, a row at a time: (ss, start, end, script,
         least) for each row that is the first matching row of some A of
         chunk, where ss holds the row's s of those A, ascending, as a range
-        of consecutive s; a None script is build_fn's. A row drops the A of
-        an earlier row only when the two residue classes can meet, and then
-        ss is a list."""
+        of consecutive s. A row drops the A of an earlier row only when the
+        two residue classes can meet, and then ss is a list. A chained
+        claim yields every row, with no s where it is no A's first, as the
+        chain of an A of chunk can run through any of them."""
         for j, (modulus, residue, start, end, script, least) in \
                 enumerate(self.rows):
             ss = range(max(least, -((residue - chunk.start) // modulus)),
@@ -163,7 +155,7 @@ class Claim:
                 if (residue - r0) % gcd(modulus, m0) == 0:
                     ss = [s for s in ss if (a := modulus * s + residue) % m0
                           != r0 or a // m0 < s0]
-            if ss:
+            if ss or self.chained:
                 yield ss, start, end, script, least
 
     def applies(self, a: int) -> bool:
@@ -271,8 +263,8 @@ def build_claims() -> dict[str, Claim]:
           for claim in _lemma_pair(offset, cls)),
         Claim("T.append2", _APPEND2_ROWS),
         Claim("T.backspace2", _inverse(_APPEND2_ROWS)),
-        Claim("T.a-11", (_row((1, 0), (0, 4), None),),
-              build_fn=to_eleven_script),
+        # Reaches 4 = 11 in base 3 by erasing two ternary digits a round.
+        Claim("T.a-11", _ROUND_ROWS + _BASE_ROWS, chained=True),
         # Walks A to A // 2. Even A: A => A11 => (A/2)02 => (A/2)11 => A/2.
         # Odd A = 2h+1: A => A111 => h's ..202 => ..211 => h's ..2 = 3h+2,
         # then the hop 3h+2 => h for h's parity. A = 1 cycles through 4 and

@@ -2,15 +2,15 @@
 
 Every claim id, catalog lemma or special theorem, is one entry in an
 ordered registry: its model, its bounds dict, a check run once per A and,
-for all but T.a-11 and T.edge-loop, a column check run once per chunk of
-A. A column check decides the chunk without a per-A replay where it can:
-the scripted claims walk each row once on its affine forms (_rows_hold,
-over Claim.columns, so only the catalog reads a claim's rows), the
-succession identities compose their sequence once, and the descend claims
-read each A's row of the descent sieve. It only says whether every A
-passed; on any miss the chunk is checked again A by A, so every failure
-and count comes from the per-A check. run_any_claim is the one loop that
-turns those checks into a report.
+for all but T.edge-loop, a column check run once per chunk of A. A column
+check decides the chunk without a per-A replay where it can: the scripted
+claims walk each row once on its affine forms (_rows_hold, over
+Claim.columns, so only the catalog reads a claim's rows), the succession
+identities compose their sequence once, and the descend claims read each
+A's row of the descent sieve, else walk its descent. It only says whether
+every A passed; on any miss the chunk is checked again A by A, so every
+failure and count comes from the per-A check. run_any_claim is the one
+loop that turns those checks into a report.
 """
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ def _rows_hold(claim, chunk, bounds=None):
     script of each of claim.columns(chunk) is proved on the row's start
     form to end on its end form, in at most bounds.max_depth steps and with
     every value <= bounds.max_value at the row's largest s in chunk when
-    bounds is given (every form grows with s); None otherwise."""
+    bounds is given (every form grows with s); None otherwise. bounds bound
+    one row's walk, not a chain of rows, so a chained claim takes none."""
     passed = 0
     for ss, start, end, script, least in claim.columns(chunk):
         walk = _walked(script, start, least, claim.model)
@@ -166,9 +167,7 @@ def _catalog_claim(claim):
         return None if passed is None else (passed, len(chunk) - passed)
 
     # Catalog witnesses are scripts: no search bound applies to them.
-    # T.a-11 builds its script per A, so it has no column check.
-    return (claim.model, lambda search_bounds: {}, check,
-            column if claim.build_fn is None else None)
+    return claim.model, lambda search_bounds: {}, check, column
 
 
 def _succession(offset):
@@ -344,18 +343,21 @@ def descending_witness(a: int, model: ModelId,
 
 
 def _unsearched(a, bounds):
-    """Whether descending_witness(a, model, bounds) passes with no walk: by
-    the F strip, or by an m0_descent walk whose end m0_drop reads below a
-    off the descent sieve (it needs a <= cap, as p*a + q <= cap does)."""
+    """Whether descending_witness(a, model, bounds) passes with no search:
+    by the F strip, by an m0_descent walk whose end m0_drop reads below a
+    off the descent sieve (it needs a <= cap, as p*a + q <= cap does), or
+    else by that walk, taken with no Path built."""
     limit, cap = _descent_budget(a, bounds)
-    return _strips(a, cap) or m0_drop(a, cap, limit) is not None
+    return (_strips(a, cap) or m0_drop(a, cap, limit) is not None
+            or a <= cap and m0_descent(a, cap, limit)[-1] < a)
 
 
 def _descend(model):
     """Descending theorem: some H with H(A) < A exists for every A >= 2.
 
     The column check runs the per-A check only on the A > 1 that
-    _unsearched does not pass. Any failure gives None.
+    _unsearched does not pass, whose walk does not descend within the
+    budget. Any failure gives None.
     """
     def check(a, search_bounds):
         if a < 2:

@@ -13,8 +13,8 @@ from collatzlab.catalog import (CLUSTER_TABLE, SEQ_00_11, SEQ_01_11,
                                 SEQ_11_02, SEQ_11_10, SEQ_12_21, SEQ_20_21,
                                 SEQ_21_12, SEQ_21_20, SEQ_APPEND2,
                                 SEQ_BACKSPACE2, SEQ_HOP_EVEN, SEQ_HOP_ODD,
-                                SMALL_TO_FOUR, SUCCESSION_SEQS, build_claims,
-                                seq_21_to_11, seq_22_to_11, to_eleven_script)
+                                SEQ_TO_11, SMALL_TO_FOUR, SUCCESSION_SEQS,
+                                a_class, build_claims)
 from collatzlab.verify import (CHUNK, CLUSTER_HUB, CLUSTER_MEMBERS,
                                build_witness)
 
@@ -65,17 +65,18 @@ def test_succession_sequences(x, c):
 @settings(max_examples=200, deadline=None)
 def test_conditional_scripts_guard_legal_and_exact(a):
     # A21 -> A11 and A22 -> A11 under full M1 guards, integer all the way
-    t21 = apply_seq(seq_21_to_11(a), 9 * a + 7, ModelId.M1)
+    t21 = apply_seq(SEQ_TO_11[7][a_class(a)], 9 * a + 7, ModelId.M1)
     assert t21.end == 9 * a + 4
-    t22 = apply_seq(seq_22_to_11(a), 9 * a + 8, ModelId.M1)
+    t22 = apply_seq(SEQ_TO_11[8][a_class(a)], 9 * a + 8, ModelId.M1)
     assert t22.end == 9 * a + 4
 
 
 @given(st.integers(min_value=1, max_value=10**5))
 @settings(max_examples=200, deadline=None)
 def test_conditional_scripts_invert(a):
-    forward = apply_seq(seq_21_to_11(a), 9 * a + 7, ModelId.M1)
-    back = apply_seq(inverse_seq(seq_21_to_11(a)), forward.end, ModelId.M1)
+    seq = SEQ_TO_11[7][a_class(a)]
+    forward = apply_seq(seq, 9 * a + 7, ModelId.M1)
+    back = apply_seq(inverse_seq(seq), forward.end, ModelId.M1)
     assert back.end == 9 * a + 7
     assert back.values == forward.values[::-1]
 
@@ -88,10 +89,11 @@ def test_small_to_four_table():
         assert end == 4, n
 
 
-@given(st.integers(min_value=1, max_value=20_000))
+@given(st.integers(min_value=1, max_value=2**70))
 @settings(max_examples=150, deadline=None)
 def test_to_eleven_script_reaches_four(value):
-    trace = apply_seq(to_eleven_script(value), value, ModelId.M1)
+    trace = apply_seq(build_claims()["T.a-11"].build(value), value,
+                      ModelId.M1)
     assert trace.end == 4
 
 
@@ -216,10 +218,10 @@ def _unproved_and_survivors(rows):
 
 
 def test_every_catalog_row_is_proved_on_its_forms_and_no_mutant_is():
-    # T.a-11 builds its script per A, so it has no script to walk.
+    # T.a-11's 54 round rows and 8 base rows included
     rows = [(claim_id, row) for claim_id, claim in build_claims().items()
-            for row in claim.rows if row[4] is not None]
-    assert len(rows) == 35
+            for row in claim.rows]
+    assert len(rows) == 97
     # The node-loop hops 3h+2 => h, walked on their own forms as rows of A:
     # 6s+2 (h = 2s, s >= 1) and 6s+5 (h = 2s+1, s >= 0).
     rows += [("SEQ_HOP_EVEN", (6, 2, (6, 2), (2, 0), SEQ_HOP_EVEN, 1)),
@@ -255,7 +257,7 @@ def _matching_rows(claim, a):
             if a % modulus == residue and a // modulus >= least]
 
 
-def test_only_the_node_loop_rows_overlap_and_column_groups_keep_first_match():
+def test_only_node_loop_and_base_rows_overlap_and_columns_keep_first_match():
     claims = [*build_claims().values(), *CLUSTER_TABLE.values()]
     a_range = range(-40, 3001)
     shared = {}
@@ -267,13 +269,25 @@ def test_only_the_node_loop_rows_overlap_and_column_groups_keep_first_match():
                 shared.setdefault((claim.id, *rows), []).append(a)
     # the two 4s+1 rows of T.node-loop both match every A = 4s+1 >= 5,
     # where the first wins, so the later TBB row is A's first only at A = 1;
-    # the two rows of a split CLUSTER_TABLE pair never meet (k's parity)
-    assert shared == {("T.node-loop", 1, 3): list(range(5, 3001, 4))}
+    # each base row m*s + v of T.a-11 meets the round row of A mod 54 at
+    # every A = m*s + v >= 9, where the round row wins, so only A = v
+    # reaches it; the two rows of a split CLUSTER_TABLE pair never meet
+    # (k's parity)
+    a11 = build_claims()["T.a-11"]
+    expected = {("T.node-loop", 1, 3): list(range(5, 3001, 4))}
+    for j, (m, v, *_) in enumerate(a11.rows[54:], 54):
+        for a in range(m + v, 3001, m):
+            expected.setdefault(("T.a-11", a % 54, j), []).append(a)
+    assert shared == expected
     node_loop = build_claims()["T.node-loop"]
     assert [a for a in a_range if _matching_rows(node_loop, a)[:1] == [3]] \
         == [1]
+    assert [a for a in a_range if _matching_rows(a11, a)[:1] >= [54]] \
+        == list(range(1, 9))
     # a column holds the A of one row, the first matching row of each, as
-    # the row's s: a range of consecutive s but for the overlapping TBB row
+    # the row's s: a range of consecutive s but for the overlapping TBB
+    # and base rows; a chained claim yields its other rows with no s
+    listed = {("T.node-loop", 3), *(("T.a-11", j) for j in range(54, 62))}
     for claim in claims:
         for chunk in (range(-40, 41), range(1, CHUNK + 1),
                       range(997, 997 + CHUNK)):
@@ -282,15 +296,19 @@ def test_only_the_node_loop_rows_overlap_and_column_groups_keep_first_match():
                 if rows := _matching_rows(claim, a):
                     first.setdefault(rows[0], []).append(a)
             columns = list(claim.columns(chunk))
+            if claim.chained:
+                assert [tuple(rest) for _, *rest in columns] == [
+                    row[2:] for row in claim.rows]
+                columns = [columns[j] for j in sorted(first)]
             assert [(list(ss), *rest) for ss, *rest in columns] == [
                 ([a // claim.rows[j][0] for a in group], *claim.rows[j][2:])
                 for j, group in sorted(first.items())], (claim.id, chunk)
             assert [isinstance(ss, range) for ss, *_ in columns] == [
-                (claim.id, j) != ("T.node-loop", 3) for j in sorted(first)]
+                (claim.id, j) not in listed for j in sorted(first)]
             for (ss, (m, c), (m2, c2), *_), group in zip(
                     columns, (first[j] for j in sorted(first))):
                 assert [(m * s + c, m2 * s + c2) for s in ss] == [
-                    claim.at(a)[:2] for a in group], (claim.id, chunk)
+                    claim._first(a)[:2] for a in group], (claim.id, chunk)
 
 
 def test_unsplit_cluster_pairs_are_the_suffix_lemma_rows():

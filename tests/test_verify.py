@@ -541,9 +541,7 @@ def test_column_checks_match_a_per_a_oracle_at_chunk_boundaries(
     assert report.to_dict() == _oracle(claim_id, a_range)
 
 
-COLUMN_CLAIMS = [*(f"T.succ{i}" for i in SUCCESSION_SEQS),
-                 *(claim_id for claim_id, claim in build_claims().items()
-                   if claim.build_fn is None),
+COLUMN_CLAIMS = [*(f"T.succ{i}" for i in SUCCESSION_SEQS), *build_claims(),
                  *(f"T.cluster-{kind}" for kind in CLUSTER_MEMBERS)]
 
 
@@ -564,6 +562,7 @@ def test_an_empty_range_is_a_value_error():
     ("T.node-loop", 3, 2),     # the A = 1 row: only the first chunk misses
     ("T.node-loop", 2, 5),     # A = 4s+3: every chunk misses
     ("L.21-11.last1", 0, 0),
+    ("T.a-11", 28, 0),         # a round row: every chunk misses
 ])
 def test_a_mutant_row_falls_back_to_the_per_a_check(claim_id, row, index):
     claims = build_claims()
@@ -587,8 +586,10 @@ def test_a_mutant_row_falls_back_to_the_per_a_check(claim_id, row, index):
 ORACLE_CHUNKS = [range(CHUNK - 40, CHUNK + 41), range(-60, 20),
                  range(1, CHUNK + 1), range(CHUNK + 1, 2 * CHUNK + 1),
                  range(2 * CHUNK + 1, 3001)]
+# the chained T.a-11 comes last, so the ids of the others keep their index
 ROW_CLAIMS = [*(claim for claim in build_claims().values()
-                if claim.build_fn is None), *CLUSTER_TABLE.values()]
+                if not claim.chained), *CLUSTER_TABLE.values(),
+              build_claims()["T.a-11"]]
 
 
 def _per_a_rows_hold(claim, chunk, bounds=None):
@@ -618,6 +619,11 @@ def test_every_row_column_verdict_is_the_per_a_verdict(claim):
     from collatzlab.verify import _rows_hold
 
     for chunk in ORACLE_CHUNKS:
+        if claim.chained:
+            # bounds bound one row's walk, not the chain: a chained claim,
+            # like every catalog claim in verify, takes none
+            assert _rows_hold(claim, chunk) == _per_a_rows_hold(claim, chunk)
+            continue
         peak = max((apply_seq(found[2], found[0], claim.model).peak
                     for a in chunk if (found := claim.at(a))), default=None)
         grid = [None, SearchBounds(max_value=2**20),
@@ -721,6 +727,38 @@ def test_a_planted_mutant_fails_its_chunk_then_fails_per_a(monkeypatch):
     assert report.to_dict() == _per_a_succession(1, range(-5, CHUNK + 5))
 
 
+def test_a_mutant_round_row_fails_the_chunks_that_reach_it_by_chain():
+    from collatzlab.verify import _rows_hold
+
+    # A = 252..260 = 9*28 + r start on the round rows 36..44 and go on to
+    # W = 28, whose row 28 is the mutant: no A of the chunk starts on it,
+    # yet the chunk fails, and the per-A check gives the texts of a replay
+    # A by A
+    claims = build_claims()
+    mutated = dict(claims)
+    mutated["T.a-11"] = claim = _one_letter_mutant(claims["T.a-11"], 28, 0)
+    a_range = range(252, 261)
+    assert [len(ss) for ss, *_ in claim.columns(a_range)][28] == 0
+    assert _rows_hold(claim, a_range) is None
+    report = run_any_claim("T.a-11", a_range, claims=mutated)
+    assert (report.passed, report.failed) == (0, 9)
+    assert report.failures[0].to_dict() == {
+        "input": 252, "step_index": 18,
+        "reason": "F illegal at 170 under M1 (step 18)", "trace": []}
+    assert report.to_dict() == _per_a_catalog(claim, a_range)
+
+
+def test_only_the_edge_loop_lacks_a_column_check_and_no_claim_holds_code():
+    from collatzlab.verify import _registry
+
+    assert [claim_id for claim_id, (*_, column) in
+            _registry(build_claims()).items() if column is None] \
+        == ["T.edge-loop"]
+    for claim in [*build_claims().values(), *CLUSTER_TABLE.values()]:
+        for f in dataclasses.fields(claim):
+            assert not callable(getattr(claim, f.name)), (claim.id, f.name)
+
+
 def test_column_checks_replay_no_script_and_descend_walks_only_open_a(
         monkeypatch):
     from collatzlab import actions, search, verify
@@ -752,13 +790,18 @@ def test_column_checks_replay_no_script_and_descend_walks_only_open_a(
     assert 0 < len(open_a) < 5000 // 20
 
 
+def _budget(a, bounds):
+    """descending_witness's (depth limit, value cap) at a."""
+    return ((512, a * 2**20) if bounds is None
+            else (bounds.max_depth, bounds.max_value))
+
+
 def _needs_a_walk(a, bounds):
     """Whether descending_witness(a, ...) takes neither its F strip nor an
     m0_descent walk that a decided sieve row shows within the budget: A
     above the row's bound, the row's j steps within the depth limit and
     p*A + q within the value cap."""
-    limit, cap = ((512, a * 2**20) if bounds is None
-                  else (bounds.max_depth, bounds.max_value))
+    limit, cap = _budget(a, bounds)
     if a % 6 == 1 and (a - 1) // 3 <= cap:
         return False
     row = search._sieve(12)[a % 4096]
@@ -767,11 +810,20 @@ def _needs_a_walk(a, bounds):
     return row.p * a + row.q > cap
 
 
+def _walk_descends(a, bounds):
+    """Whether descending_witness's m0_descent walk at a, within the
+    budget, ends below a."""
+    limit, cap = _budget(a, bounds)
+    return a <= cap and search.m0_descent(a, cap, limit)[-1] < a
+
+
 def test_the_descend_column_checks_exactly_the_a_no_sieve_row_passes(
         monkeypatch):
     from collatzlab import verify
 
-    # every per-A check passes here, so the column checks all it selects
+    # every per-A check passes here, so the column checks all it selects:
+    # the A that need a walk and whose m0_descent walk, within the budget,
+    # does not descend
     checked = []
 
     def passing(a, model, bounds):
@@ -792,6 +844,6 @@ def test_the_descend_column_checks_exactly_the_a_no_sieve_row_passes(
             checked.clear()
             passed = len(range(max(chunk.start, 2), chunk.stop))
             assert column(chunk, bounds) == (passed, len(chunk) - passed)
-            assert checked == [a for a in chunk
-                               if a > 1 and _needs_a_walk(a, bounds)], \
-                (chunk, bounds)
+            assert checked == [
+                a for a in chunk if a > 1 and _needs_a_walk(a, bounds)
+                and not _walk_descends(a, bounds)], (chunk, bounds)
