@@ -149,10 +149,13 @@ def _emit_reports(reports, fmt, timing, out):
 
 
 def _merge_reports(parts):
+    # The last part's bounds are the whole range's: a cluster's default cap
+    # is the one at the range's last k.
     head, dips = parts[0], "nonpositive_intermediate_inputs"
     for other in parts[1:]:
         if dips in head.bounds:  # a succession check's count, not a bound
-            head.bounds[dips] += other.bounds[dips]
+            other.bounds[dips] += head.bounds[dips]
+        head.bounds = other.bounds
         head.range = (head.range[0], other.range[1])
         head.passed += other.passed
         head.skipped += other.skipped

@@ -89,7 +89,7 @@ class VerifyReport:
 CSV_HEADER = "claim_id,model,lo,hi,pass,fail,skipped"
 
 
-def _bounds_dict(bounds: SearchBounds | None) -> dict:
+def _bounds_dict(bounds: SearchBounds | None, last=None) -> dict:
     if bounds is None:
         return {}
     return {"max_value": bounds.max_value, "max_depth": bounds.max_depth,
@@ -110,8 +110,9 @@ def build_witness(claim: catalog.Claim, a: int) -> Path:
 # claim's domain (skipped), else the list of failures (empty on PASS).
 # Column checks: column(chunk, search_bounds) takes a step-1 range of at
 # most CHUNK A and returns (passed, skipped) when every A in the claim's
-# domain passes, else None, leaving every tally and learned script as it
-# was.
+# domain passes, else None, leaving every tally as it was. Bounds-dict
+# functions: bounds_dict(search_bounds, last) gives the report's bounds for
+# a range whose last A is last.
 
 CHUNK = 1024
 
@@ -167,7 +168,7 @@ def _catalog_claim(claim):
         return None if passed is None else (passed, len(chunk) - passed)
 
     # Catalog witnesses are scripts: no search bound applies to them.
-    return claim.model, lambda search_bounds: {}, check, column
+    return claim.model, lambda search_bounds, last=None: {}, check, column
 
 
 def _succession(offset):
@@ -198,7 +199,7 @@ def _succession(offset):
             0, min(chunk.stop, low + 1) - chunk.start)
         return len(chunk), 0
 
-    return ModelId.M2, lambda search_bounds: tally, check, column
+    return ModelId.M2, lambda search_bounds, last=None: tally, check, column
 
 
 CLUSTER_MEMBERS = {
@@ -209,89 +210,69 @@ CLUSTER_MEMBERS = {
 CLUSTER_HUB = {"five": 4, "three": 7, "nine": 4}
 
 
-def _cluster_bounds(search_bounds):
-    # Value and depth caps only; max_states keeps the search default.
+def _cluster_bounds(search_bounds, k):
+    """Value and depth caps only; max_states keeps the search default. With
+    no search bounds the cap at k is max(2^20, 18 * (9k + 8)), which is
+    2^20 up to k = 6,471: no catalog.CLUSTER_TABLE row for k goes above
+    18 * (9k + 8) or past 64 steps, so the table decides every pair."""
     if search_bounds is None:
-        return SearchBounds(max_value=2**20)
+        return SearchBounds(max_value=max(2**20, 18 * (9 * k + 8)))
     return SearchBounds(max_value=search_bounds.max_value,
                         max_depth=search_bounds.max_depth)
 
 
-def _cluster_bounds_dict(search_bounds):
-    bounds = _cluster_bounds(search_bounds)
+def _cluster_bounds_dict(search_bounds, last=1):
+    bounds = _cluster_bounds(search_bounds, last)
     return {"max_value": bounds.max_value, "max_depth": bounds.max_depth}
 
 
-def _replay_known(scripts, src, dst, bounds):
-    """True when one of scripts is a guard-legal M1 walk src => dst whose
-    values, endpoints included, stay <= bounds.max_value, in at most
-    bounds.max_depth steps. The script that fits moves to the front.
-    """
-    for i, seq in enumerate(scripts):
-        if len(seq) > bounds.max_depth:
-            continue
-        try:
-            path = apply_seq(seq, src, ModelId.M1)
-        except (GuardViolation, DomainViolation):
-            continue
-        if path.end == dst and path.peak <= bounds.max_value:
-            scripts.insert(0, scripts.pop(i))
-            return True
-    return False
-
-
 def _cluster(kind):
-    """Pairwise mutual reachability inside each cluster, by bounded search.
+    """Pairwise mutual reachability inside each cluster: by the proved
+    table, else by bounded search.
 
     Every member is connected to a hub member in both directions, which
     yields every ordered pair by path composition. Each pair that fails is
     its own failure.
 
     M1's guards read only x mod 2, x mod 3 and x > 1, so one action script
-    joins the same residue pair for a whole class of k. Each pair first
-    replays its proved row for k from catalog.CLUSTER_TABLE, then the
-    scripts learned at earlier k (most recently used first), keyed by the
-    pair's offsets from 9k; only when none fits does the bidirectional
-    search run, and a path it finds is learned. A script that replays is a
-    path the search would also accept, so every verdict is the search's,
-    except that a pair whose search would run out of max_states can pass on
-    a replay.
+    joins the same residue pair for a whole class of k. Each pair's row for
+    k in catalog.CLUSTER_TABLE is proved on its affine forms; the per-k
+    check decides it with _rows_hold on k alone, under the caps at k, and
+    runs the bidirectional search only when the row does not fit them. A
+    row that fits is a path the search would also accept, so every verdict
+    is the search's, except that a pair whose search would run out of
+    max_states can pass on its row.
 
-    The column check replays each pair's table rows once over a chunk of
-    k and passes the chunk only when every table script fits every k, the
-    case in which the per-k check neither learns nor searches.
+    The column check decides each pair's rows once over a chunk of k, under
+    the caps at the chunk's last k, and passes the chunk only when every
+    row fits. The default cap fits every row at every k, and a cap the user
+    sets is the same at every k, so then each k of the chunk passes too.
     """
     hub_r = CLUSTER_HUB[kind]
     pairs = [pair for r in CLUSTER_MEMBERS[kind] if r != hub_r
              for pair in ((r, hub_r), (hub_r, r))]
-    learned = {}
 
     def check(k, search_bounds):
         if k < 1:
             return None
-        bounds = _cluster_bounds(search_bounds)
-        base = 9 * k
+        bounds = _cluster_bounds(search_bounds, k)
         failures = []
         for src_r, dst_r in pairs:
-            src, dst = base + src_r, base + dst_r
-            proved = catalog.CLUSTER_TABLE[src_r, dst_r].at(k)[2]
-            scripts = learned.setdefault((src_r, dst_r), [])
-            if (_replay_known([proved], src, dst, bounds)
-                    or _replay_known(scripts, src, dst, bounds)):
+            if _rows_hold(catalog.CLUSTER_TABLE[src_r, dst_r],
+                          range(k, k + 1), bounds) is not None:
                 continue
+            src, dst = 9 * k + src_r, 9 * k + dst_r
             result = bfs_reach_bidirectional(ModelId.M1, src, dst, bounds)
             if isinstance(result, Unreachable):
                 failures.append(Failure(
                     k, None, f"{result.tag}: pair {src} => "
                              f"{dst} with cap {bounds.max_value}"))
-            elif result.actions not in scripts:
-                scripts.insert(0, result.actions)
         return failures
 
     def column(chunk, search_bounds):
         # Every table claim's domain is k >= 1, the k that check does not
         # skip, so each pair passes the same count.
-        bounds = _cluster_bounds(search_bounds)
+        bounds = _cluster_bounds(search_bounds, chunk[-1])
         for pair in pairs:
             passed = _rows_hold(catalog.CLUSTER_TABLE[pair], chunk, bounds)
             if passed is None:
@@ -430,7 +411,7 @@ def run_any_claim(claim_id: str, a_range: range,
 
     Walks a_range in chunks of CHUNK A. A chunk that the claim's column
     check passes adds its counts; any other chunk goes through the per-A
-    check, A by A, which gives every failure, tally and learned script.
+    check, A by A, which gives every failure and tally.
     """
     registry = _registry(claims if claims is not None
                          else catalog.build_claims())
@@ -462,6 +443,6 @@ def run_any_claim(claim_id: str, a_range: range,
             else:
                 passed += 1
     report.passed, report.skipped = passed, skipped
-    report.bounds = bounds_dict(search_bounds)
+    report.bounds = bounds_dict(search_bounds, a_range[-1])
     report.wall_ms = (time.perf_counter() - t0) * 1000
     return report

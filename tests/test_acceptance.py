@@ -64,9 +64,10 @@ def test_criterion_2_lemma_catalog_to_10000():
 
 
 def test_criterion_3_cluster_connectivity_to_1000():
-    # Decided by search: the claim's reports, which replay the catalog's
-    # proved cluster scripts first, must equal those of an oracle that
-    # replays only the paths its own searches found at earlier k.
+    # Decided by search: the claim's reports, which decide the catalog's
+    # proved cluster table on its affine forms, must equal those of an
+    # oracle that replays only the paths its own searches found at earlier
+    # k.
     bad = []
     for kind in ("five", "three", "nine"):
         report = run_any_claim(f"T.cluster-{kind}", range(1, 1001)).to_dict()

@@ -95,10 +95,14 @@ def test_serial_verify_builds_the_catalog_once(monkeypatch):
 
 
 def test_cluster_replay_output_does_not_depend_on_workers():
-    # each range chunk learns its own cluster scripts and counts its own
-    # succession dips; x = 0, 1 and 2 each dip to <= 0 under the +2 script
+    # each range chunk counts its own succession dips, and the merged report
+    # keeps the bounds of the last chunk: past k = 6,471 the default cluster
+    # cap is the one at the range's last k. x = 0, 1 and 2 each dip to <= 0
+    # under the +2 script
     for argv in (["verify", "--claim", "T.cluster-nine,T.cluster-three",
                   "--range", "1..80"],
+                 ["verify", "--claim", "T.cluster-nine,T.cluster-three,"
+                  "T.succ2", "--range", "6000..7000"],
                  ["verify", "--claim", "T.succ2", "--range", "0..3"]):
         single = run(argv + ["--workers", "1"])
         assert single[0] == 0
@@ -185,7 +189,12 @@ GOLDEN_OUTPUTS = [
      "252ce0feefdc427e5f20942d3df069c8b43bd72f7a393a78f5b5ce1f61d147a0"),
     (["cluster", "--kind", "nine", "--k", "1..300"], 0,
      "051c4b2905809b839e37c6ae28b62c54e4566021e88029bcefad5a2c9e1fd032"),
-    (["cluster", "--kind", "five", "--k", "9700..9730"], 1,
+    (["cluster", "--kind", "five", "--k", "9700..9730"], 0,
+     "ba61940785b7745c3b75cae4dab2a672276f735eb3bcc5471a90566c563f6619"),
+    # Under the cap 2^20, the default before it grew with k, the five
+    # cluster fails pairs from k = 9,724 on.
+    (["cluster", "--kind", "five", "--k", "9700..9730",
+      "--value-bound", "1048576"], 1,
      "3937237515cf30bc959fec3eae77632275dbbc438649c9b83bb683fbf4a3688d"),
     # Recorded while trajectory still had its own 3x+1 loop, verify had its
     # own parity-to-letter table and the catalog split A's class in three
@@ -209,15 +218,22 @@ GOLDEN_OUTPUTS = [
     (["cluster", "--kind", "nine", "--k", "1..120", "--value-bound", "4096",
       "--format", "text"], 1,
      "35d27238e8d51cc997b29e101f5fcb543c6270bd733ee481c46c2089bd01b684"),
-    (["cluster", "--kind", "five", "--k", "9700..9730", "--format", "csv"], 1,
+    (["cluster", "--kind", "five", "--k", "9700..9730", "--format", "csv"], 0,
+     "940bcd24fb250413119b7fcf5187e6100164832551ecfe21b722e043fe30c494"),
+    (["cluster", "--kind", "five", "--k", "9700..9730", "--format", "csv",
+      "--value-bound", "1048576"], 1,
      "9b828376c30610ba7dbf2f1a4a85b318ae97f2a78a816cf50db3f2be4cb45851"),
     (["cluster", "--kind", "three", "--k", "1..200", "--format", "text"], 0,
      "0993b669c3830512a45ca1bb53eef374194d864b85765056a8c4be154a7970a0"),
     # Recorded before the cluster checks replayed a proved script table.
-    # Around k = 6,473 some nine-cluster table scripts leave the 2^20 cap;
-    # under cap 2^14 and depth 20 the five cluster fails 128 pairs from
-    # k = 156 on. In both, table replays and searches interleave.
+    # Around k = 6,473 some nine-cluster table scripts leave the 2^20 cap,
+    # the default before it grew with k; under cap 2^14 and depth 20 the
+    # five cluster fails 128 pairs from k = 156 on. In both, table rows and
+    # searches interleave. At the default cap the table decides every pair.
     (["cluster", "--kind", "nine", "--k", "6460..6490"], 0,
+     "dd6ca0c8b3dda661549b4d154726f1f2ced35efe3ca32230b8070bf433441918"),
+    (["cluster", "--kind", "nine", "--k", "6460..6490",
+      "--value-bound", "1048576"], 0,
      "5241e71b982a4b462308687914bc040082a4aad55cf66fdc3947042eb955f7ab"),
     (["verify", "--claim", "T.cluster-five", "--range", "1..400",
       "--max-value", "16384", "--max-depth", "20"], 1,
@@ -272,12 +288,27 @@ def test_cluster_prints_what_verify_prints_for_its_claim():
         assert cluster == verify, (kind, window, bound, fmt)
 
 
-def test_cluster_default_cap_equals_the_explicit_2_pow_20():
+def test_cluster_default_cap_equals_the_explicit_2_pow_20(monkeypatch):
+    from collatzlab.verify import CLUSTER_MEMBERS, run_any_claim
+    from test_verify import _count_searches
+
     argv = ["cluster", "--kind", "five", "--k", "1..300"]
     default = run(argv)
     assert default == run(argv + ["--value-bound", str(2**20)])
     assert hashlib.sha256(default[1].encode()).hexdigest().startswith(
         "7d5b50a6641e86a6")
+    # the default cap, max(2^20, 18 * (9k + 8)), is 2^20 up to k = 6,471;
+    # the report shows the cap at the range's last k
+    argv = ["cluster", "--kind", "five", "--k", "6400..6471"]
+    assert run(argv) == run(argv + ["--value-bound", str(2**20)])
+    code, text = run(["cluster", "--kind", "five", "--k", "6400..6472"])
+    assert (code, json.loads(text)["bounds"]["max_value"]) == (0, 1_048_608)
+    # under it the proved table decides every pair, with no search
+    calls = _count_searches(monkeypatch)
+    for kind in CLUSTER_MEMBERS:
+        report = run_any_claim(f"T.cluster-{kind}", range(1, 100_001))
+        assert (report.passed, report.failed) == (100_000, 0), kind
+    assert calls == []
 
 
 def test_bad_usage():

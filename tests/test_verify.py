@@ -324,7 +324,9 @@ def test_run_any_claim_dispatch():
 
 def cluster_oracle(kind, a_range, search_bounds=None, replay=None):
     """Reference cluster report: one bidirectional search per ordered
-    (member, hub) pair and k >= 1, under the claim's value and depth caps.
+    (member, hub) pair and k >= 1, under the claim's value and depth caps;
+    with no search_bounds, under the cap 2^20, the claim's default cap up
+    to k = 6,471.
 
     A replay spares the search when it is guard-legal, ends at the pair's
     target, stays within the cap and is no longer than the depth cap: with
@@ -391,13 +393,13 @@ def cluster_oracle(kind, a_range, search_bounds=None, replay=None):
     ("nine", range(1, 61), None),
     ("nine", range(1, 201), SearchBounds(max_value=4096, max_depth=12)),
     ("five", range(1, 4), SearchBounds(max_value=2**20, max_depth=1)),
-    # k >= 116,508 puts the pairs above the default cap of 2^20: scripts
-    # learned below it stop replaying and the search reports every miss
-    ("nine", range(116495, 116516), None),
+    # the cap 2^20 of the old default: k >= 116,508 puts the pairs above
+    # it, and the search reports every miss
+    ("nine", range(116495, 116516), SearchBounds(max_value=2**20)),
     # the first k whose proved table script leaves the 2^20 cap: 8 => 4 at
     # k = 6,473 (nine) and 0 => 4 at k = 7,282 (five); the search decides
-    ("nine", range(6471, 6476), None),
-    ("five", range(7280, 7285), None),
+    ("nine", range(6471, 6476), SearchBounds(max_value=2**20)),
+    ("five", range(7280, 7285), SearchBounds(max_value=2**20)),
     # longer than a chunk, and most table scripts miss under these bounds,
     # so every chunk goes back through the per-k check
     ("five", range(1, CHUNK + 3), SearchBounds(max_value=4096, max_depth=12)),
@@ -434,36 +436,37 @@ def test_cluster_search_still_runs_where_the_table_misses(monkeypatch):
     calls = _count_searches(monkeypatch)
     bounds = SearchBounds(max_value=4096, max_depth=12)
     report = run_any_claim("T.cluster-five", range(1, 40), bounds)
-    assert len(calls) == 58
+    assert len(calls) == 82
     assert (report.passed, report.failed) == (22, 34)
 
 
 def test_cluster_failures_use_the_shared_tag():
-    report = run_any_claim("T.cluster-five", range(116500, 116511))
+    report = run_any_claim("T.cluster-five", range(116500, 116511),
+                           SearchBounds(max_value=2**20))
     assert (report.passed, report.failed) == (0, 54)
     assert report.failures[0].reason == ("unreachable-within-bounds: pair "
                                          "1048503 => 1048504 with cap 1048576")
 
 
-def test_replay_rejects_scripts_that_do_not_witness_the_pair():
-    from collatzlab.verify import _replay_known
+def test_the_default_cluster_cap_holds_every_table_row():
+    from collatzlab.actions import walk_form
+    from collatzlab.verify import _cluster_bounds
 
-    # 9 -T-> 28 -B-> 14 -B-> 7 -F-> 2 -D-> 4 -T-> 13: cluster-five, k = 1
-    good = seq_of("TBBFDT")
-    wide = SearchBounds(max_value=2**20)
-    assert not _replay_known([seq_of("BBFDT")], 9, 13, wide)   # guard
-    assert not _replay_known([seq_of("TBBFD")], 9, 13, wide)   # endpoint
-    assert not _replay_known([good], 9, 13, SearchBounds(max_value=27))
-    assert not _replay_known([good], 9, 13,
-                             SearchBounds(max_value=2**20, max_depth=5))
-    # an endpoint above the cap also rejects, although the search allows it
-    assert not _replay_known([seq_of("B")], 14, 7,
-                             SearchBounds(max_value=13))
-    assert not _replay_known([], 9, 13, wide)
-    scripts = [seq_of("BBFDT"), seq_of("TBBFD"), good]
-    assert _replay_known(scripts, 9, 13,
-                         SearchBounds(max_value=28, max_depth=6))
-    assert scripts == [good, seq_of("BBFDT"), seq_of("TBBFD")]
+    # every peak form a*s + b of a row on k = m*s + r, s >= least, is at
+    # most 18 * (9k + 8) for every such s: both are affine in s, so the
+    # slopes and the values at least decide it (some slopes equal 18 * 9m)
+    for claim in CLUSTER_TABLE.values():
+        for m, r, start, _, script, least in claim.rows:
+            assert len(script) <= 64, claim.id
+            _, peaks = walk_form(script.steps, *start, least, ModelId.M1)
+            for a, b in peaks:
+                assert a <= 18 * 9 * m, (claim.id, a, b)
+                assert a * least + b <= 18 * (9 * (m * least + r) + 8), \
+                    (claim.id, a, b)
+    # the rule leaves the cap at 2^20 exactly up to k = 6,471
+    assert 18 * (9 * 6471 + 8) <= 2**20 < 18 * (9 * 6472 + 8)
+    assert [_cluster_bounds(None, k).max_value for k in (1, 6471, 6472)] \
+        == [2**20, 2**20, 1_048_608]
 
 
 def _per_a_catalog(claim, a_range):
