@@ -11,7 +11,8 @@ Suffix-digit arithmetic used throughout (base 3, A is the prefix value):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import ClassVar
 
 from .actions import ActionSeq, ModelId, inverse_seq, seq_of
@@ -118,10 +119,26 @@ class Claim:
     model: ClassVar[ModelId] = ModelId.M1
     min_a: ClassVar[int] = 1
 
+    @cached_property
+    def _index(self):
+        """(period, table, meets): table[t] holds, in order, the rows whose
+        class holds every A = t mod period, the lcm of the moduli; meets[j],
+        each earlier row's (modulus, residue, least) that can meet row j's."""
+        period = lcm(*(modulus for modulus, *_ in self.rows))
+        table = [[] for _ in range(period)]
+        for row in self.rows:   # each residue is below its modulus
+            for t in range(row[1], period, row[0]):
+                table[t].append(row)
+        meets = [[(m0, r0, s0) for m0, r0, *_, s0 in self.rows[:j]
+                  if (residue - r0) % gcd(modulus, m0) == 0]
+                 for j, (modulus, residue, *_) in enumerate(self.rows)]
+        return period, table, meets
+
     def _first(self, a):
         """(input, end, script) of A's first matching row, or None."""
-        for modulus, residue, start, end, script, least in self.rows:
-            if a % modulus == residue and (s := a // modulus) >= least:
+        period, table, _ = self._index
+        for modulus, _, start, end, script, least in table[a % period]:
+            if (s := a // modulus) >= least:
                 return start[0] * s + start[1], end[0] * s + end[1], script
         return None
 
@@ -147,14 +164,13 @@ class Claim:
         two residue classes can meet, and then ss is a list. A chained
         claim yields every row, with no s where it is no A's first, as the
         chain of an A of chunk can run through any of them."""
-        for j, (modulus, residue, start, end, script, least) in \
-                enumerate(self.rows):
+        for (modulus, residue, start, end, script, least), meets in zip(
+                self.rows, self._index[2]):
             ss = range(max(least, -((residue - chunk.start) // modulus)),
                        (chunk.stop - 1 - residue) // modulus + 1)
-            for m0, r0, *_, s0 in self.rows[:j]:
-                if (residue - r0) % gcd(modulus, m0) == 0:
-                    ss = [s for s in ss if (a := modulus * s + residue) % m0
-                          != r0 or a // m0 < s0]
+            for m0, r0, s0 in meets:
+                ss = [s for s in ss if (a := modulus * s + residue) % m0
+                      != r0 or a // m0 < s0]
             if ss or self.chained:
                 yield ss, start, end, script, least
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 from .actions import ModelId
 from .models import SUCCESSORS, bounded_graph
-from .search import (SearchBounds, Unreachable, bfs, m0_descent, m0_drop,
-                     m0_undecided)
+from .search import (SearchBounds, Unreachable, _sieve, bfs, m0_descent,
+                     m0_drop, m0_undecided)
 
 
 def _circuits(s, adjacency):
@@ -124,11 +124,11 @@ def _phase_step(dropped):
     return lambda x: m0(x) if x % 6 in dropped else ms(x)
 
 
-def _reaches_known(n, step, bounds, ok):
-    """Does n reach 1, or a smaller node already known to, under the phase
-    edges? Decided by one BFS over the phase's step function."""
-    result = bfs(ModelId.MS, step, n, lambda y: y == 1 or (y < n and ok[y]),
-                 bounds)
+def _reaches_known(n, step, bounds, ok, bit):
+    """Does n reach 1, or a smaller node whose ok mask holds bit, under the
+    phase edges? Decided by one BFS over the phase's step function."""
+    result = bfs(ModelId.MS, step, n,
+                 lambda y: y == 1 or (y < n and ok[y] & bit), bounds)
     return not isinstance(result, Unreachable)
 
 
@@ -141,10 +141,10 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
     additionally compared against M0's at x = 1..7, which decides by residues
     whether the two list the same moves at every node.
 
-    Nodes are decided in ascending order. A phase accepts node n when the
-    first M0 value d below n, inside the cap and depth, is a node it already
-    accepted; otherwise ``_reaches_known``'s BFS over the phase's edges
-    decides n.
+    Nodes are decided in ascending order. A phase accepts node n when d,
+    the first M0 value below n inside the cap and depth that ``m0_drop``
+    reads, is a node it already accepted; otherwise ``_reaches_known``'s
+    BFS over the phase's edges decides n.
 
     Each phase's ``failed`` lists, in ascending order, the nodes with no
     path to 1 inside the value cap. Phase 3 is M0, so its ``failed`` holds
@@ -166,31 +166,29 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
     phase3, m0 = _phase_step(_PHASE_DROPS[3]), SUCCESSORS[ModelId.M0]
     matches = all(phase3(x) == m0(x) for x in range(1, 8))
 
-    # One ascending node loop for the three phases; each phase's induction
-    # reads only its own ok of smaller nodes. The M0 walk from n is legal in
-    # every phase and passes only values >= n before its first value d below
-    # n, so one walk serves all three phases, and where the descent sieve
-    # shows that walk inside the cap and depth, m0_drop reads d off it.
-    phases, runs = [], []
-    for phase, dropped in _PHASE_DROPS.items():
-        result = PhaseResult(phase=phase,
-                             dropped=tuple(f"E{r}" for r in dropped),
-                             reached=1)
-        ok = bytearray(max_value + 1)
-        ok[1] = 1
-        phases.append(result)
-        runs.append((result, _phase_step(dropped), ok))
+    # One ascending node loop; bit 1 << i of ok[x] says phase i + 1 accepted
+    # x. The M0 walk from n is legal in every phase and passes only values
+    # >= n before d, so one m0_drop, or its first block, serves all three.
+    phases = [PhaseResult(phase, tuple(f"E{r}" for r in dropped))
+              for phase, dropped in _PHASE_DROPS.items()]
+    runs = list(zip((1, 2, 4), phases, map(_phase_step, _PHASE_DROPS.values())))
+    ok = bytearray(max_value + 1)
+    ok[1] = every = 7
+    rows, cap, depth = _sieve(12), bounds.max_value, bounds.max_depth
     for n in range(2, max_value + 1):
-        d = m0_drop(n, bounds.max_value, bounds.max_depth)
-        if d is None:
-            walk = m0_descent(n, bounds.max_value, bounds.max_depth)
-            d = walk[-1] if walk[-1] < n else 0
-        for result, step, ok in runs:
-            if ok[d] or _reaches_known(n, step, bounds, ok):
-                ok[n] = 1
-                result.reached += 1
-            else:
-                result.failed.append(n)
+        j, bound, a, c, h, p, q = rows[n & 4095]   # m0_drop's first block
+        d = ((a * n + c) >> h if n > bound and j <= depth and p * n + q <= cap
+             else m0_drop(n, cap, depth))
+        mask = ok[d] if d < n else 0
+        if mask != every:
+            for bit, result, step in runs:
+                if mask & bit or _reaches_known(n, step, bounds, ok, bit):
+                    mask |= bit
+                else:
+                    result.failed.append(n)
+        ok[n] = mask
+    for result in phases:
+        result.reached = max_value - len(result.failed)
 
     return DeloopReport(max_value=max_value, headroom=search_headroom,
                         phase3_matches_m0=matches, phases=phases,

@@ -223,10 +223,10 @@ def stats_csv(values, max_depth: int = 100_000):
 
 
 class SieveRow(NamedTuple):
-    """A decided class of the descent sieve: from n in the class, after j
-    steps with o triplings and h halvings, the walk is at (a*n + c) >> h
-    with a = 3^o, below n for every n > bound; every value before that is
-    at most p*n + q."""
+    """A class of the descent sieve: from n in the class, after j steps with
+    o triplings and h halvings, the walk is at (a*n + c) >> h, a = 3^o, and
+    every value between is above n and at most p*n + q. The end is below n
+    for every n > bound; an open row's bound is infinite (a > 2^h = 2^k)."""
 
     j: int
     bound: int
@@ -246,8 +246,8 @@ def _sieve(k):
     its value is (3^o * n + c) >> h, exactly. At the first j with 3^o < 2^h,
     every n > c // (2^h - 3^o) drops below n at step j, and not earlier,
     since every shorter prefix has 3^o >= 2^h. Row r is that SieveRow, or
-    None when the class stays open within k halvings (OEIS A076227 counts
-    them).
+    the open row at k halvings when the class stays open that long (OEIS
+    A076227 counts them).
     """
     rows = []
     for r in range(1 << k):
@@ -260,19 +260,18 @@ def _sieve(k):
             else:
                 x, h = x >> 1, h + 1
             j += 1
-        rows.append(SieveRow(j, c // ((1 << h) - a), a, c, h, p, q)
-                    if a < 1 << h else None)
+        rows.append(SieveRow(j, c // ((1 << h) - a) if a < 1 << h
+                             else _NO_CAP, a, c, h, p, q))
     return tuple(rows)   # shared by every caller through the cache
 
 
 def m0_undecided(limit: int, max_depth: int):
-    """Every 1 <= n <= limit that the sieve does not show dropping below n
-    within max_depth steps, class by class: the n of open classes and of
-    rows whose j exceeds max_depth, and the n at or below a row's bound."""
+    """Every 1 <= n <= limit that n's sieve row does not show dropping below
+    n within max_depth steps, class by class: the n of rows whose j exceeds
+    max_depth, and the n at or below a row's bound (all of an open row)."""
     rows = _sieve(12)   # 4,096 classes, 226 of them open
     for r, row in enumerate(rows):
-        top = (limit if row is None or row.j > max_depth
-               else min(row.bound, limit))
+        top = limit if row.j > max_depth else min(row.bound, limit)
         yield from range(r or len(rows), top + 1, len(rows))
 
 
@@ -300,17 +299,21 @@ def m0_descent(n: int, max_value: int, max_depth: int) -> list[int]:
     return values
 
 
-def m0_drop(n: int, max_value: int, max_depth: int) -> int | None:
-    """The last value of ``m0_descent(n, max_value, max_depth)``, read off
-    n's row of the descent sieve with no walk, when the row shows it below
-    n: n above the row's bound, the row's j steps within max_depth and
-    every value before, at most p*n + q, within max_value; else None."""
-    rows = _sieve(12)
-    row = rows[n % len(rows)]
-    if (row is not None and n > row.bound and row.j <= max_depth
-            and row.p * n + row.q <= max_value):
-        return (row.a * n + row.c) >> row.h
-    return None
+def m0_drop(n: int, max_value: int, max_depth: int) -> int:
+    """``m0_descent(n, max_value, max_depth)[-1]``, a sieve block at a time:
+    a block's inner values are above its start, so it is one jump when its
+    j steps fit the depth left and p*x + q fits max_value; else one move."""
+    rows, x, left = _sieve(12), n, max_depth
+    while left:
+        j, _, a, c, h, p, q = rows[x & 4095]
+        if j > left or p * x + q > max_value:
+            if x & 1 and 3 * x + 1 > max_value:
+                break
+            j, a, c, h = (1, 3, 1, 0) if x & 1 else (1, 1, 0, 1)
+        x, left = (a * x + c) >> h, left - j
+        if x <= n:
+            break
+    return x
 
 
 def m0_script(values) -> ActionSeq:
@@ -327,4 +330,4 @@ def all_reach_one(limit: int, max_depth: int = 100_000):
     (empty means all reach 1).
     """
     return sorted(n for n in m0_undecided(limit, max_depth)
-                  if n > 1 and m0_descent(n, _NO_CAP, max_depth)[-1] >= n)
+                  if n > 1 and m0_drop(n, _NO_CAP, max_depth) >= n)

@@ -325,12 +325,10 @@ def descending_witness(a: int, model: ModelId,
 
 def _unsearched(a, bounds):
     """Whether descending_witness(a, model, bounds) passes with no search:
-    by the F strip, by an m0_descent walk whose end m0_drop reads below a
-    off the descent sieve (it needs a <= cap, as p*a + q <= cap does), or
-    else by that walk, taken with no Path built."""
+    by the F strip, or by an m0_descent walk, taken when a <= cap, whose
+    last value m0_drop reads below a with no walk list built."""
     limit, cap = _descent_budget(a, bounds)
-    return (_strips(a, cap) or m0_drop(a, cap, limit) is not None
-            or a <= cap and m0_descent(a, cap, limit)[-1] < a)
+    return _strips(a, cap) or a <= cap and m0_drop(a, cap, limit) < a
 
 
 def _descend(model):

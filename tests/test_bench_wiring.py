@@ -115,3 +115,20 @@ def test_tracer_times_the_graph_experiments_layers():
     for name in ("experiments.deloop_s", "experiments.census_s.MS",
                  "models.bounded_graph_s"):
         assert out["metrics"][name] > 0, name
+
+
+def test_building_the_claims_leaves_the_sieve_and_row_indexes_unbuilt():
+    # every workload's setup imports the library and builds the claims; the
+    # descent sieve and each claim's row index are built on first use, so
+    # neither adds to setup_s
+    code = ("import collatzlab; from collatzlab import search; "
+            "from collatzlab.catalog import CLUSTER_TABLE; "
+            "claims = [*collatzlab.build_claims().values(), "
+            "*CLUSTER_TABLE.values()]; "
+            "print(search._sieve.cache_info().currsize, "
+            "sum('_index' in vars(claim) for claim in claims))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]

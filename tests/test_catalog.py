@@ -257,6 +257,14 @@ def _matching_rows(claim, a):
             if a % modulus == residue and a // modulus >= least]
 
 
+def test_every_row_residue_is_below_its_modulus():
+    # Claim.at looks rows up by A mod the lcm of their moduli, filed under
+    # each residue's class, so a residue must be A mod its modulus
+    for claim in [*build_claims().values(), *CLUSTER_TABLE.values()]:
+        assert all(0 <= residue < modulus
+                   for modulus, residue, *_ in claim.rows), claim.id
+
+
 def test_only_node_loop_and_base_rows_overlap_and_columns_keep_first_match():
     claims = [*build_claims().values(), *CLUSTER_TABLE.values()]
     a_range = range(-40, 3001)

@@ -249,6 +249,38 @@ def first_m0_value_below(n, cap, max_depth=512):
     return 0
 
 
+def three_array_deloop(max_value, headroom):
+    """The de-looping node loop with one ok array per phase and each
+    node's descent read off a plain walk: (phase, reached, failed) per
+    phase."""
+    cap = max_value * headroom
+    bounds = SearchBounds(max_value=cap, max_depth=512, max_states=200_000)
+    runs = [(phase, experiments._phase_step(dropped),
+             bytearray(max_value + 1), [])
+            for phase, dropped in experiments._PHASE_DROPS.items()]
+    for _, _, ok, _ in runs:
+        ok[1] = 1
+    for n in range(2, max_value + 1):
+        d = first_m0_value_below(n, cap)
+        for _, step, ok, failed in runs:
+            if ok[d] or not isinstance(bfs(
+                    ModelId.MS, step, n,
+                    lambda y: y == 1 or (y < n and ok[y]), bounds),
+                    Unreachable):
+                ok[n] = 1
+            else:
+                failed.append(n)
+    return [(phase, sum(ok), failed) for phase, _, ok, failed in runs]
+
+
+@pytest.mark.parametrize("max_value", [16, 100, 9999, 10**4])
+@pytest.mark.parametrize("headroom", [1, 2, 2**10])
+def test_phase_bitmasks_match_three_phase_arrays(max_value, headroom):
+    report = delooping_experiment(max_value, search_headroom=headroom)
+    assert [(p.phase, p.reached, p.failed) for p in report.phases] == (
+        three_array_deloop(max_value, headroom))
+
+
 @pytest.mark.parametrize("max_value, headroom", [(10**4, 2**10), (300, 2)])
 def test_one_node_loop_matches_three_separate_phase_passes(max_value,
                                                             headroom):

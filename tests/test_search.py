@@ -1,5 +1,7 @@
 """Bounded reachability search and the deterministic trajectory engine."""
 
+import math
+import random
 import tracemalloc
 
 import pytest
@@ -187,12 +189,19 @@ def first_drop_step(n):
 
 
 def test_descent_sieve_matches_a_walk_per_class():
-    # open classes modulo 2^k, as counted by OEIS A076227
+    # open classes modulo 2^k, as counted by OEIS A076227: after their k
+    # halvings 3^o is still above 2^k, and their bound is infinite
     for k, open_rows in ((8, 19), (12, 226), (16, 2114)):
-        assert search._sieve(k).count(None) == open_rows, k
+        rows = search._sieve(k)
+        assert len(rows) == 2**k
+        opened = [row for row in rows if row.bound == math.inf]
+        assert len(opened) == open_rows, k
+        assert all(row.h == k and row.a > 2**k for row in opened), k
+        assert all(row.a < 2**row.h for row in rows
+                   if row.bound < math.inf), k
     for k in (8, 12):
         for r, row in enumerate(search._sieve(k)):
-            if row is None:
+            if row.bound == math.inf:
                 continue
             j, bound, *_ = row
             n = bound + 1 + (r - bound - 1) % 2**k   # least n > bound in r
@@ -203,27 +212,29 @@ def test_descent_sieve_matches_a_walk_per_class():
 def test_every_sieve_row_gives_its_walks_end_and_a_bound_on_their_peak():
     for k in (8, 12):
         for r, row in enumerate(search._sieve(k)):
-            if row is None:
-                continue
             j, bound, a, c, h, p, q = row
-            least = bound + 1 + (r - bound - 1) % 2**k   # least n > bound
+            decided = bound < math.inf
+            # the least n in r, and above bound when the row is decided
+            least = (bound + 1 + (r - bound - 1) % 2**k if decided
+                     else r or 2**k)
             for n in (least, least + 2**k, least + 7 * 2**k,
                       least + 12345 * 2**k, least + 2**40 * 2**k):
                 values = [n]
                 for _ in range(j):
                     x = values[-1]
                     values.append(3 * x + 1 if x % 2 else x // 2)
-                assert values[-1] < n <= min(values[:-1]), (k, r, n)
                 assert values[-1] == (a * n + c) >> h, (k, r, n)
+                assert min(values[1:-1], default=n + 1) > n, (k, r, n)
+                assert (values[-1] < n) == decided, (k, r, n)
                 assert p * n + q >= max(values), (k, r, n)
     # what the column checks read at k = 12: short walks and small bounds,
     # each below its own residue but at r = 1, so no n > 1 is at or below
     # its row's bound
     rows = search._sieve(12)
-    decided = [row for row in rows if row is not None]
+    decided = [row for row in rows if row.bound < math.inf]
     assert max(row.j for row in decided) == 19
     assert max(row.bound for row in decided) == 24
-    assert [r for r, row in enumerate(rows) if row and row.bound >= r] \
+    assert [r for r, row in enumerate(rows) if r <= row.bound < math.inf] \
         == [0, 1]
 
 
@@ -269,6 +280,31 @@ def test_m0_descent_matches_a_plain_loop():
                 assert search.m0_descent(n, max_value, max_depth) == (
                     plain_descent(n, max_value, max_depth)), (
                         n, max_value, max_depth)
+
+
+def test_m0_drop_is_the_last_value_of_a_plain_loop():
+    # caps below n too, down to n // 2, where a plain loop and m0_descent
+    # still agree: an even n's first move halves it to at most the cap
+    for n in range(1, 301):
+        for max_value in (n // 2, n - 1, n, n + 1, 3 * n, 3 * n + 1, 10**4,
+                          10**15, math.inf):
+            for max_depth in (0, 1, 2, 3, 7, 12, 19, 20, 40, 200):
+                assert search.m0_drop(n, max_value, max_depth) == (
+                    plain_descent(n, max_value, max_depth)[-1]), (
+                        n, max_value, max_depth)
+
+
+def test_m0_drop_matches_a_plain_loop_on_large_seeded_starts():
+    rng = random.Random(20260)
+    for _ in range(2000):
+        n = rng.randrange(1, 2**rng.randrange(1, 71))
+        max_value = rng.choice((n, n + rng.randrange(2**20),
+                                n * rng.randrange(2, 2**12),
+                                rng.randrange(n, 2**80), math.inf))
+        max_depth = rng.randrange(600)
+        assert search.m0_drop(n, max_value, max_depth) == (
+            plain_descent(n, max_value, max_depth)[-1]), (
+                n, max_value, max_depth)
 
 
 @pytest.mark.parametrize("walk, expected", [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -762,12 +763,12 @@ def test_only_the_edge_loop_lacks_a_column_check_and_no_claim_holds_code():
             assert not callable(getattr(claim, f.name)), (claim.id, f.name)
 
 
-def test_column_checks_replay_no_script_and_descend_walks_only_open_a(
+def test_column_checks_replay_no_script_and_descend_builds_no_walk_list(
         monkeypatch):
-    from collatzlab import actions, search, verify
+    from collatzlab import actions, verify
 
-    replays, walks = [], []
-    replay, descent = actions._replay, verify.m0_descent
+    replays, walks, drops = [], [], []
+    replay, descent, drop = actions._replay, verify.m0_descent, verify.m0_drop
 
     def counted_replay(*args):
         replays.append(args)
@@ -777,20 +778,23 @@ def test_column_checks_replay_no_script_and_descend_walks_only_open_a(
         walks.append(n)
         return descent(n, *args)
 
+    def counted_drop(n, *args):
+        drops.append(n)
+        return drop(n, *args)
+
     monkeypatch.setattr(actions, "_replay", counted_replay)
     monkeypatch.setattr(verify, "m0_descent", counted_descent)
+    monkeypatch.setattr(verify, "m0_drop", counted_drop)
     for claim_id in COLUMN_CLAIMS:
         assert run_any_claim(claim_id, range(1, 5001)).failed == 0
-    assert (replays, walks) == ([], [])
-    # the descend claims walk the A that neither the F strip nor a decided
-    # sieve row passes: the open classes and the A at or below a row's bound
-    rows = search._sieve(12)
-    open_a = [a for a in range(2, 5001) if a % 6 != 1
-              and (rows[a % 4096] is None or a <= rows[a % 4096].bound)]
+    assert (replays, walks, drops) == ([], [], [])
+    # the descend claims read one m0_drop, and build no walk list, per A
+    # that the F strip does not pass; each of them descends, so no A takes
+    # the per-A check
+    unstripped = [a for a in range(2, 5001) if a % 6 != 1]
     for claim_id in ("T.descend-ms", "L.descend-m1"):
         assert run_any_claim(claim_id, range(1, 5001)).failed == 0
-    assert replays == [] and walks == 2 * open_a
-    assert 0 < len(open_a) < 5000 // 20
+    assert (replays, walks) == ([], []) and drops == 2 * unstripped
 
 
 def _budget(a, bounds):
@@ -807,8 +811,8 @@ def _needs_a_walk(a, bounds):
     limit, cap = _budget(a, bounds)
     if a % 6 == 1 and (a - 1) // 3 <= cap:
         return False
-    row = search._sieve(12)[a % 4096]
-    if row is None or a <= row.bound or row.j > limit:
+    row = search._sieve(12)[a % 4096]   # an open row's bound is infinite
+    if a <= row.bound or row.j > limit:
         return True
     return row.p * a + row.q > cap
 
@@ -834,7 +838,7 @@ def test_the_descend_column_checks_exactly_the_a_no_sieve_row_passes(
         return Path(model, a, ActionSeq(()), a - 1, (a, a - 1))
 
     monkeypatch.setattr(verify, "descending_witness", passing)
-    decided = [row for row in search._sieve(12) if row is not None]
+    decided = [row for row in search._sieve(12) if row.bound < math.inf]
     p, q = max(row.p for row in decided), max(row.q for row in decided)
     _, _, _, column = verify._registry({})["T.descend-ms"]
     for chunk in ORACLE_CHUNKS:
