@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 from .actions import ModelId
 from .models import SUCCESSORS, bounded_graph
-from .search import (SearchBounds, Unreachable, _sieve, bfs, m0_descent,
-                     m0_drop, m0_undecided)
+from .search import (SearchBounds, Unreachable, bfs, m0_descent, m0_drop,
+                     m0_undecided)
 
 
 def _circuits(s, adjacency):
@@ -57,17 +57,18 @@ def cycle_census(model: ModelId, max_value: int):
     Cycles start at their smallest node and the census is sorted by
     (length, nodes). M0 is out-degree 1: n is a cycle's least node iff its
     walk comes back to n before it drops below n or leaves 1..max_value. The
-    n the sieve settles drop first, so only ``m0_undecided`` n are walked;
-    a walk that has passed more than max_value - n + 1 values in
-    n..max_value has repeated one other than n, so n is on no cycle. MS and
-    M1 go through Johnson's circuit search from each node s, in ascending
-    order, over the nodes above s in their ``bounded_graph``.
+    n the sieve settles, every even n among them, drop first, and an odd n
+    above (max_value - 1) / 3 cannot move, so only the ``m0_undecided`` n up
+    to that are walked; a walk that has passed more than max_value - n + 1
+    values in n..max_value has repeated one other than n, so n is on no
+    cycle. MS and M1 go through Johnson's circuit search from each node s,
+    in ascending order, over the nodes above s in their ``bounded_graph``.
     """
     if max_value < 4:
         raise ValueError(f"max_value must be >= 4, got {max_value}")
     if model is ModelId.M0:
         walks = (m0_descent(n, max_value, max_value - n + 1)
-                 for n in m0_undecided(max_value, max_value))
+                 for n in m0_undecided((max_value - 1) // 3, max_value))
         cycles = [w[:-1] for w in walks if len(w) > 1 and w[-1] == w[0]]
     else:
         adjacency = {x: [y for _, y in moves] for x, moves
@@ -168,17 +169,14 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
 
     # One ascending node loop; bit 1 << i of ok[x] says phase i + 1 accepted
     # x. The M0 walk from n is legal in every phase and passes only values
-    # >= n before d, so one m0_drop, or its first block, serves all three.
+    # >= n before d, so one m0_drop serves all three.
     phases = [PhaseResult(phase, tuple(f"E{r}" for r in dropped))
               for phase, dropped in _PHASE_DROPS.items()]
     runs = list(zip((1, 2, 4), phases, map(_phase_step, _PHASE_DROPS.values())))
     ok = bytearray(max_value + 1)
     ok[1] = every = 7
-    rows, cap, depth = _sieve(12), bounds.max_value, bounds.max_depth
     for n in range(2, max_value + 1):
-        j, bound, a, c, h, p, q = rows[n & 4095]   # m0_drop's first block
-        d = ((a * n + c) >> h if n > bound and j <= depth and p * n + q <= cap
-             else m0_drop(n, cap, depth))
+        d = m0_drop(n, bounds.max_value, bounds.max_depth)
         mask = ok[d] if d < n else 0
         if mask != every:
             for bit, result, step in runs:

@@ -247,21 +247,24 @@ def _sieve(k):
     every n > c // (2^h - 3^o) drops below n at step j, and not earlier,
     since every shorter prefix has 3^o >= 2^h. Row r is that SieveRow, or
     the open row at k halvings when the class stays open that long (OEIS
-    A076227 counts them).
+    A076227 counts them). Built modulo 2, 4, ..., 2^k: r and r + 2^(i-1)
+    share a row decided in fewer than i halvings; an open row walks on.
     """
-    rows = []
-    for r in range(1 << k):
-        x, a, c, h, j = r, 1, 0, 0, 0   # x = (a * r + c) >> h, a = 3^o
-        p, q = 1, 0                     # ceilings of a / 2^h and c / 2^h
-        while h < k and a >= 1 << h:
-            if x & 1:
-                x, a, c = 3 * x + 1, 3 * a, 3 * c + (1 << h)
-                p, q = max(p, -(-a >> h)), max(q, -(-c >> h))
-            else:
-                x, h = x >> 1, h + 1
-            j += 1
-        rows.append(SieveRow(j, c // ((1 << h) - a) if a < 1 << h
-                             else _NO_CAP, a, c, h, p, q))
+    rows = [SieveRow(0, _NO_CAP, 1, 0, 0, 1, 0)]   # the one class mod 1
+    for i in range(1, k + 1):
+        rows *= 2
+        for r in [r for r, row in enumerate(rows) if row.bound == _NO_CAP]:
+            j, _, a, c, h, p, q = rows[r]
+            x = (a * r + c) >> h   # a = 3^o; p, q: ceilings of a, c / 2^h
+            while h < i and a >= 1 << h:
+                if x & 1:
+                    x, a, c = 3 * x + 1, 3 * a, 3 * c + (1 << h)
+                    p, q = max(p, -(-a >> h)), max(q, -(-c >> h))
+                else:
+                    x, h = x >> 1, h + 1
+                j += 1
+            rows[r] = SieveRow(j, c // ((1 << h) - a) if a < 1 << h
+                               else _NO_CAP, a, c, h, p, q)
     return tuple(rows)   # shared by every caller through the cache
 
 

@@ -325,8 +325,7 @@ def descending_witness(a: int, model: ModelId,
 
 def _unsearched(a, bounds):
     """Whether descending_witness(a, model, bounds) passes with no search:
-    by the F strip, or by an m0_descent walk, taken when a <= cap, whose
-    last value m0_drop reads below a with no walk list built."""
+    by the F strip, or by its M0 walk, whose end m0_drop reads below a."""
     limit, cap = _descent_budget(a, bounds)
     return _strips(a, cap) or a <= cap and m0_drop(a, cap, limit) < a
 
