@@ -83,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     # A string default goes through type=, so a bad env value is a usage error.
     p.add_argument("--workers", type=positive_int,
                    default=os.environ.get("COLLATZLAB_WORKERS", "1"),
-                   help="worker processes (default: $COLLATZLAB_WORKERS or 1)")
+                   help="worker processes, at most one per CPU and claim "
+                        "chunk (default: $COLLATZLAB_WORKERS or 1)")
 
     p = sub.add_parser("reach", help="bounded BFS between two values")
     p.add_argument("--model", type=parse_model, required=True)
@@ -148,23 +149,6 @@ def _emit_reports(reports, fmt, timing, out):
                 out.write(f"  A={failure.input}: {failure.reason}\n")
 
 
-def _merge_reports(parts):
-    # The last part's bounds are the whole range's: a cluster's default cap
-    # is the one at the range's last k.
-    head, dips = parts[0], "nonpositive_intermediate_inputs"
-    for other in parts[1:]:
-        if dips in head.bounds:  # a succession check's count, not a bound
-            other.bounds[dips] += head.bounds[dips]
-        head.bounds = other.bounds
-        head.range = (head.range[0], other.range[1])
-        head.passed += other.passed
-        head.skipped += other.skipped
-        head.failures.extend(other.failures)
-        head.wall_ms += other.wall_ms
-    head.failures.sort(key=lambda f: f.input)
-    return head
-
-
 def cmd_verify(args, out) -> int:
     if args.max_depth is not None and args.max_value is None:
         print("error: --max-depth needs --max-value", file=sys.stderr)
@@ -191,26 +175,23 @@ def cmd_verify(args, out) -> int:
 
 
 def _run_claims(ids, rng, bounds, workers, claims):
-    """One report per claim id; one process pool for the whole run.
-
-    A serial run reuses the caller's catalog. With workers > 1 the work
-    units are (claim id, range chunk) pairs, each unit builds its own
-    catalog (a build takes well under a millisecond), and each claim's
-    chunk reports are merged back in range order.
-    """
-    if workers <= 1 or len(rng) < 2 * workers:
+    """One report per claim id: verify.run_any_claim per claim when serial,
+    else a pool of min(workers, CPUs, units) processes gets every (claim
+    id, chunk) unit at once, chunk by chunk, in about 16 batches a process
+    (one message each); each report is built from its chunks in order."""
+    chunks = verify_mod.chunks(rng)
+    units = [(c, chunk) for chunk in chunks for c in ids]
+    workers = min(workers, os.cpu_count() or 1, len(units))
+    if workers <= 1:
         return [verify_mod.run_any_claim(c, rng, bounds, claims) for c in ids]
     import concurrent.futures
 
-    chunk = (len(rng) + workers - 1) // workers
-    pieces = [rng[i:i + chunk] for i in range(0, len(rng), chunk)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(verify_mod.run_any_claim,
-                              [c for c in ids for _ in pieces],
-                              pieces * len(ids),
-                              [bounds] * (len(ids) * len(pieces))))
-    n = len(pieces)
-    return [_merge_reports(parts[i:i + n]) for i in range(0, len(parts), n)]
+        parts = list(pool.map(verify_mod.run_chunk, *zip(*units),
+                              [bounds] * len(units),
+                              chunksize=max(1, len(units) // (16 * workers))))
+    return [verify_mod.build_report(c, rng, bounds, parts[i::len(ids)])
+            for i, c in enumerate(ids)]
 
 
 def cmd_traj(args, out) -> int:

@@ -9,14 +9,18 @@ Claim.columns, so only the catalog reads a claim's rows), the succession
 identities compose their sequence once, and the descend claims read each
 A's row of the descent sieve, else walk its descent. It only says whether
 every A passed; on any miss the chunk is checked again A by A, so every
-failure and count comes from the per-A check. run_any_claim is the one
-loop that turns those checks into a report.
+failure and count comes from the per-A check. No entry keeps state.
+
+One claim's chunk of CHUNK A is the one unit of work, serial or pooled:
+run_chunk runs it, and build_report builds a claim's report once from its
+chunks in range order. run_any_claim runs both in this process.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -60,9 +64,6 @@ class VerifyReport:
     def failed(self) -> int:
         return len(self.failures)
 
-    def record_failure(self, failure: Failure):
-        self.failures.append(failure)
-
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
             "claim_id": self.claim_id,
@@ -89,7 +90,7 @@ class VerifyReport:
 CSV_HEADER = "claim_id,model,lo,hi,pass,fail,skipped"
 
 
-def _bounds_dict(bounds: SearchBounds | None, last=None) -> dict:
+def _bounds_dict(bounds: SearchBounds | None, a_range) -> dict:
     if bounds is None:
         return {}
     return {"max_value": bounds.max_value, "max_depth": bounds.max_depth,
@@ -110,9 +111,8 @@ def build_witness(claim: catalog.Claim, a: int) -> Path:
 # claim's domain (skipped), else the list of failures (empty on PASS).
 # Column checks: column(chunk, search_bounds) takes a step-1 range of at
 # most CHUNK A and returns (passed, skipped) when every A in the claim's
-# domain passes, else None, leaving every tally as it was. Bounds-dict
-# functions: bounds_dict(search_bounds, last) gives the report's bounds for
-# a range whose last A is last.
+# domain passes, else None. Bounds-dict functions: bounds_dict(search_bounds,
+# a_range) gives the report's bounds for the whole of a_range.
 
 CHUNK = 1024
 
@@ -168,38 +168,36 @@ def _catalog_claim(claim):
         return None if passed is None else (passed, len(chunk) - passed)
 
     # Catalog witnesses are scripts: no search bound applies to them.
-    return claim.model, lambda search_bounds, last=None: {}, check, column
+    return claim.model, lambda search_bounds, a_range: {}, check, column
 
 
 def _succession(offset):
     """Exact identity check: the +offset sequence ends at x + offset.
 
     Evaluated over signed exact rationals; intermediates that dip to zero
-    or below are informational, never failures: they are counted as the
-    loop runs and reported in place of search bounds. The column check
+    or below are informational, never failures: the report counts the x of
+    its range that dip, in place of search bounds, read off the
+    composition's low (x dips exactly when x <= low). The column check
     composes the sequence once, as (alpha*x + beta) / q, and passes a chunk
     when that is x + offset for every x.
     """
     seq = catalog.SUCCESSION_SEQS[offset]
-    tally = {"nonpositive_intermediate_inputs": 0}
     alpha, beta, q, low = evaluate_form(seq)
 
     def check(x, search_bounds):
-        end, flagged = evaluate_exact(seq, x)
-        if flagged:
-            tally["nonpositive_intermediate_inputs"] += 1
+        end, _ = evaluate_exact(seq, x)
         if end == x + offset:
             return []
         return [Failure(x, None, f"ended at {end}, expected {x + offset}")]
 
     def column(chunk, search_bounds):
-        if (alpha, beta) != (q, offset * q):
-            return None
-        tally["nonpositive_intermediate_inputs"] += max(
-            0, min(chunk.stop, low + 1) - chunk.start)
-        return len(chunk), 0
+        return (len(chunk), 0) if (alpha, beta) == (q, offset * q) else None
 
-    return ModelId.M2, lambda search_bounds, last=None: tally, check, column
+    def bounds_dict(search_bounds, a_range):
+        xs = a_range if a_range.step > 0 else a_range[::-1]
+        return {"nonpositive_intermediate_inputs": bisect_right(xs, low)}
+
+    return ModelId.M2, bounds_dict, check, column
 
 
 CLUSTER_MEMBERS = {
@@ -221,8 +219,8 @@ def _cluster_bounds(search_bounds, k):
                         max_depth=search_bounds.max_depth)
 
 
-def _cluster_bounds_dict(search_bounds, last=1):
-    bounds = _cluster_bounds(search_bounds, last)
+def _cluster_bounds_dict(search_bounds, a_range):
+    bounds = _cluster_bounds(search_bounds, a_range[-1])
     return {"max_value": bounds.max_value, "max_depth": bounds.max_depth}
 
 
@@ -341,12 +339,8 @@ def _descend(model):
         if a < 2:
             return None
         witness = descending_witness(a, model, search_bounds)
-        if isinstance(witness, Unreachable):
-            return [Failure(a, None, witness.tag)]
-        if witness.end >= a:
-            return [Failure(a, None, f"witness ends at {witness.end} >= {a}",
-                            list(witness.values))]
-        return []
+        return ([Failure(a, None, witness.tag)]
+                if isinstance(witness, Unreachable) else [])
 
     def column(chunk, search_bounds):
         if any(check(a, search_bounds) for a in chunk
@@ -381,8 +375,7 @@ def _registry(claims: dict) -> dict:
     """Claim id -> (model, bounds-dict function, per-A check, column check
     or None).
 
-    Insertion order is the `verify --claim all` order. Built afresh for
-    each run, because the succession checks count as they go.
+    Insertion order is the `verify --claim all` order.
     """
     registry = {f"T.succ{i}": _succession(i) for i in catalog.SUCCESSION_SEQS}
     registry.update((claim_id, _catalog_claim(claim))
@@ -395,51 +388,76 @@ def _registry(claims: dict) -> dict:
     return registry
 
 
+@cache
+def _default_registry() -> dict:
+    """The registry of catalog.build_claims(), built once per process."""
+    return _registry(catalog.build_claims())
+
+
 def all_claim_ids(claims: dict | None = None) -> list[str]:
     """Every claim id, in the deterministic `verify --claim all` order."""
     return list(_registry(claims if claims is not None
                           else catalog.build_claims()))
 
 
+def chunks(a_range: range) -> list[range]:
+    """a_range cut into runs of CHUNK A, in order: the units of work."""
+    return [a_range[i:i + CHUNK] for i in range(0, len(a_range), CHUNK)]
+
+
+def run_chunk(claim_id: str, chunk: range,
+              search_bounds: SearchBounds | None = None,
+              registry: dict | None = None) -> tuple:
+    """One unit of work: (passed, skipped, failures, seconds) of claim_id
+    over chunk, one of chunks(a_range): the column check's counts when it
+    passes the chunk, else the per-A check's, A by A, which give every
+    failure. registry defaults to the default catalog's, cached."""
+    t0 = time.perf_counter()
+    _, _, check, column = (registry or _default_registry())[claim_id]
+    # column checks read a chunk as consecutive A
+    if column and chunk.step == 1 and (
+            counts := column(chunk, search_bounds)) is not None:
+        return *counts, [], time.perf_counter() - t0
+    passed = skipped = 0
+    failures = []
+    for a in chunk:
+        found = check(a, search_bounds)
+        if found is None:
+            skipped += 1
+        elif found:
+            failures += found
+        else:
+            passed += 1
+    return passed, skipped, failures, time.perf_counter() - t0
+
+
+def build_report(claim_id: str, a_range: range,
+                 search_bounds: SearchBounds | None, parts,
+                 registry: dict | None = None) -> VerifyReport:
+    """claim_id's report over a_range from parts, the run_chunk result of
+    each of chunks(a_range) in range order: counts and failures in that
+    order, bounds read off the whole range, wall_ms the sum of the chunk
+    times. registry defaults as in run_chunk."""
+    model, bounds_dict, _, _ = (registry or _default_registry())[claim_id]
+    passed, skipped, failures, seconds = zip(*parts)
+    return VerifyReport(claim_id, model.name, (a_range.start, a_range[-1]),
+                        sum(passed), sum(skipped),
+                        [f for part in failures for f in part],
+                        bounds_dict(search_bounds, a_range),
+                        sum(seconds) * 1000)
+
+
 def run_any_claim(claim_id: str, a_range: range,
                   search_bounds: SearchBounds | None = None,
                   claims: dict | None = None) -> VerifyReport:
-    """Check one claim (catalog or special) for every A in a_range.
-
-    Walks a_range in chunks of CHUNK A. A chunk that the claim's column
-    check passes adds its counts; any other chunk goes through the per-A
-    check, A by A, which gives every failure and tally.
-    """
+    """Check one claim (catalog or special) for every A in a_range, a
+    run_chunk at a time, in this process."""
     registry = _registry(claims if claims is not None
                          else catalog.build_claims())
     if claim_id not in registry:
         raise UnknownClaim(claim_id, sorted(registry))
-    model, bounds_dict, check, column = registry[claim_id]
     if not a_range:
         raise ValueError(f"empty range {a_range}")
-    if a_range.step != 1:
-        column = None  # column checks read a chunk as consecutive A
-    t0 = time.perf_counter()
-    report = VerifyReport(claim_id=claim_id, model=model.name,
-                          range=(a_range.start, a_range[-1]))
-    passed = skipped = 0
-    for i in range(0, len(a_range), CHUNK):
-        chunk = a_range[i:i + CHUNK]
-        counts = column(chunk, search_bounds) if column else None
-        if counts is not None:
-            passed += counts[0]
-            skipped += counts[1]
-            continue
-        for a in chunk:
-            failures = check(a, search_bounds)
-            if failures is None:
-                skipped += 1
-            elif failures:
-                for failure in failures:
-                    report.record_failure(failure)
-            else:
-                passed += 1
-    report.passed, report.skipped = passed, skipped
-    report.bounds = bounds_dict(search_bounds, a_range[-1])
-    report.wall_ms = (time.perf_counter() - t0) * 1000
-    return report
+    parts = [run_chunk(claim_id, chunk, search_bounds, registry)
+             for chunk in chunks(a_range)]
+    return build_report(claim_id, a_range, search_bounds, parts, registry)

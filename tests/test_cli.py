@@ -95,10 +95,10 @@ def test_serial_verify_builds_the_catalog_once(monkeypatch):
 
 
 def test_cluster_replay_output_does_not_depend_on_workers():
-    # each range chunk counts its own succession dips, and the merged report
-    # keeps the bounds of the last chunk: past k = 6,471 the default cluster
-    # cap is the one at the range's last k. x = 0, 1 and 2 each dip to <= 0
-    # under the +2 script
+    # a report's bounds are read off its whole range: the succession dips
+    # over all its chunks, and, past k = 6,471, the default cluster cap at
+    # the range's last k. x = 0, 1 and 2 each dip to <= 0 under the +2
+    # script
     for argv in (["verify", "--claim", "T.cluster-nine,T.cluster-three",
                   "--range", "1..80"],
                  ["verify", "--claim", "T.cluster-nine,T.cluster-three,"
@@ -108,6 +108,61 @@ def test_cluster_replay_output_does_not_depend_on_workers():
         assert single[0] == 0
         assert run(argv + ["--workers", "2"]) == single, argv
     assert '"nonpositive_intermediate_inputs":3' in single[1]
+
+
+def test_workers_do_not_reorder_failures_spread_over_chunks(monkeypatch):
+    # each report is built from its chunks in range order, so nothing sorts
+    # the failures; here they fall in all three chunks of 0..3000
+    from collatzlab.verify import CHUNK
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool on any host
+    argv = ["verify", "--claim", "T.descend-ms,T.cluster-five,T.succ2",
+            "--range", "0..3000", "--max-value", "4096", "--max-depth", "12"]
+    for fmt in ("json", "csv", "text"):
+        single = run(argv + ["--format", fmt, "--workers", "1"])
+        assert single[0] == 1
+        assert run(argv + ["--format", fmt, "--workers", "2"]) == single, fmt
+        if fmt == "json":
+            descend, cluster, succ = map(json.loads, single[1].splitlines())
+    for report, failed in ((descend, 662), (cluster, 21_664)):
+        assert report["fail"] == failed
+        assert {f["input"] // CHUNK for f in report["failures"]} == {0, 1, 2}
+    assert succ["bounds"] == {"nonpositive_intermediate_inputs": 3}
+
+
+def test_the_pool_has_at_most_one_process_per_cpu_and_per_unit(monkeypatch):
+    # a recording executor stands in for the pool, so no process starts
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    argv = ["verify", "--claim", "L.10-11,T.succ1", "--range", "1..3000"]
+    serial = run(argv)  # 2 claims of 3 chunks each: 6 units
+    for cpus, workers, pool in ((3, "5000", [3]), (64, "5000", [6]),
+                                (64, "4", [4]), (None, "5000", []),
+                                (64, "1", [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert run(argv + ["--workers", workers]) == serial
+        assert sizes == pool, (cpus, workers)
+    monkeypatch.setenv("COLLATZLAB_WORKERS", "5000")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    sizes.clear()
+    assert run(argv) == serial and sizes == [3]
 
 
 def test_reach():

@@ -381,7 +381,7 @@ def cluster_oracle(kind, a_range, search_bounds=None, replay=None):
                 else:
                     paths.append(result.actions)
         for failure in failures:
-            report.record_failure(failure)
+            report.failures.append(failure)
         report.passed += not failures
     report.bounds = {"max_value": bounds.max_value,
                      "max_depth": bounds.max_depth}
@@ -483,10 +483,10 @@ def _per_a_catalog(claim, a_range):
         try:
             witness = apply_seq(script, start, ModelId.M1)
         except (GuardViolation, DomainViolation) as exc:
-            report.record_failure(Failure(a, exc.step_index, str(exc)))
+            report.failures.append(Failure(a, exc.step_index, str(exc)))
             continue
         if witness.end != expected:
-            report.record_failure(Failure(
+            report.failures.append(Failure(
                 a, None, f"endpoint {witness.end} != expected {expected}",
                 list(witness.values)))
             continue
@@ -494,12 +494,12 @@ def _per_a_catalog(claim, a_range):
             try:
                 back = apply_seq(inverse_seq(script), witness.end, ModelId.M1)
             except (GuardViolation, DomainViolation) as exc:
-                report.record_failure(Failure(
+                report.failures.append(Failure(
                     a, exc.step_index, f"cycle-closing replay illegal: {exc}",
                     list(witness.values)))
                 continue
             if back.end != start:
-                report.record_failure(Failure(
+                report.failures.append(Failure(
                     a, None, f"cycle did not close: {back.end}",
                     list(back.values)))
                 continue
@@ -518,7 +518,7 @@ def _per_a_succession(offset, a_range):
         if end == x + offset:
             report.passed += 1
         else:
-            report.record_failure(Failure(
+            report.failures.append(Failure(
                 x, None, f"ended at {end}, expected {x + offset}"))
     report.bounds = {"nonpositive_intermediate_inputs": dipped}
     return report.to_dict()
@@ -658,12 +658,31 @@ def _column_and_per_a(entry, chunk, bounds):
 def test_succession_column_verdicts_and_tallies_are_the_per_a_ones(offset):
     from collatzlab.verify import _succession
 
+    entry = _succession(offset)
     for chunk in [*ORACLE_CHUNKS, range(-3000, -2000)]:
-        column_entry, per_a_entry = _succession(offset), _succession(offset)
-        column, _ = _column_and_per_a(column_entry, chunk, None)
-        _, per_a = _column_and_per_a(per_a_entry, chunk, None)
+        column, per_a = _column_and_per_a(entry, chunk, None)
         assert column == per_a == (len(chunk), 0)
-        assert column_entry[1](None) == per_a_entry[1](None), chunk
+    # the report's count of x that dip to <= 0 is read off the whole range;
+    # the entry keeps no state, so a second reading gives the same count
+    for a_range in [*ORACLE_CHUNKS, range(-3000, -2000), range(-40, 0),
+                    range(-50, 3001, 7), range(20, -10, -3)]:
+        expected = _per_a_succession(offset, a_range)["bounds"]
+        assert entry[1](None, a_range) == expected, a_range
+        assert entry[1](None, a_range) == expected, a_range
+
+
+def test_a_succession_claim_run_twice_in_one_process_gives_equal_reports():
+    from collatzlab.verify import build_report, chunks, run_chunk
+
+    a_range = range(0, 3001)
+    first = run_any_claim("T.succ2", a_range).to_dict()
+    assert first["bounds"] == {"nonpositive_intermediate_inputs": 3}
+    assert run_any_claim("T.succ2", a_range).to_dict() == first
+    # a pool's units read one cached registry per process
+    for _ in range(2):
+        parts = [run_chunk("T.succ2", chunk) for chunk in chunks(a_range)]
+        assert build_report("T.succ2", a_range, None, parts).to_dict() \
+            == first
 
 
 @pytest.mark.parametrize("claim_id", ["T.descend-ms", "L.descend-m1"])
