@@ -17,7 +17,7 @@ import sys
 
 from . import verify as verify_mod
 from .actions import ModelId
-from .catalog import build_claims
+from .catalog import build_claims  # noqa: F401  bound for bench/tracer.py
 from .errors import DepthExceeded, UnknownClaim
 from .experiments import cycle_census, delooping_experiment
 from .models import bounded_graph, to_dot
@@ -153,8 +153,7 @@ def cmd_verify(args, out) -> int:
     if args.max_depth is not None and args.max_value is None:
         print("error: --max-depth needs --max-value", file=sys.stderr)
         return EXIT_USAGE
-    claims = build_claims()
-    known = verify_mod.all_claim_ids(claims)
+    known = verify_mod.all_claim_ids()
     if args.claim == "all":
         ids = known
     else:
@@ -169,21 +168,22 @@ def cmd_verify(args, out) -> int:
             print("available: " + ", ".join(sorted(known)), file=sys.stderr)
             return EXIT_USAGE
     reports = _run_claims(ids, args.a_range, _search_bounds(args),
-                          args.workers, claims)
+                          args.workers)
     _emit_reports(reports, args.format, args.timing, out)
     return EXIT_FINDING if any(r.failed for r in reports) else EXIT_OK
 
 
-def _run_claims(ids, rng, bounds, workers, claims):
+def _run_claims(ids, rng, bounds, workers):
     """One report per claim id: verify.run_any_claim per claim when serial,
     else a pool of min(workers, CPUs, units) processes gets every (claim
     id, chunk) unit at once, chunk by chunk, in about 16 batches a process
-    (one message each); each report is built from its chunks in order."""
+    (one message each); each report is built from its chunks in order.
+    Either way every process reads its one cached verify registry."""
     chunks = verify_mod.chunks(rng)
     units = [(c, chunk) for chunk in chunks for c in ids]
     workers = min(workers, os.cpu_count() or 1, len(units))
     if workers <= 1:
-        return [verify_mod.run_any_claim(c, rng, bounds, claims) for c in ids]
+        return [verify_mod.run_any_claim(c, rng, bounds) for c in ids]
     import concurrent.futures
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -2,18 +2,20 @@
 
 Every claim id, catalog lemma or special theorem, is one entry in an
 ordered registry: its model, its bounds dict, a check run once per A and,
-for all but T.edge-loop, a column check run once per chunk of A. A column
-check decides the chunk without a per-A replay where it can: the scripted
+where affine forms decide a chunk, a column check run once per chunk of A.
+A column check decides the chunk without a per-A replay: the scripted
 claims walk each row once on its affine forms (_rows_hold, over
-Claim.columns, so only the catalog reads a claim's rows), the succession
-identities compose their sequence once, and the descend claims read each
-A's row of the descent sieve, else walk its descent. It only says whether
+Claim.columns, so only the catalog reads a claim's rows), and the
+succession identities compose their sequence once. It only says whether
 every A passed; on any miss the chunk is checked again A by A, so every
-failure and count comes from the per-A check. No entry keeps state.
+failure and count comes from the per-A check. The descend claims and
+T.edge-loop have none: their per-A checks decide each A. No entry keeps
+state, and each reads the module tables when it runs.
 
 One claim's chunk of CHUNK A is the one unit of work, serial or pooled:
 run_chunk runs it, and build_report builds a claim's report once from its
-chunks in range order. run_any_claim runs both in this process.
+chunks in range order. run_any_claim runs both in this process. Every run
+reads one registry, _default_registry(), built once per process.
 """
 
 from __future__ import annotations
@@ -171,6 +173,10 @@ def _catalog_claim(claim):
     return claim.model, lambda search_bounds, a_range: {}, check, column
 
 
+# one composition per succession sequence checked in the process
+_form = cache(evaluate_form)
+
+
 def _succession(offset):
     """Exact identity check: the +offset sequence ends at x + offset.
 
@@ -179,21 +185,21 @@ def _succession(offset):
     its range that dip, in place of search bounds, read off the
     composition's low (x dips exactly when x <= low). The column check
     composes the sequence once, as (alpha*x + beta) / q, and passes a chunk
-    when that is x + offset for every x.
+    when that is x + offset for every x. Each reads
+    catalog.SUCCESSION_SEQS[offset] when it runs.
     """
-    seq = catalog.SUCCESSION_SEQS[offset]
-    alpha, beta, q, low = evaluate_form(seq)
-
     def check(x, search_bounds):
-        end, _ = evaluate_exact(seq, x)
+        end, _ = evaluate_exact(catalog.SUCCESSION_SEQS[offset], x)
         if end == x + offset:
             return []
         return [Failure(x, None, f"ended at {end}, expected {x + offset}")]
 
     def column(chunk, search_bounds):
+        alpha, beta, q, _ = _form(catalog.SUCCESSION_SEQS[offset])
         return (len(chunk), 0) if (alpha, beta) == (q, offset * q) else None
 
     def bounds_dict(search_bounds, a_range):
+        low = _form(catalog.SUCCESSION_SEQS[offset])[3]
         xs = a_range if a_range.step > 0 else a_range[::-1]
         return {"nonpositive_intermediate_inputs": bisect_right(xs, low)}
 
@@ -331,25 +337,20 @@ def _unsearched(a, bounds):
 def _descend(model):
     """Descending theorem: some H with H(A) < A exists for every A >= 2.
 
-    The column check runs the per-A check only on the A > 1 that
-    _unsearched does not pass, whose walk does not descend within the
-    budget. Any failure gives None.
+    The per-A check calls descending_witness only on the A that _unsearched
+    does not pass, whose walk does not descend within the budget, so an A
+    that passes builds no Path.
     """
     def check(a, search_bounds):
         if a < 2:
             return None
+        if _unsearched(a, search_bounds):
+            return []
         witness = descending_witness(a, model, search_bounds)
         return ([Failure(a, None, witness.tag)]
                 if isinstance(witness, Unreachable) else [])
 
-    def column(chunk, search_bounds):
-        if any(check(a, search_bounds) for a in chunk
-               if a > 1 and not _unsearched(a, search_bounds)):
-            return None
-        passed = len(range(max(chunk.start, 2), chunk.stop))
-        return passed, len(chunk) - passed
-
-    return model, _bounds_dict, check, column
+    return model, _bounds_dict, check, None
 
 
 def _edge_loop(a, search_bounds):
@@ -396,8 +397,7 @@ def _default_registry() -> dict:
 
 def all_claim_ids(claims: dict | None = None) -> list[str]:
     """Every claim id, in the deterministic `verify --claim all` order."""
-    return list(_registry(claims if claims is not None
-                          else catalog.build_claims()))
+    return list(_default_registry() if claims is None else _registry(claims))
 
 
 def chunks(a_range: range) -> list[range]:
@@ -406,14 +406,13 @@ def chunks(a_range: range) -> list[range]:
 
 
 def run_chunk(claim_id: str, chunk: range,
-              search_bounds: SearchBounds | None = None,
-              registry: dict | None = None) -> tuple:
+              search_bounds: SearchBounds | None = None) -> tuple:
     """One unit of work: (passed, skipped, failures, seconds) of claim_id
     over chunk, one of chunks(a_range): the column check's counts when it
     passes the chunk, else the per-A check's, A by A, which give every
-    failure. registry defaults to the default catalog's, cached."""
+    failure."""
     t0 = time.perf_counter()
-    _, _, check, column = (registry or _default_registry())[claim_id]
+    _, _, check, column = _default_registry()[claim_id]
     # column checks read a chunk as consecutive A
     if column and chunk.step == 1 and (
             counts := column(chunk, search_bounds)) is not None:
@@ -432,13 +431,12 @@ def run_chunk(claim_id: str, chunk: range,
 
 
 def build_report(claim_id: str, a_range: range,
-                 search_bounds: SearchBounds | None, parts,
-                 registry: dict | None = None) -> VerifyReport:
+                 search_bounds: SearchBounds | None, parts) -> VerifyReport:
     """claim_id's report over a_range from parts, the run_chunk result of
     each of chunks(a_range) in range order: counts and failures in that
     order, bounds read off the whole range, wall_ms the sum of the chunk
-    times. registry defaults as in run_chunk."""
-    model, bounds_dict, _, _ = (registry or _default_registry())[claim_id]
+    times."""
+    model, bounds_dict, _, _ = _default_registry()[claim_id]
     passed, skipped, failures, seconds = zip(*parts)
     return VerifyReport(claim_id, model.name, (a_range.start, a_range[-1]),
                         sum(passed), sum(skipped),
@@ -448,16 +446,14 @@ def build_report(claim_id: str, a_range: range,
 
 
 def run_any_claim(claim_id: str, a_range: range,
-                  search_bounds: SearchBounds | None = None,
-                  claims: dict | None = None) -> VerifyReport:
+                  search_bounds: SearchBounds | None = None) -> VerifyReport:
     """Check one claim (catalog or special) for every A in a_range, a
     run_chunk at a time, in this process."""
-    registry = _registry(claims if claims is not None
-                         else catalog.build_claims())
+    registry = _default_registry()
     if claim_id not in registry:
         raise UnknownClaim(claim_id, sorted(registry))
     if not a_range:
         raise ValueError(f"empty range {a_range}")
-    parts = [run_chunk(claim_id, chunk, search_bounds, registry)
+    parts = [run_chunk(claim_id, chunk, search_bounds)
              for chunk in chunks(a_range)]
-    return build_report(claim_id, a_range, search_bounds, parts, registry)
+    return build_report(claim_id, a_range, search_bounds, parts)

@@ -78,8 +78,13 @@ def test_verify_is_deterministic():
 
 
 def test_serial_verify_builds_the_catalog_once(monkeypatch):
-    from collatzlab import catalog, cli
+    import functools
 
+    from collatzlab import catalog, verify
+
+    # a fresh cache, so the count starts from an unbuilt registry
+    monkeypatch.setattr(verify, "_default_registry",
+                        functools.cache(verify._default_registry.__wrapped__))
     build = catalog.build_claims
     calls = []
 
@@ -88,9 +93,11 @@ def test_serial_verify_builds_the_catalog_once(monkeypatch):
         return build()
 
     monkeypatch.setattr(catalog, "build_claims", counted)
-    monkeypatch.setattr(cli, "build_claims", counted)
-    code, _ = run(["verify", "--claim", "all", "--range", "1..3"])
-    assert code in (0, 1)
+    for _ in range(2):
+        code, _ = run(["verify", "--claim", "all", "--range", "1..3"])
+        assert code in (0, 1)
+    assert verify.run_any_claim("L.10-11", range(1, 6)).failed == 0
+    assert verify.all_claim_ids()[0] == "T.succ1"
     assert len(calls) == 1
 
 

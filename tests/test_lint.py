@@ -167,3 +167,43 @@ def test_only_the_catalog_reads_a_claims_rows():
                if p.name != "catalog.py"}
     assert modules
     assert rows_readers(modules) == []
+
+
+def build_claims_callers(modules):
+    """(module, line) for every call of ``build_claims`` in a module source,
+    bare or as an attribute, outside verify.py's ``_default_registry``: the
+    one registry per process is the only catalog a run reads."""
+    callers = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        allowed = {id(node) for top in tree.body
+                   if module == "verify.py"
+                   and isinstance(top, ast.FunctionDef)
+                   and top.name == "_default_registry"
+                   for node in ast.walk(top)}
+        callers += [(module, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and id(node) not in allowed
+                    and (getattr(node.func, "id", None) == "build_claims"
+                         or getattr(node.func, "attr", None)
+                         == "build_claims")]
+    return callers
+
+
+def test_build_claims_caller_check_flags_only_other_calls():
+    registry = ("from . import catalog\n"
+                "def _default_registry():\n"
+                "    return _registry(catalog.build_claims())\n"
+                "def all_claim_ids():\n"
+                "    return list(_registry(catalog.build_claims()))\n")
+    cli = ("from .catalog import build_claims  # bound, not called\n"
+           "claims = build_claims()\n"
+           "known = all_claim_ids(build_claims)\n")
+    assert build_claims_callers({"verify.py": registry, "cli.py": cli,
+                                 "m.py": registry}) == [
+        ("verify.py", 5), ("cli.py", 2), ("m.py", 3), ("m.py", 5)]
+
+
+def test_only_the_default_registry_builds_the_catalog():
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert "catalog.build_claims()" in modules["verify.py"]
+    assert build_claims_callers(modules) == []

@@ -74,7 +74,17 @@ def test_inverse_claims_replay_the_inverted_forward_script():
                     (claim.id, a)
 
 
-def test_every_single_letter_mutation_of_an_inverse_script_fails():
+def _run_mutated(monkeypatch, mutated, claim_id, a_range):
+    """run_any_claim over the catalog mutated in place of the default one."""
+    from collatzlab import verify
+
+    registry = verify._registry(mutated)
+    monkeypatch.setattr(verify, "_default_registry", lambda: registry)
+    return run_any_claim(claim_id, a_range)
+
+
+def test_every_single_letter_mutation_of_an_inverse_script_fails(
+        monkeypatch):
     # the verdict comes from the inverse claim's own script, not from a
     # replay of its forward lemma
     claims = build_claims()
@@ -93,8 +103,8 @@ def test_every_single_letter_mutation_of_an_inverse_script_fails():
                     mutated = dict(claims)
                     mutated[claim_id] = dataclasses.replace(
                         claim, rows=tuple(rows))
-                    report = run_any_claim(claim_id, range(1, 37),
-                                           claims=mutated)
+                    report = _run_mutated(monkeypatch, mutated, claim_id,
+                                          range(1, 37))
                     assert report.failed > 0, (claim_id, mutant.render())
 
 
@@ -568,7 +578,8 @@ def test_an_empty_range_is_a_value_error():
     ("L.21-11.last1", 0, 0),
     ("T.a-11", 28, 0),         # a round row: every chunk misses
 ])
-def test_a_mutant_row_falls_back_to_the_per_a_check(claim_id, row, index):
+def test_a_mutant_row_falls_back_to_the_per_a_check(claim_id, row, index,
+                                                    monkeypatch):
     claims = build_claims()
     claim = claims[claim_id]
     entry = claim.rows[row]
@@ -580,7 +591,7 @@ def test_a_mutant_row_falls_back_to_the_per_a_check(claim_id, row, index):
     mutated = dict(claims)
     mutated[claim_id] = dataclasses.replace(claim, rows=tuple(rows))
     a_range = range(1, 3 * CHUNK + 2)
-    report = run_any_claim(claim_id, a_range, claims=mutated)
+    report = _run_mutated(monkeypatch, mutated, claim_id, a_range)
     assert report.failed > 0
     assert report.to_dict() == _per_a_catalog(mutated[claim_id], a_range)
 
@@ -689,7 +700,8 @@ def test_a_succession_claim_run_twice_in_one_process_gives_equal_reports():
 def test_descend_column_verdicts_are_the_per_a_ones(claim_id):
     from collatzlab.verify import _registry
 
-    entry = _registry({})[claim_id]
+    model, _, check, column = _registry({})[claim_id]
+    assert column is None
     for chunk in ORACLE_CHUNKS:
         peak = max(max(descending_witness(a, ModelId.MS).values)
                    for a in chunk if a > 1)
@@ -698,8 +710,15 @@ def test_descend_column_verdicts_are_the_per_a_ones(claim_id):
                        SearchBounds(max_value=10**6, max_depth=30),
                        SearchBounds(max_value=peak, max_depth=512),
                        SearchBounds(max_value=peak - 1, max_depth=512)):
-            column, per_a = _column_and_per_a(entry, chunk, bounds)
-            assert column == per_a, (claim_id, chunk, bounds)
+            # the per-A check fails exactly where descending_witness gives
+            # Unreachable, with its tag, and skips A < 2
+            expected = [None if a < 2 else
+                        [Failure(a, None, witness.tag)]
+                        if isinstance(witness := descending_witness(
+                            a, model, bounds), Unreachable) else []
+                        for a in chunk]
+            assert [check(a, bounds) for a in chunk] == expected, \
+                (claim_id, chunk, bounds)
 
 
 def _one_letter_mutant(claim, row, index):
@@ -713,20 +732,14 @@ def _one_letter_mutant(claim, row, index):
 
 
 def test_a_planted_mutant_fails_its_chunk_then_fails_per_a(monkeypatch):
-    from collatzlab import catalog
+    from collatzlab import catalog, verify
     from collatzlab.verify import _rows_hold
 
-    # a catalog row: the chunk fails, and the per-A check gives the texts of
-    # a replay A by A
-    claims = build_claims()
-    mutated = dict(claims)
-    mutated["L.21-11.last1"] = _one_letter_mutant(claims["L.21-11.last1"],
-                                                  0, 3)
-    assert _rows_hold(mutated["L.21-11.last1"], range(1, CHUNK + 1)) is None
-    report = run_any_claim("L.21-11.last1", range(1, 200), claims=mutated)
-    assert report.failed > 0
-    assert report.to_dict() == _per_a_catalog(mutated["L.21-11.last1"],
-                                              range(1, 200))
+    # the cached registry has run both entries before the tables change:
+    # each reads its table when it runs
+    registry = verify._default_registry()
+    assert run_any_claim("T.succ1", range(1, 11)).failed == 0
+    assert run_any_claim("T.cluster-five", range(1, 11)).failed == 0
     # a cluster table row: the chunk fails, and each pair goes back to the
     # replay and the search
     monkeypatch.setitem(catalog.CLUSTER_TABLE, (0, 4),
@@ -748,9 +761,23 @@ def test_a_planted_mutant_fails_its_chunk_then_fails_per_a(monkeypatch):
     report = run_any_claim("T.succ1", range(-5, CHUNK + 5))
     assert report.failed == len(range(-5, CHUNK + 5))
     assert report.to_dict() == _per_a_succession(1, range(-5, CHUNK + 5))
+    assert verify._default_registry() is registry
+    # a catalog row: the chunk fails, and the per-A check gives the texts of
+    # a replay A by A
+    claims = build_claims()
+    mutated = dict(claims)
+    mutated["L.21-11.last1"] = _one_letter_mutant(claims["L.21-11.last1"],
+                                                  0, 3)
+    assert _rows_hold(mutated["L.21-11.last1"], range(1, CHUNK + 1)) is None
+    report = _run_mutated(monkeypatch, mutated, "L.21-11.last1",
+                          range(1, 200))
+    assert report.failed > 0
+    assert report.to_dict() == _per_a_catalog(mutated["L.21-11.last1"],
+                                              range(1, 200))
 
 
-def test_a_mutant_round_row_fails_the_chunks_that_reach_it_by_chain():
+def test_a_mutant_round_row_fails_the_chunks_that_reach_it_by_chain(
+        monkeypatch):
     from collatzlab.verify import _rows_hold
 
     # A = 252..260 = 9*28 + r start on the round rows 36..44 and go on to
@@ -763,7 +790,7 @@ def test_a_mutant_round_row_fails_the_chunks_that_reach_it_by_chain():
     a_range = range(252, 261)
     assert [len(ss) for ss, *_ in claim.columns(a_range)][28] == 0
     assert _rows_hold(claim, a_range) is None
-    report = run_any_claim("T.a-11", a_range, claims=mutated)
+    report = _run_mutated(monkeypatch, mutated, "T.a-11", a_range)
     assert (report.passed, report.failed) == (0, 9)
     assert report.failures[0].to_dict() == {
         "input": 252, "step_index": 18,
@@ -776,7 +803,7 @@ def test_only_the_edge_loop_lacks_a_column_check_and_no_claim_holds_code():
 
     assert [claim_id for claim_id, (*_, column) in
             _registry(build_claims()).items() if column is None] \
-        == ["T.edge-loop"]
+        == ["T.descend-ms", "L.descend-m1", "T.edge-loop"]
     for claim in [*build_claims().values(), *CLUSTER_TABLE.values()]:
         for f in dataclasses.fields(claim):
             assert not callable(getattr(claim, f.name)), (claim.id, f.name)
@@ -808,8 +835,8 @@ def test_column_checks_replay_no_script_and_descend_builds_no_walk_list(
         assert run_any_claim(claim_id, range(1, 5001)).failed == 0
     assert (replays, walks, drops) == ([], [], [])
     # the descend claims read one m0_drop, and build no walk list, per A
-    # that the F strip does not pass; each of them descends, so no A takes
-    # the per-A check
+    # that the F strip does not pass; each of them descends, so no A calls
+    # descending_witness
     unstripped = [a for a in range(2, 5001) if a % 6 != 1]
     for claim_id in ("T.descend-ms", "L.descend-m1"):
         assert run_any_claim(claim_id, range(1, 5001)).failed == 0
@@ -847,19 +874,24 @@ def test_the_descend_column_checks_exactly_the_a_no_sieve_row_passes(
         monkeypatch):
     from collatzlab import verify
 
-    # every per-A check passes here, so the column checks all it selects:
-    # the A that need a walk and whose m0_descent walk, within the budget,
-    # does not descend
-    checked = []
+    # every descending_witness passes here, so the per-A check calls it on
+    # all it selects: the A that need a walk and whose m0_descent walk,
+    # within the budget, does not descend
+    checked, walks = [], []
+    witness, descent = verify.descending_witness, verify.m0_descent
 
     def passing(a, model, bounds):
         checked.append(a)
         return Path(model, a, ActionSeq(()), a - 1, (a, a - 1))
 
-    monkeypatch.setattr(verify, "descending_witness", passing)
+    def counted_descent(n, *args):
+        walks.append(n)
+        return descent(n, *args)
+
+    monkeypatch.setattr(verify, "m0_descent", counted_descent)
     decided = [row for row in search._sieve(12) if row.bound < math.inf]
     p, q = max(row.p for row in decided), max(row.q for row in decided)
-    _, _, _, column = verify._registry({})["T.descend-ms"]
+    _, _, check, _ = verify._registry({})["T.descend-ms"]
     for chunk in ORACLE_CHUNKS:
         # the last two caps hold every row's p*A + q only for the lower
         # part of chunk
@@ -867,9 +899,18 @@ def test_the_descend_column_checks_exactly_the_a_no_sieve_row_passes(
                        SearchBounds(max_value=10**6, max_depth=30),
                        SearchBounds(max_value=max(p * chunk.start + q, 1)),
                        SearchBounds(max_value=max(12 * chunk[-1], 1))):
+            selected = [a for a in chunk if a > 1 and _needs_a_walk(a, bounds)
+                        and not _walk_descends(a, bounds)]
             checked.clear()
-            passed = len(range(max(chunk.start, 2), chunk.stop))
-            assert column(chunk, bounds) == (passed, len(chunk) - passed)
-            assert checked == [
-                a for a in chunk if a > 1 and _needs_a_walk(a, bounds)
-                and not _walk_descends(a, bounds)], (chunk, bounds)
+            monkeypatch.setattr(verify, "descending_witness", passing)
+            assert [check(a, bounds) for a in chunk] == [
+                None if a < 2 else [] for a in chunk]
+            assert checked == selected, (chunk, bounds)
+            # the real witness walks m0_descent on no A but those, and on
+            # each of them within the value cap
+            walks.clear()
+            monkeypatch.setattr(verify, "descending_witness", witness)
+            for a in chunk:
+                check(a, bounds)
+            assert walks == [a for a in selected
+                             if a <= _budget(a, bounds)[1]], (chunk, bounds)
