@@ -52,9 +52,9 @@ class Action(enum.Enum):
 
 # Keyed by letter: hashing a str skips the Python-level Enum.__hash__.
 _INVERSE = {"T": Action.F, "F": Action.T, "B": Action.D, "D": Action.B}
-# Plain globals for the per-step code in _replay, evaluate_exact and their
-# form twins: one dict lookup per use instead of a global lookup plus an
-# enum attribute access.
+# Plain globals for the per-step code in _replay, evaluate_exact,
+# evaluate_form and walk_form's peak scan: one dict lookup per use instead
+# of a global lookup plus an enum attribute access.
 _T, _B, _F, _D = Action.T, Action.B, Action.F, Action.D
 _M0, _M1 = ModelId.M0, ModelId.M1
 
@@ -138,39 +138,26 @@ def walk_form(steps, a, b, least, model: ModelId):
     (end form, peak forms), or None when some such s would make _replay
     raise.
 
-    M1's guards read only x mod 2, x mod 3 and x > 1, and M0's and MS's
-    only x mod 2 and x mod 3, so a guard either holds for every s or fails
-    for some s within six of least; x > 1 is read at least, since a >= 0
-    keeps x growing with s. The largest value of the walk at any s is the
-    largest of the peak forms at that s: the forms before each B or F,
-    which lower a value, and the end.
+    Two replays, at s = least and least + 1, with no guard of their own.
+    Each value of a walk is affine in s, and its form is read off the two
+    replays. Every guard reads x mod 2 or x mod 3 of one such value, and
+    the two values differ by its integer slope, so a guard that holds at
+    both holds at every s. x > 1, and the start's x >= 1, are read at
+    least, since a >= 0 keeps every value growing with s. The largest
+    value of the walk at any s is the largest of the peak forms at that s:
+    the forms before each B or F, which lower a value, and the end.
     """
-    if steps and (a < 0 or a * least + b < 1):
+    if steps and a < 0:
         return None
-    free = model is _M1  # T and D unguarded
-    has_f = model is not _M0
-    peaks = []
-    for action in steps:
-        if action is _T:
-            if not (free or (not a & 1 and b & 1)):   # odd for all s
-                return None
-            a, b = 3 * a, 3 * b + 1
-        elif action is _B:
-            if a & 1 or b & 1:
-                return None
-            peaks.append((a, b))
-            a, b = a >> 1, b >> 1
-        elif action is _F:
-            if not has_f or a % 3 or b % 3 != 1 or a * least + b == 1:
-                return None
-            peaks.append((a, b))
-            a, b = a // 3, (b - 1) // 3
-        elif free:
-            a, b = a << 1, b << 1
-        else:
-            return None
-    peaks.append((a, b))
-    return (a, b), tuple(peaks)
+    try:
+        low, high = (_replay(steps, a * s + b, model)
+                     for s in (least, least + 1))
+    except (GuardViolation, DomainViolation):
+        return None
+    forms = [(y - x, x - (y - x) * least) for x, y in zip(low, high)]
+    peaks = [form for form, action in zip(forms, steps)
+             if action is _B or action is _F]
+    return forms[-1], (*peaks, forms[-1])
 
 
 def apply(action: Action, x, model: ModelId, step_index=None):

@@ -238,8 +238,9 @@ class SieveRow(NamedTuple):
 
 
 @cache
-def _sieve(k):
-    """Descent sieve of M0 modulo 2^k (Terras 1976; Everett 1977).
+def _sieve(k=12):
+    """Descent sieve of M0 modulo 2^k, 2^12 unless k is given (Terras 1976;
+    Everett 1977).
 
     For n = r (mod 2^k), n's walk has a fixed parity vector while fewer than
     k halvings have happened: after j steps with o triplings and h halvings
@@ -272,7 +273,7 @@ def m0_undecided(limit: int, max_depth: int):
     """Every 1 <= n <= limit that n's sieve row does not show dropping below
     n within max_depth steps, class by class: the n of rows whose j exceeds
     max_depth, and the n at or below a row's bound (all of an open row)."""
-    rows = _sieve(12)   # 4,096 classes, 226 of them open
+    rows = _sieve()   # 4,096 classes, 226 of them open
     for r, row in enumerate(rows):
         top = limit if row.j > max_depth else min(row.bound, limit)
         yield from range(r or len(rows), top + 1, len(rows))
@@ -306,9 +307,10 @@ def m0_drop(n: int, max_value: int, max_depth: int) -> int:
     """``m0_descent(n, max_value, max_depth)[-1]``, a sieve block at a time:
     a block's inner values are above its start, so it is one jump when its
     j steps fit the depth left and p*x + q fits max_value; else one move."""
-    rows, x, left = _sieve(12), n, max_depth
+    rows, x, left = _sieve(), n, max_depth
+    mask = len(rows) - 1
     while left:
-        j, _, a, c, h, p, q = rows[x & 4095]
+        j, _, a, c, h, p, q = rows[x & mask]
         if j > left or p * x + q > max_value:
             if x & 1 and 3 * x + 1 > max_value:
                 break

@@ -226,7 +226,8 @@ def _cluster_bounds(search_bounds, k):
 
 
 def _cluster_bounds_dict(search_bounds, a_range):
-    bounds = _cluster_bounds(search_bounds, a_range[-1])
+    # the caps at the range's largest k, whichever way the range runs
+    bounds = _cluster_bounds(search_bounds, max(a_range[0], a_range[-1]))
     return {"max_value": bounds.max_value, "max_depth": bounds.max_depth}
 
 
@@ -289,18 +290,19 @@ def _cluster(kind):
 _SEQ_F = seq_of("F")
 
 
-def _descent_budget(a, bounds):
-    """descending_witness's (depth limit, value cap) at a: 512 and a * 2^20
-    when no bounds are given."""
-    if bounds is None:
-        return 512, a * 2**20
-    return bounds.max_depth, bounds.max_value
-
-
-def _strips(a, cap):
-    """Whether descending_witness takes its F strip at a: a = 1 (mod 6),
-    a > 1 and the end (a - 1) / 3 within the value cap."""
-    return a % 6 == 1 and a > 1 and (a - 1) // 3 <= cap
+def _fast_descent(a, bounds):
+    """descending_witness's (depth limit, value cap, fast path) at a: 512
+    and a * 2^20 when no bounds are given. The fast path is "strip" when a
+    = 1 (mod 6), a > 1 and the F strip's end (a - 1) / 3 is within the cap;
+    else "walk" when a is within the cap and m0_drop, the end of a's M0 walk
+    within both, is below a; else None, and only a search can descend."""
+    limit, cap = (512, a * 2**20) if bounds is None else (
+        bounds.max_depth, bounds.max_value)
+    if a % 6 == 1 and a > 1 and (a - 1) // 3 <= cap:
+        return limit, cap, "strip"
+    if a <= cap and m0_drop(a, cap, limit) < a:
+        return limit, cap, "walk"
+    return limit, cap, None
 
 
 def descending_witness(a: int, model: ModelId,
@@ -308,43 +310,36 @@ def descending_witness(a: int, model: ModelId,
     """A guard-legal Path whose end is below a, or the search's Unreachable;
     ValueError when a < 1.
 
-    Fast paths, each taken only when its values are within the value cap:
-    strip when a = 1 (mod 6); otherwise ``m0_descent``, whose T/B moves are
-    legal in both MS and M1, so its walk is the Path as it stands. Falls
-    back to bounded BFS, whose Path is guard-legal too. With no bounds, both
-    walks use depth 512 and cap a * 2^20.
+    Fast paths, as _fast_descent picks them: the F strip, or the
+    ``m0_descent`` walk, whose T/B moves are legal in both MS and M1, so
+    the walk is the Path as it stands. Falls back to bounded BFS, whose
+    Path is guard-legal too. With no bounds, both walks use depth 512 and
+    cap a * 2^20.
     """
     if a < 1:
         raise ValueError(f"positive integer required, got {a}")
-    limit, cap = _descent_budget(a, bounds)
-    if _strips(a, cap):
+    limit, cap, fast = _fast_descent(a, bounds)
+    if fast == "strip":
         return apply_seq(_SEQ_F, a, model)
-    walk = m0_descent(a, cap, limit) if a <= cap else [a]
-    if walk[-1] < a:
+    if fast == "walk":
+        walk = m0_descent(a, cap, limit)
         return Path(model, a, m0_script(walk), walk[-1], tuple(walk))
     from .search import bfs_until
     return bfs_until(model, a, lambda v: v < a,
                      bounds or SearchBounds(max_value=cap, max_depth=limit))
 
 
-def _unsearched(a, bounds):
-    """Whether descending_witness(a, model, bounds) passes with no search:
-    by the F strip, or by its M0 walk, whose end m0_drop reads below a."""
-    limit, cap = _descent_budget(a, bounds)
-    return _strips(a, cap) or a <= cap and m0_drop(a, cap, limit) < a
-
-
 def _descend(model):
     """Descending theorem: some H with H(A) < A exists for every A >= 2.
 
-    The per-A check calls descending_witness only on the A that _unsearched
-    does not pass, whose walk does not descend within the budget, so an A
-    that passes builds no Path.
+    The per-A check passes an A that _fast_descent gives a fast path and
+    calls descending_witness only on the rest, whose walk does not descend
+    within the budget, so an A that passes builds no Path.
     """
     def check(a, search_bounds):
         if a < 2:
             return None
-        if _unsearched(a, search_bounds):
+        if _fast_descent(a, search_bounds)[2]:
             return []
         witness = descending_witness(a, model, search_bounds)
         return ([Failure(a, None, witness.tag)]

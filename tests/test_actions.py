@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 import collatzlab
 from collatzlab import search
 from collatzlab.actions import (INTEGER_MODELS, Action, ActionSeq, ModelId,
-                                Path, _replay, action_function, apply,
-                                apply_seq, evaluate_exact, evaluate_form,
-                                inverse_seq, is_legal, seq_of, validate_trace,
-                                walk_form)
+                                Path, action_function, apply, apply_seq,
+                                evaluate_exact, evaluate_form, inverse_seq,
+                                is_legal, seq_of, validate_trace, walk_form)
 from collatzlab.catalog import CLUSTER_TABLE, SUCCESSION_SEQS, Claim
 from collatzlab.errors import (CollatzlabError, DomainViolation,
                                GuardViolation)
@@ -470,16 +469,19 @@ def random_scripts(rng, letters, count):
 
 
 def replay_or_none(steps, x, model):
+    """The values of the test-local reference replay, or None where it
+    raises: an oracle independent of _replay, on which walk_form is built."""
     try:
-        return _replay(steps, x, model)
+        return reference_apply_seq(ActionSeq(tuple(steps)), x, model).values
     except (GuardViolation, DomainViolation):
         return None
 
 
 def check_form_against_replay(steps, model, forms=FORMS):
-    """walk_form agrees with _replay, s by s, on every form: it proves a
-    form exactly when every s from least on replays, its end form gives
-    every end and its peak forms every peak; returns how many it proves."""
+    """walk_form agrees with the reference replay, s by s, on every form:
+    it proves a form exactly when every s from least on replays, its end
+    form gives every end and its peak forms every peak; returns how many it
+    proves."""
     proved = 0
     for a, b, least in forms:
         walk = walk_form(steps, a, b, least, model)

@@ -480,6 +480,17 @@ def test_the_default_cluster_cap_holds_every_table_row():
         == [2**20, 2**20, 1_048_608]
 
 
+def test_cluster_bounds_are_read_at_the_largest_k_of_a_backward_range():
+    # the default cap grows with k, so a report over k = 6,400..10,000
+    # names the cap at k = 10,000, whichever way its range runs
+    expected = {"max_value": 18 * (9 * 10000 + 8), "max_depth": 64}
+    assert expected["max_value"] == 1_620_144
+    for a_range in (range(10000, 6399, -1), range(10000, 6399, -7)):
+        forward = run_any_claim("T.cluster-nine", a_range[::-1])
+        backward = run_any_claim("T.cluster-nine", a_range)
+        assert forward.bounds == backward.bounds == expected, a_range
+
+
 def _per_a_catalog(claim, a_range):
     """Reference: each A checked on its own from Claim.at and apply_seq."""
     report = VerifyReport(claim_id=claim.id, model="M1",
@@ -831,6 +842,12 @@ def test_column_checks_replay_no_script_and_descend_builds_no_walk_list(
     monkeypatch.setattr(actions, "_replay", counted_replay)
     monkeypatch.setattr(verify, "m0_descent", counted_descent)
     monkeypatch.setattr(verify, "m0_drop", counted_drop)
+    # the only replays are the form walks', two per row, once per process
+    verify._walked.cache_clear()
+    for claim_id in COLUMN_CLAIMS:
+        assert run_any_claim(claim_id, range(1, 5001)).failed == 0
+    assert len(replays) == 2 * verify._walked.cache_info().misses > 0
+    replays.clear()
     for claim_id in COLUMN_CLAIMS:
         assert run_any_claim(claim_id, range(1, 5001)).failed == 0
     assert (replays, walks, drops) == ([], [], [])
@@ -906,11 +923,10 @@ def test_the_descend_column_checks_exactly_the_a_no_sieve_row_passes(
             assert [check(a, bounds) for a in chunk] == [
                 None if a < 2 else [] for a in chunk]
             assert checked == selected, (chunk, bounds)
-            # the real witness walks m0_descent on no A but those, and on
-            # each of them within the value cap
+            # the real witness walks m0_descent on none of them: m0_drop
+            # shows each walk does not descend, so it goes to the search
             walks.clear()
             monkeypatch.setattr(verify, "descending_witness", witness)
             for a in chunk:
                 check(a, bounds)
-            assert walks == [a for a in selected
-                             if a <= _budget(a, bounds)[1]], (chunk, bounds)
+            assert walks == [], (chunk, bounds)
