@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainViolation, GuardViolation
@@ -59,6 +57,11 @@ _T, _B, _F, _D = Action.T, Action.B, Action.F, Action.D
 _M0, _M1 = ModelId.M0, ModelId.M1
 
 
+def _fraction(*args):   # fractions is imported with the first one built
+    from fractions import Fraction
+    return Fraction(*args)
+
+
 def action_function(action: Action, x):
     """The exact map of an action, no guards applied."""
     if action is Action.T:
@@ -67,10 +70,10 @@ def action_function(action: Action, x):
         return 2 * x
     if action is Action.B:
         if isinstance(x, int):
-            return x // 2 if x % 2 == 0 else Fraction(x, 2)
+            return x // 2 if x % 2 == 0 else _fraction(x, 2)
         return x / 2
     if isinstance(x, int):
-        return (x - 1) // 3 if x % 3 == 1 else Fraction(x - 1, 3)
+        return (x - 1) // 3 if x % 3 == 1 else _fraction(x - 1, 3)
     return (x - 1) / 3
 
 
@@ -100,6 +103,7 @@ def _replay(steps, x, model: ModelId, first=0) -> list:
     """
     values = [x]
     if model not in INTEGER_MODELS:
+        from fractions import Fraction
         for action in steps:
             x = action_function(action, Fraction(x))
             values.append(x)
@@ -165,11 +169,13 @@ def apply(action: Action, x, model: ModelId, step_index=None):
     return _replay((action,), x, model, step_index)[1]
 
 
-@dataclass(frozen=True)
-class ActionSeq:
+class ActionSeq(NamedTuple):
     """An ordered list of actions, first entry applied first."""
 
     steps: tuple[Action, ...]
+
+    def __reduce__(self):   # pickle by steps: iterating gives the actions
+        return ActionSeq, (self.steps,)
 
     def __str__(self):
         return self.render()
@@ -262,7 +268,7 @@ def evaluate_exact(seq: ActionSeq, x):
     if isinstance(x, int):
         p, q = x, 1
     else:
-        x = Fraction(x)
+        x = _fraction(x)
         p, q = x.numerator, x.denominator
     flagged = []
     for i, action in enumerate(seq.steps):
@@ -282,9 +288,9 @@ def evaluate_exact(seq: ActionSeq, x):
             else:
                 p //= 3
         if p <= 0:
-            flagged.append((i, Fraction(p, q)))
+            flagged.append((i, _fraction(p, q)))
     if p % q:
-        return Fraction(p, q), flagged
+        return _fraction(p, q), flagged
     return p // q, flagged
 
 

@@ -10,12 +10,11 @@ Suffix-digit arithmetic used throughout (base 3, A is the prefix value):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import ClassVar
 
 from .actions import ActionSeq, ModelId, inverse_seq, seq_of
+from .errors import Record
 
 # Core scripts, one per unconditional suffix lemma; each reverse lemma is
 # its forward script inverted. A10, A02, A01 and A00 are 9A+3, 9A+2, 9A+1
@@ -102,22 +101,25 @@ _BASE_ROWS = tuple((m, v, (m, v), (e, 4), seq_of(SMALL_TO_FOUR[v]), 0)
                                    (7, 9, 6), (8, 18, 9)))
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Record):
     """One catalog entry: an id and rows (modulus, residue, start, end,
     script, least). A row holds for A = modulus*s + residue with s >= least:
     its script takes start to end, where a form (m, c) means m*s + c. A's
     first matching row gives its input, expected value and script; A is in
     the claim's domain when some row matches. In a chained claim a row's
     end is the claim's next A: A's script runs on through the rows of that
-    end, and of theirs, up to a row that ends on its own input."""
+    end, and of theirs, up to a row that ends on its own input. inverse_of
+    is a label (bench/child.py reads it); only T.a-11 is chained."""
 
-    id: str
-    rows: tuple[tuple, ...]
-    inverse_of: str | None = None  # a label: bench/child.py reads it
-    chained: bool = False   # T.a-11 only
-    model: ClassVar[ModelId] = ModelId.M1
-    min_a: ClassVar[int] = 1
+    # no __slots__: cached_property keeps _index in the instance dict
+    _fields = ("id", "rows", "inverse_of", "chained")
+    model = ModelId.M1
+    min_a = 1
+
+    def __init__(self, id: str, rows: tuple[tuple, ...],
+                 inverse_of: str | None = None, chained: bool = False):
+        self.id, self.rows = id, rows
+        self.inverse_of, self.chained = inverse_of, chained
 
     @cached_property
     def _index(self):

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .actions import ModelId
+from .errors import Record
 from .models import SUCCESSORS, bounded_graph
 from .search import (SearchBounds, Unreachable, bfs, m0_descent, m0_drop,
                      m0_undecided)
@@ -77,24 +78,23 @@ def cycle_census(model: ModelId, max_value: int):
     return sorted(cycles, key=lambda c: (len(c), c))
 
 
-@dataclass
-class PhaseResult:
-    phase: int
-    dropped: tuple[str, ...]
-    reached: int = 0
-    failed: list[int] = field(default_factory=list)
+class PhaseResult(Record):
+    __slots__ = _fields = ("phase", "dropped", "reached", "failed")
+
+    def __init__(self, phase: int, dropped: tuple[str, ...], reached: int = 0,
+                 failed: list[int] | None = None):
+        self.phase, self.dropped, self.reached = phase, dropped, reached
+        self.failed = [] if failed is None else failed
 
     @property
     def all_reached(self):
         return not self.failed
 
     def to_dict(self):
-        return {"phase": self.phase, "dropped": list(self.dropped),
-                "reached": self.reached, "failed": self.failed}
+        return {**self._asdict(), "dropped": list(self.dropped)}
 
 
-@dataclass
-class DeloopReport:
+class DeloopReport(NamedTuple):
     max_value: int
     headroom: int
     phase3_matches_m0: bool
@@ -102,14 +102,10 @@ class DeloopReport:
     wall_ms: float = 0.0
 
     def to_dict(self, include_timing=False):
-        out = {
-            "max_value": self.max_value,
-            "headroom": self.headroom,
-            "phase3_matches_m0": self.phase3_matches_m0,
-            "phases": [p.to_dict() for p in self.phases],
-        }
+        out = {**self._asdict(), "phases": [p.to_dict() for p in self.phases]}
+        wall_ms = out.pop("wall_ms")
         if include_timing:
-            out["wall_ms"] = round(self.wall_ms, 3)
+            out["wall_ms"] = round(wall_ms, 3)
         return out
 
 

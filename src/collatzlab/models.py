@@ -7,7 +7,7 @@ bound) are dropped, not clamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .actions import Action, ModelId, action_function
 
@@ -74,13 +74,16 @@ def predecessors(x, model: ModelId):
     return _pred_m1(x)
 
 
-@dataclass
-class BoundedGraph:
+class BoundedGraph(NamedTuple):
     """Adjacency of one integer model over nodes 1..max_value."""
 
     model: ModelId
     max_value: int
-    adjacency: dict = field(repr=False)
+    adjacency: dict
+
+    def __repr__(self):   # without the adjacency
+        return (f"BoundedGraph(model={self.model!r}, "
+                f"max_value={self.max_value!r})")
 
     def edges(self):
         for x in range(1, self.max_value + 1):

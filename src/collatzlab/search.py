@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
 from .actions import Action, ActionSeq, ModelId, Path
 from .actions import apply_seq  # noqa: F401  bound for bench/tracer.py
-from .errors import DepthExceeded
+from .errors import DepthExceeded, Record
 from .models import INTEGER_PREDECESSORS, SUCCESSORS, predecessors
 from .models import successors  # noqa: F401  bound for bench/tracer.py
 
@@ -16,8 +15,7 @@ _NO_CAP = float("inf")               # the value cap of an uncapped M0 walk
 _M0_LETTERS = (Action.B, Action.T)   # M0's move out of x, by x & 1
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(Record):
     """Budgets for one bounded search.
 
     max_value caps generated states before they enter the frontier and is
@@ -25,17 +23,17 @@ class SearchBounds:
     set; max_depth caps path length.
     """
 
-    max_value: int
-    max_depth: int = 64
-    max_states: int = 1_000_000
+    __slots__ = _fields = ("max_value", "max_depth", "max_states")
 
-    def __post_init__(self):
-        if self.max_value < 1 or self.max_depth < 1 or self.max_states < 1:
+    def __init__(self, max_value: int, max_depth: int = 64,
+                 max_states: int = 1_000_000):
+        if max_value < 1 or max_depth < 1 or max_states < 1:
             raise ValueError("all bounds must be >= 1")
+        self.max_value, self.max_depth = max_value, max_depth
+        self.max_states = max_states
 
 
-@dataclass(frozen=True)
-class Unreachable:
+class Unreachable(NamedTuple):
     """Search ended without a path.
 
     bound_exhausted is True when a depth or state budget stopped the search

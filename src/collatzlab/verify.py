@@ -23,44 +23,41 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cache
 
 from . import catalog
 from .actions import (ModelId, Path, apply_seq, evaluate_exact,
                       evaluate_form, seq_of, walk_form)
 from .actions import apply  # noqa: F401  bound for bench/tracer.py
-from .errors import DomainViolation, GuardViolation, UnknownClaim
+from .errors import DomainViolation, GuardViolation, Record, UnknownClaim
 from .search import (SearchBounds, Unreachable, bfs_reach,
                      bfs_reach_bidirectional, m0_descent, m0_drop, m0_script)
 
 
-@dataclass
-class Failure:
-    input: int
-    step_index: int | None
-    reason: str
-    trace: list = field(default_factory=list)
+class Failure(Record):
+    __slots__ = _fields = ("input", "step_index", "reason", "trace")
+
+    def __init__(self, input: int, step_index: int | None, reason: str,
+                 trace: list | None = None):
+        self.input, self.step_index, self.reason = input, step_index, reason
+        self.trace = [] if trace is None else trace
 
     def to_dict(self):
-        return {
-            "input": self.input,
-            "step_index": self.step_index,
-            "reason": self.reason,
-            "trace": [str(v) for v in self.trace],
-        }
+        return {**self._asdict(), "trace": [str(v) for v in self.trace]}
 
 
-@dataclass
-class VerifyReport:
-    claim_id: str
-    model: str
-    range: tuple[int, int]
-    passed: int = 0
-    skipped: int = 0
-    failures: list[Failure] = field(default_factory=list)
-    bounds: dict = field(default_factory=dict)
-    wall_ms: float = 0.0
+class VerifyReport(Record):
+    __slots__ = _fields = ("claim_id", "model", "range", "passed", "skipped",
+                           "failures", "bounds", "wall_ms")
+
+    def __init__(self, claim_id: str, model: str, range: tuple[int, int],
+                 passed: int = 0, skipped: int = 0,
+                 failures: list[Failure] | None = None,
+                 bounds: dict | None = None, wall_ms: float = 0.0):
+        self.claim_id, self.model, self.range = claim_id, model, range
+        self.passed, self.skipped, self.wall_ms = passed, skipped, wall_ms
+        self.failures = [] if failures is None else failures
+        self.bounds = {} if bounds is None else bounds
 
     @property
     def failed(self) -> int:
@@ -93,10 +90,7 @@ CSV_HEADER = "claim_id,model,lo,hi,pass,fail,skipped"
 
 
 def _bounds_dict(bounds: SearchBounds | None, a_range) -> dict:
-    if bounds is None:
-        return {}
-    return {"max_value": bounds.max_value, "max_depth": bounds.max_depth,
-            "max_states": bounds.max_states}
+    return {} if bounds is None else bounds._asdict()
 
 
 def build_witness(claim: catalog.Claim, a: int) -> Path:
@@ -290,19 +284,30 @@ def _cluster(kind):
 _SEQ_F = seq_of("F")
 
 
-def _fast_descent(a, bounds):
+def _fast_descent(a, bounds, walk=False):
     """descending_witness's (depth limit, value cap, fast path) at a: 512
     and a * 2^20 when no bounds are given. The fast path is "strip" when a
     = 1 (mod 6), a > 1 and the F strip's end (a - 1) / 3 is within the cap;
-    else "walk" when a is within the cap and m0_drop, the end of a's M0 walk
-    within both, is below a; else None, and only a search can descend."""
+    else, when a is within the cap and a's M0 walk within both ends below
+    a, "walk", read off m0_drop with no walk list, or with walk=True the
+    walk's values, one m0_descent; else None: only a search can descend."""
     limit, cap = (512, a * 2**20) if bounds is None else (
         bounds.max_depth, bounds.max_value)
     if a % 6 == 1 and a > 1 and (a - 1) // 3 <= cap:
         return limit, cap, "strip"
-    if a <= cap and m0_drop(a, cap, limit) < a:
-        return limit, cap, "walk"
+    if a <= cap:
+        if not walk:
+            if m0_drop(a, cap, limit) < a:
+                return limit, cap, "walk"
+        elif (values := m0_descent(a, cap, limit))[-1] < a:
+            return limit, cap, values
     return limit, cap, None
+
+
+def _descent_search(a, model, bounds, limit, cap):
+    from .search import bfs_until   # bench/tracer.py wraps search.bfs_until
+    return bfs_until(model, a, lambda v: v < a,
+                     bounds or SearchBounds(max_value=cap, max_depth=limit))
 
 
 def descending_witness(a: int, model: ModelId,
@@ -310,7 +315,7 @@ def descending_witness(a: int, model: ModelId,
     """A guard-legal Path whose end is below a, or the search's Unreachable;
     ValueError when a < 1.
 
-    Fast paths, as _fast_descent picks them: the F strip, or the
+    Fast paths, as _fast_descent picks them: the F strip, or the one
     ``m0_descent`` walk, whose T/B moves are legal in both MS and M1, so
     the walk is the Path as it stands. Falls back to bounded BFS, whose
     Path is guard-legal too. With no bounds, both walks use depth 512 and
@@ -318,30 +323,28 @@ def descending_witness(a: int, model: ModelId,
     """
     if a < 1:
         raise ValueError(f"positive integer required, got {a}")
-    limit, cap, fast = _fast_descent(a, bounds)
+    limit, cap, fast = _fast_descent(a, bounds, walk=True)
     if fast == "strip":
         return apply_seq(_SEQ_F, a, model)
-    if fast == "walk":
-        walk = m0_descent(a, cap, limit)
-        return Path(model, a, m0_script(walk), walk[-1], tuple(walk))
-    from .search import bfs_until
-    return bfs_until(model, a, lambda v: v < a,
-                     bounds or SearchBounds(max_value=cap, max_depth=limit))
+    if fast:
+        return Path(model, a, m0_script(fast), fast[-1], tuple(fast))
+    return _descent_search(a, model, bounds, limit, cap)
 
 
 def _descend(model):
     """Descending theorem: some H with H(A) < A exists for every A >= 2.
 
     The per-A check passes an A that _fast_descent gives a fast path and
-    calls descending_witness only on the rest, whose walk does not descend
-    within the budget, so an A that passes builds no Path.
+    searches, under the same budget, only for the rest, whose walk does not
+    descend within it, so an A that passes builds no Path.
     """
     def check(a, search_bounds):
         if a < 2:
             return None
-        if _fast_descent(a, search_bounds)[2]:
+        limit, cap, fast = _fast_descent(a, search_bounds)
+        if fast:
             return []
-        witness = descending_witness(a, model, search_bounds)
+        witness = _descent_search(a, model, search_bounds, limit, cap)
         return ([Failure(a, None, witness.tag)]
                 if isinstance(witness, Unreachable) else [])
 

@@ -1,9 +1,13 @@
 """Action algebra: exact maps, guard tables, sequences, paths."""
 
+import importlib
 import itertools
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -182,6 +186,40 @@ def test_every_public_name_is_bound():
     for name in collatzlab.__all__:
         assert hasattr(collatzlab, name), name
     assert not hasattr(collatzlab, "Trace")
+
+
+def test_each_export_is_its_submodules_object():
+    # one table gives both __all__ and the submodule each name loads from
+    assert collatzlab.__all__ == [*collatzlab._EXPORTS, "__version__"]
+    for name, module in collatzlab._EXPORTS.items():
+        source = importlib.import_module(f"collatzlab.{module}")
+        assert getattr(collatzlab, name) is getattr(source, name), name
+    star = {}
+    exec("from collatzlab import *", star)
+    assert set(collatzlab.__all__) <= set(star)
+    for name in collatzlab.__all__:
+        assert star[name] is getattr(collatzlab, name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        collatzlab.no_such_name
+
+
+def test_exports_and_submodules_load_on_first_access():
+    # a fresh interpreter: the package imports no submodule of its own, an
+    # export loads its submodule, and a submodule imports as before
+    code = ("import sys; import collatzlab; "
+            "print([m for m in sys.modules if m.startswith('collatzlab.')]); "
+            "bounds = collatzlab.SearchBounds(max_value=9); "
+            "print('collatzlab.search' in sys.modules, "
+            "'SearchBounds' in vars(collatzlab)); "
+            "from collatzlab import search, verify; "
+            "print(search.SearchBounds is type(bounds), "
+            "collatzlab.verify is verify)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                              os.path.dirname(collatzlab.__file__))))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True", "True True"]
 
 
 def test_evaluate_exact_flags_nonpositive():

@@ -132,3 +132,43 @@ def test_building_the_claims_leaves_the_sieve_and_row_indexes_unbuilt():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0"]
+
+
+def _fresh(*args):
+    """A fresh interpreter run with the library's source on its path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_building_the_claims_imports_only_the_catalog_and_what_it_needs():
+    # setup_s times a fresh `import collatzlab; collatzlab.build_claims()`:
+    # the package loads each export on first access, no module imports
+    # dataclasses (and the inspect it pulls in), and fractions (and its
+    # decimal) loads only once a Fraction is built
+    proc = _fresh("-c", "import sys; before = set(sys.modules); "
+                        "import collatzlab; collatzlab.build_claims(); "
+                        "print(*sorted(set(sys.modules) - before))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
+    assert {name for name in loaded if name.startswith("collatzlab")} == {
+        "collatzlab", "collatzlab.actions", "collatzlab.catalog",
+        "collatzlab.errors", "collatzlab.ternary"}
+
+
+def _imported(stderr):
+    """Every module name a ``-X importtime`` run reports."""
+    return {line.rpartition("|")[2].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_the_headline_run_imports_no_dataclasses_inspect_or_fractions():
+    # beyond what a bare interpreter imports on this host at start-up
+    bare = _fresh("-X", "importtime", "-c", "pass")
+    proc = _fresh("-X", "importtime", "-m", "collatzlab.cli", "verify",
+                  "--claim", "all", "--range", "1..1000")
+    assert proc.returncode == 1, proc.stderr   # T.edge-loop's failures
+    loaded = _imported(proc.stderr) - _imported(bare.stderr)
+    assert "collatzlab.verify" in loaded   # the cli itself runs as __main__
+    assert not loaded & {"dataclasses", "inspect", "fractions"}

@@ -51,6 +51,54 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def eager_imports(source):
+    """(line, module) for every import of ``dataclasses``, anywhere, and
+    every import of ``fractions`` outside a function body: a fresh process
+    should load neither, and fractions only once a Fraction is built."""
+    tree = ast.parse(source)
+    in_function = {id(node) for top in ast.walk(tree)
+                   if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in {m.partition(".")[0] for m in modules}:
+            if module == "dataclasses" or (module == "fractions"
+                                           and id(node) not in in_function):
+                found.append((node.lineno, module))
+    return sorted(found)
+
+
+def test_eager_import_check_flags_only_dataclasses_and_eager_fractions():
+    source = ("import dataclasses\n"
+              "from fractions import Fraction\n"
+              "import os, fractions as fr\n"
+              "from .fractions import local\n"
+              "import decimal\n"
+              "def build():\n"
+              "    from fractions import Fraction\n"
+              "    from dataclasses import field\n"
+              "    return Fraction, field\n"
+              "class Holder:\n"
+              "    from fractions import Fraction\n")
+    assert eager_imports(source) == [(1, "dataclasses"), (2, "fractions"),
+                                     (3, "fractions"), (8, "dataclasses"),
+                                     (11, "fractions")]
+
+
+def test_no_module_imports_dataclasses_or_fractions_at_import_time():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    eager = [f"{p.name}:{line}: {module}" for p in modules
+             for line, module in eager_imports(p.read_text())]
+    assert eager == []
+
+
 def names_read(source):
     """Every identifier a source names: bare names, attributes, imported
     names and identifier-shaped string constants, which is how setattr-style

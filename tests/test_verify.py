@@ -1,6 +1,5 @@
 """Report schema, the claim registry and its special checks."""
 
-import dataclasses
 import json
 import math
 
@@ -9,7 +8,8 @@ import pytest
 from collatzlab.actions import (Action, ActionSeq, ModelId, Path, apply_seq,
                                 evaluate_exact, inverse_seq, seq_of)
 from collatzlab import search
-from collatzlab.catalog import CLUSTER_TABLE, SUCCESSION_SEQS, build_claims
+from collatzlab.catalog import (CLUSTER_TABLE, SUCCESSION_SEQS, Claim,
+                               build_claims)
 from collatzlab.errors import DomainViolation, GuardViolation, UnknownClaim
 from collatzlab.models import successors
 from collatzlab.search import SearchBounds, Unreachable, bfs_until
@@ -101,8 +101,8 @@ def test_every_single_letter_mutation_of_an_inverse_script_fails(
                     rows = list(claim.rows)
                     rows[j] = row[:4] + (mutant,) + row[5:]
                     mutated = dict(claims)
-                    mutated[claim_id] = dataclasses.replace(
-                        claim, rows=tuple(rows))
+                    mutated[claim_id] = Claim(claim.id, tuple(rows),
+                                              claim.inverse_of, claim.chained)
                     report = _run_mutated(monkeypatch, mutated, claim_id,
                                           range(1, 37))
                     assert report.failed > 0, (claim_id, mutant.render())
@@ -600,7 +600,8 @@ def test_a_mutant_row_falls_back_to_the_per_a_check(claim_id, row, index,
     rows = list(claim.rows)
     rows[row] = entry[:4] + (mutant,) + entry[5:]
     mutated = dict(claims)
-    mutated[claim_id] = dataclasses.replace(claim, rows=tuple(rows))
+    mutated[claim_id] = Claim(claim.id, tuple(rows), claim.inverse_of,
+                              claim.chained)
     a_range = range(1, 3 * CHUNK + 2)
     report = _run_mutated(monkeypatch, mutated, claim_id, a_range)
     assert report.failed > 0
@@ -739,7 +740,7 @@ def _one_letter_mutant(claim, row, index):
     mutant = ActionSeq(steps[:index] + (other,) + steps[index + 1:])
     rows = list(claim.rows)
     rows[row] = entry[:4] + (mutant,) + entry[5:]
-    return dataclasses.replace(claim, rows=tuple(rows))
+    return Claim(claim.id, tuple(rows), claim.inverse_of, claim.chained)
 
 
 def test_a_planted_mutant_fails_its_chunk_then_fails_per_a(monkeypatch):
@@ -816,8 +817,9 @@ def test_only_the_edge_loop_lacks_a_column_check_and_no_claim_holds_code():
             _registry(build_claims()).items() if column is None] \
         == ["T.descend-ms", "L.descend-m1", "T.edge-loop"]
     for claim in [*build_claims().values(), *CLUSTER_TABLE.values()]:
-        for f in dataclasses.fields(claim):
-            assert not callable(getattr(claim, f.name)), (claim.id, f.name)
+        assert set(vars(claim)) >= set(claim._fields), claim.id
+        for name, value in vars(claim).items():
+            assert not callable(value), (claim.id, name)
 
 
 def test_column_checks_replay_no_script_and_descend_builds_no_walk_list(
@@ -891,14 +893,15 @@ def test_the_descend_column_checks_exactly_the_a_no_sieve_row_passes(
         monkeypatch):
     from collatzlab import verify
 
-    # every descending_witness passes here, so the per-A check calls it on
-    # all it selects: the A that need a walk and whose m0_descent walk,
-    # within the budget, does not descend
+    # every descent search passes here, so the per-A check calls it on all
+    # it selects: the A that need a walk and whose m0_descent walk, within
+    # the budget, does not descend, each under that budget
     checked, walks = [], []
-    witness, descent = verify.descending_witness, verify.m0_descent
+    search_descent, descent = verify._descent_search, verify.m0_descent
 
-    def passing(a, model, bounds):
+    def passing(a, model, bounds, limit, cap):
         checked.append(a)
+        assert (limit, cap) == _budget(a, bounds)
         return Path(model, a, ActionSeq(()), a - 1, (a, a - 1))
 
     def counted_descent(n, *args):
@@ -919,14 +922,77 @@ def test_the_descend_column_checks_exactly_the_a_no_sieve_row_passes(
             selected = [a for a in chunk if a > 1 and _needs_a_walk(a, bounds)
                         and not _walk_descends(a, bounds)]
             checked.clear()
-            monkeypatch.setattr(verify, "descending_witness", passing)
+            monkeypatch.setattr(verify, "_descent_search", passing)
             assert [check(a, bounds) for a in chunk] == [
                 None if a < 2 else [] for a in chunk]
             assert checked == selected, (chunk, bounds)
-            # the real witness walks m0_descent on none of them: m0_drop
+            # the real search walks m0_descent on none of them: m0_drop
             # shows each walk does not descend, so it goes to the search
             walks.clear()
-            monkeypatch.setattr(verify, "descending_witness", witness)
+            monkeypatch.setattr(verify, "_descent_search", search_descent)
             for a in chunk:
                 check(a, bounds)
             assert walks == [], (chunk, bounds)
+
+
+def _two_walk_witness(a, model, bounds):
+    """Reference: (fast path, witness) of descending_witness as it was when
+    m0_drop picked the M0 walk and m0_descent then walked it again."""
+    limit, cap = _budget(a, bounds)
+    if a % 6 == 1 and a > 1 and (a - 1) // 3 <= cap:
+        return "strip", apply_seq(seq_of("F"), a, model)
+    if a <= cap and search.m0_drop(a, cap, limit) < a:
+        walk = search.m0_descent(a, cap, limit)
+        return "walk", Path(model, a, search.m0_script(walk), walk[-1],
+                            tuple(walk))
+    return None, bfs_until(model, a, lambda v: v < a, bounds or SearchBounds(
+        max_value=cap, max_depth=limit))
+
+
+@pytest.mark.parametrize("model", [ModelId.MS, ModelId.M1], ids=str)
+def test_each_descent_is_walked_once_and_decided_once_per_a(monkeypatch,
+                                                            model):
+    from collections import Counter
+
+    from collatzlab import verify
+
+    calls = Counter()
+    for name in ("m0_descent", "m0_drop", "_fast_descent"):
+        def counted(*args, _fn=getattr(verify, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    claim_id = {ModelId.MS: "T.descend-ms", ModelId.M1: "L.descend-m1"}[model]
+    a_range = range(1, 20001)
+    for bounds in (None, SearchBounds(max_value=4096, max_depth=12)):
+        expected = {"claim_id": claim_id, "model": model.name,
+                    "range": [1, 20000], "pass": 0, "fail": 0, "skipped": 1,
+                    "failures": [], "bounds": verify._bounds_dict(bounds,
+                                                                  a_range)}
+        fast_paths = Counter()
+        for a in a_range:
+            fast, want = _two_walk_witness(a, model, bounds)
+            fast_paths[fast] += 1
+            calls.clear()
+            assert descending_witness(a, model, bounds) == want, (a, bounds)
+            # a witness on the walk path walks one m0_descent and no m0_drop
+            assert calls["m0_drop"] == 0, (a, bounds)
+            if fast == "walk":
+                assert calls["m0_descent"] == 1, (a, bounds)
+            if a < 2:
+                continue
+            if isinstance(want, Unreachable):
+                expected["fail"] += 1
+                expected["failures"].append(
+                    {"input": a, "step_index": None, "reason": want.tag,
+                     "trace": []})
+            else:
+                expected["pass"] += 1
+        assert fast_paths["walk"] and fast_paths["strip"]
+        assert fast_paths[None] or bounds is None
+        # the report is the two-walk one, from one _fast_descent per A
+        calls.clear()
+        assert run_any_claim(claim_id, a_range, bounds).to_dict() == expected
+        assert calls["_fast_descent"] == len(a_range) - 1
+        assert calls["m0_descent"] == 0
