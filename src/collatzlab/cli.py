@@ -14,20 +14,23 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import verify as verify_mod
 from .actions import ModelId
 from .catalog import build_claims  # noqa: F401  bound for bench/tracer.py
 from .errors import DepthExceeded, UnknownClaim
 from .experiments import cycle_census, delooping_experiment
-from .models import bounded_graph, to_dot
-from .search import (SearchBounds, Unreachable, bfs_reach, stats_csv,
-                     trajectory)
+from .models import bounded_graph, dot_lines
+from .search import (STATS_HEADER, SearchBounds, Unreachable, bfs_reach,
+                     m0_reach, stats_lines, stopping_stats, trajectory)
 from .ternary import to_ternary
 
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
+
+BLOCK_LINES = 1024   # output lines per write of stats and dot
 
 _MODELS = {m.value: m for m in ModelId}
 
@@ -91,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="src", type=positive_int, required=True)
     p.add_argument("--to", dest="dst", type=positive_int, required=True)
     p.add_argument("--max-value", type=positive_int, default=None)
-    p.add_argument("--max-depth", type=positive_int, default=64)
+    p.add_argument("--max-depth", type=positive_int, default=None,
+                   help="path-length cap (default 64)")
 
     p = sub.add_parser("cluster", help="cluster connectivity check")
     p.add_argument("--kind", choices=tuple(verify_mod.CLUSTER_MEMBERS),
@@ -208,9 +212,18 @@ def cmd_traj(args, out) -> int:
 
 
 def cmd_reach(args, out) -> int:
+    # Under M0 with no bound of the user's, m0_reach decides what the
+    # default search leaves open.
     bounds = _search_bounds(args) or SearchBounds(
-        max_value=max(args.src, args.dst) * 2**20, max_depth=args.max_depth)
+        max_value=max(args.src, args.dst) * 2**20,
+        max_depth=args.max_depth or 64)
     result = bfs_reach(args.model, args.src, args.dst, bounds)
+    if (isinstance(result, Unreachable) and args.model is ModelId.M0
+            and args.max_value is None and args.max_depth is None):
+        try:
+            result = m0_reach(args.src, args.dst)
+        except DepthExceeded:
+            pass   # the search's verdict stands
     if isinstance(result, Unreachable):
         out.write(f"{result.tag}: {args.src} => {args.dst} under {args.model}\n")
         return EXIT_FINDING
@@ -241,15 +254,27 @@ def cmd_cycles(args, out) -> int:
     return EXIT_OK
 
 
+def _blocks(items):
+    """items in lists of BLOCK_LINES, the last one shorter."""
+    while block := list(islice(items, BLOCK_LINES)):
+        yield block
+
+
 def cmd_stats(args, out) -> int:
-    text = stats_csv(args.n_range, max_depth=args.max_depth)
-    out.write(text)
-    # Only a row that hit --max-depth has a -1 column.
-    return EXIT_FINDING if ",-1,-1\n" in text else EXIT_OK
+    # Nothing is written before the first block is rendered, so a bad first
+    # value prints nothing. Only a row that hit --max-depth has steps -1.
+    head, depth_hit = STATS_HEADER, False
+    for block in _blocks(stopping_stats(args.n_range, args.max_depth)):
+        depth_hit = depth_hit or min(s for _, s, _ in block) < 0
+        out.write(head + stats_lines(block))
+        head = ""
+    return EXIT_FINDING if depth_hit else EXIT_OK
 
 
 def cmd_dot(args, out) -> int:
-    out.write(to_dot(bounded_graph(args.model, args.max_value)))
+    for block in _blocks(dot_lines(bounded_graph(args.model,
+                                                 args.max_value))):
+        out.write("".join(block))
     return EXIT_OK
 
 

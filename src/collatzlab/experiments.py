@@ -63,7 +63,9 @@ def cycle_census(model: ModelId, max_value: int):
     to that are walked; a walk that has passed more than max_value - n + 1
     values in n..max_value has repeated one other than n, so n is on no
     cycle. MS and M1 go through Johnson's circuit search from each node s,
-    in ascending order, over the nodes above s in their ``bounded_graph``.
+    in ascending order, over the nodes above s in their ``bounded_graph``,
+    whose (action, y) lists are replaced by y lists one node at a time, so
+    no second adjacency is built.
     """
     if max_value < 4:
         raise ValueError(f"max_value must be >= 4, got {max_value}")
@@ -72,8 +74,9 @@ def cycle_census(model: ModelId, max_value: int):
                  for n in m0_undecided((max_value - 1) // 3, max_value))
         cycles = [w[:-1] for w in walks if len(w) > 1 and w[-1] == w[0]]
     else:
-        adjacency = {x: [y for _, y in moves] for x, moves
-                     in bounded_graph(model, max_value).adjacency.items()}
+        adjacency = bounded_graph(model, max_value).adjacency
+        for x, moves in adjacency.items():
+            adjacency[x] = [y for _, y in moves]
         cycles = [c for s in adjacency for c in _circuits(s, adjacency)]
     return sorted(cycles, key=lambda c: (len(c), c))
 

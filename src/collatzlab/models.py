@@ -110,15 +110,19 @@ def bounded_graph(model: ModelId, max_value: int) -> BoundedGraph:
 F_EDGE_COLOR = "red"
 
 
-def to_dot(graph: BoundedGraph) -> str:
-    """Deterministic DOT rendering; F-edges carry a distinct color."""
-    lines = ["digraph collatz {"]
+def dot_lines(graph: BoundedGraph):
+    """The lines of to_dot's rendering, in order, each ending in a newline."""
+    yield "digraph collatz {\n"
     for x in range(1, graph.max_value + 1):
-        lines.append(f'  {x} [label="{x}"];')
+        yield f'  {x} [label="{x}"];\n'
     for x, action, y in graph.edges():
         attrs = f'label="{action.value}"'
         if action is Action.F:
             attrs += f', color="{F_EDGE_COLOR}"'
-        lines.append(f"  {x} -> {y} [{attrs}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  {x} -> {y} [{attrs}];\n"
+    yield "}\n"
+
+
+def to_dot(graph: BoundedGraph) -> str:
+    """Deterministic DOT rendering; F-edges carry a distinct color."""
+    return "".join(dot_lines(graph))

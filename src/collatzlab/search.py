@@ -186,17 +186,39 @@ def trajectory(n: int, max_depth: int = 100_000) -> Path:
                 end=1, values=tuple(values))
 
 
+def m0_reach(start: int, target: int, max_depth: int = 100_000):
+    """The M0 path start => target, exact at any value cap.
+
+    M0 has one move per value, so start reaches exactly its trajectory's
+    values and, past 1, the 4 and 2 of 1's cycle, which every trajectory
+    from start > 2 passes anyway. Returns the shortest walk to target as a
+    Path, or Unreachable(False) when target is not among those values.
+    Raises DepthExceeded when the trajectory does not reach 1 within
+    max_depth steps.
+    """
+    values = trajectory(start, max_depth).values + (4, 2)
+    if target not in values:
+        return Unreachable(bound_exhausted=False)
+    values = values[:values.index(target) + 1]
+    return Path(model=ModelId.M0, start=start, actions=m0_script(values),
+                end=target, values=values)
+
+
 def stopping_stats(values, max_depth: int = 100_000):
     """Yield (n, steps, peak) rows; steps is -1 when max_depth was hit.
 
     Each row equals ``trajectory(n, max_depth)``'s step count and peak, for
     any order of values. A memo local to the call maps every n already
-    yielded to its (steps, peak), starting from {1: (0, 1)}; n is walked only
-    until it meets a memo entry x, and then steps(n) = j + steps(x) and
-    peak(n) = max(walk peak, peak(x)). A -1 entry means x alone needs more
-    than max_depth steps, so every n that reaches it does too.
+    yielded to one int, peak << k | (steps + 1) with k the bit length of
+    max_depth + 1, or 0 when n needs more than max_depth steps; it starts
+    from {1: steps 0, peak 1}. n is walked only until it meets a memo entry
+    x, and then steps(n) = j + steps(x) and peak(n) = max(walk peak,
+    peak(x)). A 0 entry means x alone needs more than max_depth steps, so
+    every n that reaches it does too.
     """
-    memo = {1: (0, 1)}
+    k = (max_depth + 1).bit_length()
+    low = (1 << k) - 1
+    memo = {1: 1 << k | 1}
     for n in values:
         if n < 1:
             raise ValueError(f"positive integer required, got {n}")
@@ -206,18 +228,28 @@ def stopping_stats(values, max_depth: int = 100_000):
             j += 1
             if x > peak:
                 peak = x
-        steps, top = memo.get(x, (-1, -1))
-        row = ((j + steps, max(peak, top))
-               if steps >= 0 and j + steps <= max_depth else (-1, -1))
-        memo[n] = row
-        yield (n, *row)
+        packed = memo.get(x, 0)
+        steps = j + (packed & low) - 1
+        if packed and steps <= max_depth:
+            peak = max(peak, packed >> k)
+            memo[n] = peak << k | (steps + 1)
+            yield n, steps, peak
+        else:
+            memo[n] = 0
+            yield n, -1, -1
+
+
+STATS_HEADER = "n,steps,peak\n"
+
+
+def stats_lines(rows) -> str:
+    """The CSV lines of stopping_stats rows, joined in order."""
+    return "".join([f"{n},{s},{p}\n" for n, s, p in rows])
 
 
 def stats_csv(values, max_depth: int = 100_000):
     """CSV rendering of stopping_stats with the standard header."""
-    lines = ["n,steps,peak"]
-    lines.extend(f"{n},{s},{p}" for n, s, p in stopping_stats(values, max_depth))
-    return "\n".join(lines) + "\n"
+    return STATS_HEADER + stats_lines(stopping_stats(values, max_depth))
 
 
 class SieveRow(NamedTuple):

@@ -13,6 +13,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collatzlab import cli
 from collatzlab.cli import main
 
 
@@ -314,6 +315,94 @@ def test_stats_depth_hit_is_a_finding():
     code, text = run(["stats", "--range", "27..27", "--max-depth", "110"])
     assert code == 1
     assert text.splitlines() == ["n,steps,peak", "27,-1,-1"]
+
+
+def test_stats_rejects_zero_before_printing_anything(capsys):
+    code, text = run(["stats", "--range", "0..3"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == \
+        "error: positive integer required, got 0\n"
+
+
+def test_stats_single_row_ranges():
+    for argv, code, rows in (
+            (["--range", "1..1"], 0, ["1,0,1"]),
+            (["--range", "7..7"], 0, ["7,16,52"]),
+            (["--range", "27..27", "--max-depth", "111"], 0, ["27,111,9232"]),
+            (["--range", "27..27", "--max-depth", "1"], 1, ["27,-1,-1"])):
+        assert run(["stats", *argv]) == (
+            code, "\n".join(["n,steps,peak", *rows, ""])), argv
+
+
+def test_a_depth_hit_in_the_last_rows_is_a_finding():
+    # 6,171 needs 261 steps; every smaller n needs at most 237.
+    code, text = run(["stats", "--range", "1..6171", "--max-depth", "260"])
+    lines = text.splitlines()
+    assert code == 1
+    assert len(lines) == 6172 and lines[-1] == "6171,-1,-1"
+    assert sum("-" in line for line in lines) == 1
+    code, text = run(["stats", "--range", "1..6171", "--max-depth", "261"])
+    assert code == 0 and text.endswith("\n6171,261,975400\n")
+
+
+class CountingSink:
+    """An output stream that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def flush(self):
+        pass
+
+
+def test_stats_and_dot_write_blocks_that_join_to_the_whole_text():
+    from collatzlab.actions import ModelId
+    from collatzlab.models import bounded_graph, to_dot
+    from collatzlab.search import stats_csv
+
+    # One write of the whole text was 3.39 MB at 2 * 10^5 rows.
+    for argv, whole in (
+            (["stats", "--range", "1..200000"], stats_csv(range(1, 200001))),
+            (["dot", "--model", "ms", "--max", "5000"],
+             to_dot(bounded_graph(ModelId.MS, 5000)))):
+        sink = CountingSink()
+        assert main(argv, out=sink) == 0
+        assert "".join(sink.writes) == whole, argv
+        lines = [w.count("\n") for w in sink.writes]
+        assert len(lines) > 2 and max(lines) <= cli.BLOCK_LINES + 1, argv
+        assert max(map(len, sink.writes)) < 200_000, argv
+
+
+def test_m0_reach_is_decided_by_the_trajectory(monkeypatch):
+    from collatzlab import search
+
+    # The walk from 27 needs 111 steps, more than the default depth 64; it
+    # never passes 3.
+    _, long_path = run(["reach", "--model", "m0", "--from", "27", "--to", "1",
+                        "--max-depth", "200"])
+    assert run(["reach", "--model", "m0", "--from", "27", "--to", "1"]) == (
+        0, long_path)
+    code, text = run(["reach", "--model", "m0", "--from", "27", "--to", "5"])
+    assert code == 0 and long_path.startswith(text[:-1] + " -T-> 16 ")
+    assert run(["reach", "--model", "m0", "--from", "27", "--to", "3"]) == (
+        1, "unreachable-within-bounds: 27 => 3 under M0\n")
+    # With a bound of the user's, the search alone decides.
+    for bound in (["--max-depth", "64"], ["--max-value", "10000000"]):
+        assert run(["reach", "--model", "m0", "--from", "27", "--to", "1",
+                    *bound]) == (1, "budget-exceeded: 27 => 1 under M0\n")
+    assert run(["reach", "--model", "m0", "--from", "27", "--to", "1",
+                "--max-value", "9231", "--max-depth", "200"]) == (
+        1, "unreachable-within-bounds: 27 => 1 under M0\n")
+
+    def too_deep(n, max_depth):
+        raise cli.DepthExceeded(n, max_depth)
+
+    monkeypatch.setattr(search, "trajectory", too_deep)
+    assert run(["reach", "--model", "m0", "--from", "27", "--to", "1"]) == (
+        1, "budget-exceeded: 27 => 1 under M0\n")
 
 
 def test_dot():

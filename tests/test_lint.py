@@ -255,3 +255,38 @@ def test_only_the_default_registry_builds_the_catalog():
     modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert "catalog.build_claims()" in modules["verify.py"]
     assert build_claims_callers(modules) == []
+
+
+WHOLE_TEXT_RENDERERS = {"stats_csv", "to_dot"}
+
+
+def whole_text_calls(source):
+    """(function, line) for every call of ``stats_csv`` or ``to_dot``, bare
+    or as an attribute, inside a top-level ``cmd_*`` function: a command
+    writes its output in blocks, never as one whole text."""
+    return [(top.name, node.lineno)
+            for top in ast.parse(source).body
+            if isinstance(top, ast.FunctionDef)
+            and top.name.startswith("cmd_")
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) in WHOLE_TEXT_RENDERERS
+                 or getattr(node.func, "attr", None) in WHOLE_TEXT_RENDERERS)]
+
+
+def test_whole_text_check_flags_only_renderer_calls_in_commands():
+    source = ("def cmd_stats(args, out):\n"
+              "    out.write(stats_csv(args.n_range))\n"
+              "def cmd_dot(args, out):\n"
+              "    out.write(models.to_dot(graph))\n"
+              "    return stats_lines, dot_lines(graph), to_dot\n"
+              "def helper(graph):\n"
+              "    return to_dot(graph)\n"
+              "text = stats_csv(range(3))\n")
+    assert whole_text_calls(source) == [("cmd_stats", 2), ("cmd_dot", 4)]
+
+
+def test_no_command_renders_its_whole_output_at_once():
+    source = (SRC / "cli.py").read_text()
+    assert "def cmd_stats" in source and "def cmd_dot" in source
+    assert whole_text_calls(source) == []

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,20 @@ def test_memoised_stopping_stats_match_the_oracle_on_any_list(values,
                                                                max_depth):
     assert list(stopping_stats(values, max_depth)) == [
         oracle_row(n, max_depth) for n in values]
+
+
+def test_the_stopping_stats_memo_keeps_one_int_per_row():
+    # Consumed without keeping rows, the peak is the memo's. A (steps,
+    # peak) tuple per row peaked at about 165 bytes a row; the packed int
+    # at about 134.
+    rows = 200_000
+    tracemalloc.start()
+    try:
+        deque(stopping_stats(range(1, rows + 1)), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / rows < 150
 
 
 def test_stopping_stats_yields_rows_before_a_bad_value():
@@ -320,6 +335,22 @@ def test_uncapped_walks_use_little_memory_at_a_huge_depth(walk, expected):
         tracemalloc.stop()
     assert result == expected
     assert peak < 2**20
+
+
+def test_m0_reach_equals_a_search_with_ample_bounds():
+    # No walk from 1..40 passes 9,232 or takes more than 111 steps, so this
+    # search is exact; m0_reach must agree with it pair by pair, 1 and 2
+    # included, whose trajectories stop before 4.
+    bounds = SearchBounds(max_value=10**5, max_depth=300)
+    found = 0
+    for x in range(1, 41):
+        for y in range(1, 41):
+            path = search.m0_reach(x, y)
+            assert path == bfs_reach(ModelId.M0, x, y, bounds), (x, y)
+            found += isinstance(path, Path) and path.validate()
+    assert found == 484
+    with pytest.raises(DepthExceeded):
+        search.m0_reach(27, 1, max_depth=110)
 
 
 def test_path_render():
