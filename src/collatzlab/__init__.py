@@ -15,15 +15,14 @@ __version__ = "0.1.0"
 # exported name -> its submodule: the one table behind __all__, __getattr__
 _EXPORTS = {name: module for module, names in {
     "actions": "Action ActionSeq ModelId Path action_function apply apply_seq"
-               " evaluate_exact inverse_seq is_legal seq_of validate_trace",
+               " evaluate_exact inverse_seq seq_of validate_trace",
     "catalog": "Claim build_claims",
     "errors": "CollatzlabError DepthExceeded DomainViolation GuardViolation"
               " UnknownClaim",
     "experiments": "DeloopReport cycle_census delooping_experiment",
-    "models": "BoundedGraph bounded_graph predecessors successors to_dot",
+    "models": "BoundedGraph bounded_graph predecessors successors",
     "search": "SearchBounds Unreachable all_reach_one bfs_reach"
-              " bfs_reach_bidirectional bfs_until stats_csv stopping_stats"
-              " trajectory",
+              " bfs_reach_bidirectional bfs_until stopping_stats trajectory",
     "ternary": "from_ternary to_ternary",
     "verify": "Failure VerifyReport all_claim_ids run_any_claim",
 }.items() for name in names.split()}

@@ -77,20 +77,6 @@ def action_function(action: Action, x):
     return (x - 1) / 3
 
 
-def is_legal(action: Action, x, model: ModelId) -> bool:
-    """Whether a model's guards allow action at an integer x >= 1.
-
-    Read off the replay loop below, the one guard table. M2 has no guards
-    (interpreter mode); graph-mode M2 adjacency, where F additionally needs
-    x > 1, lives in the models module.
-    """
-    try:
-        _replay((action,), x, model)
-    except GuardViolation:
-        return False
-    return True
-
-
 def _replay(steps, x, model: ModelId, first=0) -> list:
     """Apply steps to x under model's guards; every value, x first.
 

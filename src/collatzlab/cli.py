@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=positive_int)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--verbose", action="store_true",
-                   help="also show values in base 3")
+                   help="also show values in base 3 (text format)")
     p.add_argument("--max-depth", type=positive_int, default=100_000)
 
     p = sub.add_parser("verify", help="run catalog claims over a range")
@@ -82,12 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=positive_int, default=None,
                    help="path-length cap; needs --max-value (default 64)")
     p.add_argument("--timing", action="store_true",
-                   help="include wall_ms in reports (non-deterministic)")
-    # A string default goes through type=, so a bad env value is a usage error.
-    p.add_argument("--workers", type=positive_int,
-                   default=os.environ.get("COLLATZLAB_WORKERS", "1"),
+                   help="include wall_ms in JSON reports (non-deterministic)")
+    p.add_argument("--workers", type=positive_int, default=1,
                    help="worker processes, at most one per CPU and claim "
-                        "chunk (default: $COLLATZLAB_WORKERS or 1)")
+                        "chunk (default 1)")
 
     p = sub.add_parser("reach", help="bounded BFS between two values")
     p.add_argument("--model", type=parse_model, required=True)
@@ -96,17 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-value", type=positive_int, default=None)
     p.add_argument("--max-depth", type=positive_int, default=None,
                    help="path-length cap (default 64)")
-
-    p = sub.add_parser("cluster", help="cluster connectivity check")
-    p.add_argument("--kind", choices=tuple(verify_mod.CLUSTER_MEMBERS),
-                   required=True)
-    p.add_argument("--k", type=parse_range, required=True, dest="a_range",
-                   metavar="LO..HI")
-    p.add_argument("--value-bound", type=positive_int, default=None,
-                   dest="max_value", metavar="VALUE_BOUND")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--timing", action="store_true")
-    p.set_defaults(max_depth=None, workers=1)
 
     p = sub.add_parser("deloop", help="E1/E4 edge-removal experiment")
     p.add_argument("--max", type=positive_int, required=True, dest="max_value")
@@ -157,6 +144,9 @@ def cmd_verify(args, out) -> int:
     if args.max_depth is not None and args.max_value is None:
         print("error: --max-depth needs --max-value", file=sys.stderr)
         return EXIT_USAGE
+    if args.timing and args.format != "json":
+        print("error: --timing needs --format json", file=sys.stderr)
+        return EXIT_USAGE
     known = verify_mod.all_claim_ids()
     if args.claim == "all":
         ids = known
@@ -199,6 +189,9 @@ def _run_claims(ids, rng, bounds, workers):
 
 
 def cmd_traj(args, out) -> int:
+    if args.verbose and args.format == "csv":
+        print("error: --verbose needs --format text", file=sys.stderr)
+        return EXIT_USAGE
     path = trajectory(args.n, max_depth=args.max_depth)
     if args.format == "csv":
         out.write("step,value\n")
@@ -229,11 +222,6 @@ def cmd_reach(args, out) -> int:
         return EXIT_FINDING
     out.write(result.render() + "\n")
     return EXIT_OK
-
-
-def cmd_cluster(args, out) -> int:
-    args.claim = f"T.cluster-{args.kind}"
-    return cmd_verify(args, out)
 
 
 def cmd_deloop(args, out) -> int:
@@ -282,7 +270,6 @@ _COMMANDS = {
     "traj": cmd_traj,
     "verify": cmd_verify,
     "reach": cmd_reach,
-    "cluster": cmd_cluster,
     "deloop": cmd_deloop,
     "cycles": cmd_cycles,
     "stats": cmd_stats,

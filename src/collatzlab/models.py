@@ -111,7 +111,7 @@ F_EDGE_COLOR = "red"
 
 
 def dot_lines(graph: BoundedGraph):
-    """The lines of to_dot's rendering, in order, each ending in a newline."""
+    """Deterministic DOT lines, each ending in a newline; F-edges in red."""
     yield "digraph collatz {\n"
     for x in range(1, graph.max_value + 1):
         yield f'  {x} [label="{x}"];\n'
@@ -121,8 +121,3 @@ def dot_lines(graph: BoundedGraph):
             attrs += f', color="{F_EDGE_COLOR}"'
         yield f"  {x} -> {y} [{attrs}];\n"
     yield "}\n"
-
-
-def to_dot(graph: BoundedGraph) -> str:
-    """Deterministic DOT rendering; F-edges carry a distinct color."""
-    return "".join(dot_lines(graph))

@@ -247,11 +247,6 @@ def stats_lines(rows) -> str:
     return "".join([f"{n},{s},{p}\n" for n, s, p in rows])
 
 
-def stats_csv(values, max_depth: int = 100_000):
-    """CSV rendering of stopping_stats with the standard header."""
-    return STATS_HEADER + stats_lines(stopping_stats(values, max_depth))
-
-
 class SieveRow(NamedTuple):
     """A class of the descent sieve: from n in the class, after j steps with
     o triplings and h halvings, the walk is at (a*n + c) >> h, a = 3^o, and

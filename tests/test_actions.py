@@ -19,7 +19,7 @@ from collatzlab import search
 from collatzlab.actions import (INTEGER_MODELS, Action, ActionSeq, ModelId,
                                 Path, action_function, apply, apply_seq,
                                 evaluate_exact, evaluate_form, inverse_seq,
-                                is_legal, seq_of, validate_trace, walk_form)
+                                seq_of, validate_trace, walk_form)
 from collatzlab.catalog import CLUSTER_TABLE, SUCCESSION_SEQS, Claim
 from collatzlab.errors import (CollatzlabError, DomainViolation,
                                GuardViolation)
@@ -46,36 +46,46 @@ def test_inverse_actions_cancel(action, x):
     assert action_function(action.inverse, y) == x
 
 
+def replay_legal(action, x, model):
+    """Whether the library's replay loop takes action at an integer x >= 1:
+    apply raises GuardViolation exactly where a guard forbids the step."""
+    try:
+        apply(action, x, model)
+    except GuardViolation:
+        return False
+    return True
+
+
 def test_guard_tables():
     # M0: deterministic Collatz, exactly one legal action per value
-    assert is_legal(Action.T, 5, ModelId.M0)
-    assert not is_legal(Action.T, 6, ModelId.M0)
-    assert is_legal(Action.B, 6, ModelId.M0)
-    assert not is_legal(Action.F, 7, ModelId.M0)
-    assert not is_legal(Action.D, 5, ModelId.M0)
+    assert replay_legal(Action.T, 5, ModelId.M0)
+    assert not replay_legal(Action.T, 6, ModelId.M0)
+    assert replay_legal(Action.B, 6, ModelId.M0)
+    assert not replay_legal(Action.F, 7, ModelId.M0)
+    assert not replay_legal(Action.D, 5, ModelId.M0)
     # MS: F joins at x = 1 (mod 3), x > 1
-    assert is_legal(Action.F, 7, ModelId.MS)
-    assert not is_legal(Action.F, 8, ModelId.MS)
-    assert not is_legal(Action.F, 1, ModelId.MS)
-    assert not is_legal(Action.D, 5, ModelId.MS)
+    assert replay_legal(Action.F, 7, ModelId.MS)
+    assert not replay_legal(Action.F, 8, ModelId.MS)
+    assert not replay_legal(Action.F, 1, ModelId.MS)
+    assert not replay_legal(Action.D, 5, ModelId.MS)
     # M1: T and D always on; B/F keep their guards
-    assert is_legal(Action.T, 6, ModelId.M1)
-    assert is_legal(Action.D, 5, ModelId.M1)
-    assert not is_legal(Action.B, 5, ModelId.M1)
-    assert not is_legal(Action.F, 8, ModelId.M1)
+    assert replay_legal(Action.T, 6, ModelId.M1)
+    assert replay_legal(Action.D, 5, ModelId.M1)
+    assert not replay_legal(Action.B, 5, ModelId.M1)
+    assert not replay_legal(Action.F, 8, ModelId.M1)
     # M2 interpreter mode: everything goes
-    assert all(is_legal(a, 5, ModelId.M2) for a in Action)
-    # is_legal is read off the replay loop; the written table agrees
+    assert all(replay_legal(a, 5, ModelId.M2) for a in Action)
+    # the replay loop's guards agree with the written table
     for model in ModelId:
         for action in Action:
             for x in range(1, 200):
-                assert (is_legal(action, x, model)
+                assert (replay_legal(action, x, model)
                         == table_legal(action, x, model)), (action, x, model)
 
 
 @given(positives)
 def test_m0_is_deterministic(x):
-    legal = [a for a in Action if is_legal(a, x, ModelId.M0)]
+    legal = [a for a in Action if replay_legal(a, x, ModelId.M0)]
     assert len(legal) == 1
     assert legal[0] is (Action.T if x % 2 else Action.B)
 
@@ -129,9 +139,9 @@ def test_every_legal_m1_step_has_a_legal_inverse_back():
     legal = 0
     for action in Action:
         for x in range(1, 61):   # every residue mod 6, and x = 1
-            if is_legal(action, x, ModelId.M1):
+            if replay_legal(action, x, ModelId.M1):
                 y = apply(action, x, ModelId.M1)
-                assert is_legal(action.inverse, y, ModelId.M1), (action, x)
+                assert replay_legal(action.inverse, y, ModelId.M1), (action, x)
                 assert apply(action.inverse, y, ModelId.M1) == x
                 legal += 1
     assert legal == 60 + 30 + 19 + 60   # T, B (even x), F (7, 10, ..), D
@@ -143,7 +153,7 @@ def test_the_inverse_of_a_legal_m1_walk_walks_back(x, picks):
     steps = []
     y = x
     for pick in picks:
-        legal = [a for a in Action if is_legal(a, y, ModelId.M1)]
+        legal = [a for a in Action if replay_legal(a, y, ModelId.M1)]
         steps.append(legal[pick % len(legal)])
         y = apply(steps[-1], y, ModelId.M1)
     walk = apply_seq(ActionSeq(tuple(steps)), x, ModelId.M1)

@@ -3,7 +3,6 @@
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import os
 import subprocess
@@ -167,10 +166,6 @@ def test_the_pool_has_at_most_one_process_per_cpu_and_per_unit(monkeypatch):
         sizes.clear()
         assert run(argv + ["--workers", workers]) == serial
         assert sizes == pool, (cpus, workers)
-    monkeypatch.setenv("COLLATZLAB_WORKERS", "5000")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    sizes.clear()
-    assert run(argv) == serial and sizes == [3]
 
 
 def test_reach():
@@ -195,7 +190,9 @@ def test_stats():
 
 
 # SHA-256 of the output, recorded before stopping_stats was memoised and
-# before the phase-3 check stopped building bounded graphs.
+# before the phase-3 check stopped building bounded graphs. Nine of the
+# T.cluster-K pins were recorded as `cluster --kind K --k R [--value-bound
+# V]`, a removed alias that printed the same bytes.
 GOLDEN_OUTPUTS = [
     (["stats", "--range", "1..20000"], 0,
      "46b901fdb07f5cf83966bb2cdafa50ad5e594fb689870887d207c0746979694d"),
@@ -250,14 +247,14 @@ GOLDEN_OUTPUTS = [
      "3d42568d581c3a493466aa40e187d2e4617a5b9fe40982c9badc9374a7ca41a4"),
     (["reach", "--model", "m1", "--from", "1108", "--to", "1111"], 0,
      "252ce0feefdc427e5f20942d3df069c8b43bd72f7a393a78f5b5ce1f61d147a0"),
-    (["cluster", "--kind", "nine", "--k", "1..300"], 0,
+    (["verify", "--claim", "T.cluster-nine", "--range", "1..300"], 0,
      "051c4b2905809b839e37c6ae28b62c54e4566021e88029bcefad5a2c9e1fd032"),
-    (["cluster", "--kind", "five", "--k", "9700..9730"], 0,
+    (["verify", "--claim", "T.cluster-five", "--range", "9700..9730"], 0,
      "ba61940785b7745c3b75cae4dab2a672276f735eb3bcc5471a90566c563f6619"),
     # Under the cap 2^20, the default before it grew with k, the five
     # cluster fails pairs from k = 9,724 on.
-    (["cluster", "--kind", "five", "--k", "9700..9730",
-      "--value-bound", "1048576"], 1,
+    (["verify", "--claim", "T.cluster-five", "--range", "9700..9730",
+      "--max-value", "1048576"], 1,
      "3937237515cf30bc959fec3eae77632275dbbc438649c9b83bb683fbf4a3688d"),
     # Recorded while trajectory still had its own 3x+1 loop, verify had its
     # own parity-to-letter table and the catalog split A's class in three
@@ -278,25 +275,27 @@ GOLDEN_OUTPUTS = [
     # Recorded while `cluster` still built its own bounds and ran, emitted
     # and scored its claim apart from `verify`. Under cap 4096 the nine
     # cluster fails 100 pairs; the text lists the first 10 (11 lines).
-    (["cluster", "--kind", "nine", "--k", "1..120", "--value-bound", "4096",
-      "--format", "text"], 1,
+    (["verify", "--claim", "T.cluster-nine", "--range", "1..120",
+      "--max-value", "4096", "--format", "text"], 1,
      "35d27238e8d51cc997b29e101f5fcb543c6270bd733ee481c46c2089bd01b684"),
-    (["cluster", "--kind", "five", "--k", "9700..9730", "--format", "csv"], 0,
+    (["verify", "--claim", "T.cluster-five", "--range", "9700..9730",
+      "--format", "csv"], 0,
      "940bcd24fb250413119b7fcf5187e6100164832551ecfe21b722e043fe30c494"),
-    (["cluster", "--kind", "five", "--k", "9700..9730", "--format", "csv",
-      "--value-bound", "1048576"], 1,
+    (["verify", "--claim", "T.cluster-five", "--range", "9700..9730",
+      "--format", "csv", "--max-value", "1048576"], 1,
      "9b828376c30610ba7dbf2f1a4a85b318ae97f2a78a816cf50db3f2be4cb45851"),
-    (["cluster", "--kind", "three", "--k", "1..200", "--format", "text"], 0,
+    (["verify", "--claim", "T.cluster-three", "--range", "1..200",
+      "--format", "text"], 0,
      "0993b669c3830512a45ca1bb53eef374194d864b85765056a8c4be154a7970a0"),
     # Recorded before the cluster checks replayed a proved script table.
     # Around k = 6,473 some nine-cluster table scripts leave the 2^20 cap,
     # the default before it grew with k; under cap 2^14 and depth 20 the
     # five cluster fails 128 pairs from k = 156 on. In both, table rows and
     # searches interleave. At the default cap the table decides every pair.
-    (["cluster", "--kind", "nine", "--k", "6460..6490"], 0,
+    (["verify", "--claim", "T.cluster-nine", "--range", "6460..6490"], 0,
      "dd6ca0c8b3dda661549b4d154726f1f2ced35efe3ca32230b8070bf433441918"),
-    (["cluster", "--kind", "nine", "--k", "6460..6490",
-      "--value-bound", "1048576"], 0,
+    (["verify", "--claim", "T.cluster-nine", "--range", "6460..6490",
+      "--max-value", "1048576"], 0,
      "5241e71b982a4b462308687914bc040082a4aad55cf66fdc3947042eb955f7ab"),
     (["verify", "--claim", "T.cluster-five", "--range", "1..400",
       "--max-value", "16384", "--max-depth", "20"], 1,
@@ -360,14 +359,15 @@ class CountingSink:
 
 def test_stats_and_dot_write_blocks_that_join_to_the_whole_text():
     from collatzlab.actions import ModelId
-    from collatzlab.models import bounded_graph, to_dot
-    from collatzlab.search import stats_csv
+    from collatzlab.models import bounded_graph, dot_lines
+    from collatzlab.search import STATS_HEADER, stats_lines, stopping_stats
 
     # One write of the whole text was 3.39 MB at 2 * 10^5 rows.
     for argv, whole in (
-            (["stats", "--range", "1..200000"], stats_csv(range(1, 200001))),
+            (["stats", "--range", "1..200000"],
+             STATS_HEADER + stats_lines(stopping_stats(range(1, 200001)))),
             (["dot", "--model", "ms", "--max", "5000"],
-             to_dot(bounded_graph(ModelId.MS, 5000)))):
+             "".join(dot_lines(bounded_graph(ModelId.MS, 5000))))):
         sink = CountingSink()
         assert main(argv, out=sink) == 0
         assert "".join(sink.writes) == whole, argv
@@ -421,38 +421,26 @@ def test_deloop():
 
 
 def test_cluster():
-    code, text = run(["cluster", "--kind", "five", "--k", "1..5"])
+    code, text = run(["verify", "--claim", "T.cluster-five", "--range", "1..5"])
     assert code == 0
     assert json.loads(text)["fail"] == 0
-
-
-def test_cluster_prints_what_verify_prints_for_its_claim():
-    for kind, window, bound, fmt in itertools.product(
-            ("five", "three", "nine"), ("1..12", "110..116"),
-            (None, "300", "4096"), ("json", "csv", "text")):
-        cluster = run(["cluster", "--kind", kind, "--k", window,
-                       "--format", fmt]
-                      + (["--value-bound", bound] if bound else []))
-        verify = run(["verify", "--claim", f"T.cluster-{kind}",
-                      "--range", window, "--format", fmt]
-                     + (["--max-value", bound] if bound else []))
-        assert cluster == verify, (kind, window, bound, fmt)
 
 
 def test_cluster_default_cap_equals_the_explicit_2_pow_20(monkeypatch):
     from collatzlab.verify import CLUSTER_MEMBERS, run_any_claim
     from test_verify import _count_searches
 
-    argv = ["cluster", "--kind", "five", "--k", "1..300"]
+    argv = ["verify", "--claim", "T.cluster-five", "--range", "1..300"]
     default = run(argv)
-    assert default == run(argv + ["--value-bound", str(2**20)])
+    assert default == run(argv + ["--max-value", str(2**20)])
     assert hashlib.sha256(default[1].encode()).hexdigest().startswith(
         "7d5b50a6641e86a6")
     # the default cap, max(2^20, 18 * (9k + 8)), is 2^20 up to k = 6,471;
     # the report shows the cap at the range's last k
-    argv = ["cluster", "--kind", "five", "--k", "6400..6471"]
-    assert run(argv) == run(argv + ["--value-bound", str(2**20)])
-    code, text = run(["cluster", "--kind", "five", "--k", "6400..6472"])
+    argv = ["verify", "--claim", "T.cluster-five", "--range", "6400..6471"]
+    assert run(argv) == run(argv + ["--max-value", str(2**20)])
+    code, text = run(["verify", "--claim", "T.cluster-five",
+                      "--range", "6400..6472"])
     assert (code, json.loads(text)["bounds"]["max_value"]) == (0, 1_048_608)
     # under it the proved table decides every pair, with no search
     calls = _count_searches(monkeypatch)
@@ -460,6 +448,12 @@ def test_cluster_default_cap_equals_the_explicit_2_pow_20(monkeypatch):
         report = run_any_claim(f"T.cluster-{kind}", range(1, 100_001))
         assert (report.passed, report.failed) == (100_000, 0), kind
     assert calls == []
+
+
+def test_the_cluster_command_is_gone(capsys):
+    # `verify --claim T.cluster-K --range R` is its one spelling
+    assert run(["cluster", "--kind", "five", "--k", "1..5"]) == (2, "")
+    assert "'cluster'" in capsys.readouterr().err
 
 
 def test_bad_usage():
@@ -479,16 +473,23 @@ def test_traj_depth_budget_is_a_finding_not_a_traceback(capsys):
     assert err == "error: 27 did not reach 1 within 5 steps\n"
 
 
-def test_workers_env_must_be_a_positive_integer(monkeypatch, capsys):
+def test_the_environment_does_not_set_the_workers(monkeypatch):
     argv = ["verify", "--claim", "L.10-11", "--range", "1..5"]
-    for bad in ("abc", "0"):
-        monkeypatch.setenv("COLLATZLAB_WORKERS", bad)
-        code, text = run(argv)
-        assert code == 2, bad
-        assert text == ""
-        assert "positive integer required" in capsys.readouterr().err
-    monkeypatch.setenv("COLLATZLAB_WORKERS", "2")
-    assert run(argv)[0] == 0
+    serial = run(argv + ["--workers", "1"])
+    monkeypatch.setenv("COLLATZLAB_WORKERS", "abc")
+    assert run(argv) == serial and serial[0] == 0
+
+
+def test_a_flag_that_changes_nothing_is_a_usage_error(capsys):
+    for argv, message in (
+            (["verify", "--claim", "L.10-11", "--range", "1..5", "--timing",
+              "--format", "csv"], "--timing needs --format json"),
+            (["verify", "--claim", "L.10-11", "--range", "1..5", "--timing",
+              "--format", "text"], "--timing needs --format json"),
+            (["traj", "27", "--verbose", "--format", "csv"],
+             "--verbose needs --format text")):
+        assert run(argv) == (2, ""), argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
 
 
 def test_verify_max_depth_needs_max_value(capsys):
@@ -590,9 +591,10 @@ _ARGVS = st.one_of(
           _opt("--to", _NUM), _opt("--max-value", _NUM),
           st.sampled_from(["1", "4", "6", "0"]).map(
               lambda d: ["--max-depth", d])),
-    _argv(st.just(["cluster"]),
-          _opt("--kind", st.sampled_from(["five", "three", "nine", "two"])),
-          _opt("--k", _RANGE), _opt("--value-bound", _NUM)),
+    _argv(st.just(["verify", "--claim"]),
+          st.sampled_from(["five", "three", "nine", "two"]).map(
+              lambda kind: [f"T.cluster-{kind}"]),
+          _opt("--range", _RANGE), _opt("--max-value", _NUM)),
     _argv(st.just(["deloop"]), _opt("--max", _NUM), _opt("--headroom", _NUM)),
     _argv(st.just(["cycles"]), _opt("--model", _MODEL), _opt("--max", _NUM)),
     _argv(st.just(["stats"]), _opt("--range", _RANGE),

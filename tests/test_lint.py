@@ -103,8 +103,13 @@ def names_read(source):
     """Every identifier a source names: bare names, attributes, imported
     names and identifier-shaped string constants, which is how setattr-style
     wiring names an attribute."""
+    return names_in(ast.parse(source))
+
+
+def names_in(tree):
+    """names_read for a parsed source or any node of one."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -154,6 +159,73 @@ def test_every_top_level_definition_is_named_or_exported():
     readers = [p.read_text() for p in sorted(SRC.glob("*.py"))
                + sorted((ROOT / "bench").glob("*.py"))]
     assert dead_definitions(modules, readers, set(collatzlab.__all__)) == []
+
+
+def unread_exports(exported, modules, readers):
+    """Every exported name that no top-level statement of a module source
+    names, other than the statement that defines it, and no reader source
+    names at all: an export that nothing reads is one to delete."""
+    read = set().union(*map(names_read, readers))
+    for source in modules:
+        for top in ast.parse(source).body:
+            defined = {getattr(top, "name", None)} | {
+                target.id for target in getattr(top, "targets", ())
+                if isinstance(target, ast.Name)}
+            read |= names_in(top) - defined
+    return [name for name in exported if name not in read]
+
+
+def test_unread_export_check_flags_only_names_nothing_else_reads():
+    module = ("def used():\n    pass\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "def for_bench():\n    pass\n"
+              "def unread():\n    pass\n"
+              "version = '1'\n"
+              "listed = ['version']\n"
+              "print(used)\n")
+    reader = "from m import for_bench\n"
+    assert unread_exports(["used", "recursive", "for_bench", "unread",
+                           "version"], [module], [reader]) == [
+        "recursive", "unread"]
+
+
+def test_every_export_is_read_in_src_or_bench():
+    modules = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    readers = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    assert modules and readers
+    assert unread_exports(collatzlab.__all__, modules, readers) == []
+
+
+ENVIRONMENT_READERS = {"environ", "getenv"}
+
+
+def environment_reads(source):
+    """Line of every read of ``os.environ`` or ``os.getenv``, as an
+    attribute or imported from os: a run is set by its argv alone."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Attribute)
+                      and node.attr in ENVIRONMENT_READERS)
+                  or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                      and any(alias.name in ENVIRONMENT_READERS
+                              for alias in node.names)))
+
+
+def test_environment_check_flags_only_environment_reads():
+    source = ("import os\n"
+              "workers = os.environ.get('WORKERS', '1')\n"
+              "home = os.getenv('HOME')\n"
+              "from os import environ as env, sep\n"
+              "from os import path, cpu_count\n"
+              "cpus = os.cpu_count()\n"
+              "environ = {'key': 'environ'}\n")
+    assert environment_reads(source) == [2, 3, 4]
+
+
+def test_no_module_reads_the_environment():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [f"{p.name}:{line}" for p in modules
+            for line in environment_reads(p.read_text())] == []
 
 
 TRACER_MARK = "# noqa: F401  bound for bench/tracer.py"
@@ -255,38 +327,3 @@ def test_only_the_default_registry_builds_the_catalog():
     modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert "catalog.build_claims()" in modules["verify.py"]
     assert build_claims_callers(modules) == []
-
-
-WHOLE_TEXT_RENDERERS = {"stats_csv", "to_dot"}
-
-
-def whole_text_calls(source):
-    """(function, line) for every call of ``stats_csv`` or ``to_dot``, bare
-    or as an attribute, inside a top-level ``cmd_*`` function: a command
-    writes its output in blocks, never as one whole text."""
-    return [(top.name, node.lineno)
-            for top in ast.parse(source).body
-            if isinstance(top, ast.FunctionDef)
-            and top.name.startswith("cmd_")
-            for node in ast.walk(top)
-            if isinstance(node, ast.Call)
-            and (getattr(node.func, "id", None) in WHOLE_TEXT_RENDERERS
-                 or getattr(node.func, "attr", None) in WHOLE_TEXT_RENDERERS)]
-
-
-def test_whole_text_check_flags_only_renderer_calls_in_commands():
-    source = ("def cmd_stats(args, out):\n"
-              "    out.write(stats_csv(args.n_range))\n"
-              "def cmd_dot(args, out):\n"
-              "    out.write(models.to_dot(graph))\n"
-              "    return stats_lines, dot_lines(graph), to_dot\n"
-              "def helper(graph):\n"
-              "    return to_dot(graph)\n"
-              "text = stats_csv(range(3))\n")
-    assert whole_text_calls(source) == [("cmd_stats", 2), ("cmd_dot", 4)]
-
-
-def test_no_command_renders_its_whole_output_at_once():
-    source = (SRC / "cli.py").read_text()
-    assert "def cmd_stats" in source and "def cmd_dot" in source
-    assert whole_text_calls(source) == []

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collatzlab.actions import Action, ModelId, action_function, apply, is_legal
+from collatzlab.actions import Action, ModelId, action_function, apply
 from collatzlab.models import (ACTION_ORDER, INTEGER_PREDECESSORS,
-                               SUCCESSORS, bounded_graph, predecessors,
-                               successors, to_dot)
+                               SUCCESSORS, bounded_graph, dot_lines,
+                               predecessors, successors)
+from test_actions import replay_legal, table_legal
 
 positives = st.integers(min_value=1, max_value=10**5)
 integer_models = st.sampled_from([ModelId.M0, ModelId.MS, ModelId.M1])
@@ -58,9 +59,9 @@ def test_predecessors_are_m1_only():
 
 
 def guard_table_successors(x, model):
-    """Reference: the guard table applied action by action."""
+    """Reference: the written guard table applied action by action."""
     return [(a, action_function(a, x)) for a in ACTION_ORDER
-            if is_legal(a, x, model)]
+            if table_legal(a, x, model)]
 
 
 def guard_table_predecessors(x, model):
@@ -69,7 +70,7 @@ def guard_table_predecessors(x, model):
     """
     out = []
     for a, y in zip(ACTION_ORDER, ((x - 1) // 3, 2 * x, 3 * x + 1, x // 2)):
-        if y >= 1 and is_legal(a, y, model) and action_function(a, y) == x:
+        if y >= 1 and table_legal(a, y, model) and action_function(a, y) == x:
             out.append((a, y))
     return out
 
@@ -111,7 +112,7 @@ def test_m2_graph_mode_stays_positive():
 def test_every_f_edge_is_e1_or_e4(x):
     # F needs x = 1 (mod 3) and x > 1, so every F-edge leaves x = 1 or 4
     # (mod 6): E1 and E4 are all the F-edges
-    legal = is_legal(Action.F, x, ModelId.MS)
+    legal = replay_legal(Action.F, x, ModelId.MS)
     assert legal == (x > 1 and x % 6 in (1, 4))
     assert legal == any(a is Action.F for a, _ in successors(x, ModelId.MS))
 
@@ -138,8 +139,8 @@ def test_dropping_both_f_classes_recovers_m0():
 
 def test_to_dot_is_deterministic_and_marks_f_edges():
     g = bounded_graph(ModelId.MS, 8)
-    out = to_dot(g)
-    assert out == to_dot(bounded_graph(ModelId.MS, 8))
+    out = "".join(dot_lines(g))
+    assert out == "".join(dot_lines(bounded_graph(ModelId.MS, 8)))
     assert out.startswith("digraph collatz {")
     assert '4 -> 1 [label="F", color="red"];' in out
     assert '2 -> 1 [label="B"];' in out

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from collatzlab import search
 from collatzlab.actions import ActionSeq, ModelId
 from collatzlab.errors import DepthExceeded
-from collatzlab.search import (Path, SearchBounds, Unreachable, all_reach_one,
-                               bfs_reach, bfs_reach_bidirectional, bfs_until,
-                               stats_csv, stopping_stats, trajectory)
+from collatzlab.search import (STATS_HEADER, Path, SearchBounds, Unreachable,
+                               all_reach_one, bfs_reach,
+                               bfs_reach_bidirectional, bfs_until,
+                               stats_lines, stopping_stats, trajectory)
 
 
 def oracle_stopping(n):
@@ -52,7 +53,7 @@ def test_trajectory_depth_limit():
 def test_stopping_stats_and_csv():
     rows = list(stopping_stats([27]))
     assert rows == [(27, 111, 9232)]
-    text = stats_csv(range(1, 4))
+    text = STATS_HEADER + stats_lines(stopping_stats(range(1, 4)))
     assert text.splitlines()[0] == "n,steps,peak"
     assert text.splitlines()[1] == "1,0,1"
 
