@@ -20,7 +20,7 @@ _EXPORTS = {name: module for module, names in {
     "errors": "CollatzlabError DepthExceeded DomainViolation GuardViolation"
               " UnknownClaim",
     "experiments": "DeloopReport cycle_census delooping_experiment",
-    "models": "BoundedGraph bounded_graph predecessors successors",
+    "models": "bounded_graph predecessors successors",
     "search": "SearchBounds Unreachable all_reach_one bfs_reach"
               " bfs_reach_bidirectional bfs_until stopping_stats trajectory",
     "ternary": "from_ternary to_ternary",

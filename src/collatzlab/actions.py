@@ -80,12 +80,12 @@ def action_function(action: Action, x):
 def _replay(steps, x, model: ModelId, first=0) -> list:
     """Apply steps to x under model's guards; every value, x first.
 
-    The guard table of the integer models, written once. The start must be
-    an integer >= 1; the guards keep every legal result there, so it is not
-    re-checked: T gives >= 4, B halves an even >= 2, F needs x >= 4 with
-    x = 1 (mod 3) and D doubles. The i-th step's error carries step index
-    first + i, or none when first is None. M2 evaluates over exact
-    rationals with no guard at all.
+    The integer models' guard table, fused for replay speed (``models``' step
+    functions repeat it for search). The start must be an integer >= 1; the
+    guards keep every legal result there, so it is not re-checked: T gives
+    >= 4, B halves an even >= 2, F needs x >= 4 with x = 1 (mod 3) and D
+    doubles. The i-th step's error carries step index first + i, or none
+    when first is None. M2 evaluates over exact rationals with no guard.
     """
     values = [x]
     if model not in INTEGER_MODELS:

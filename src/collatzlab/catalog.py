@@ -14,7 +14,6 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .actions import ActionSeq, ModelId, inverse_seq, seq_of
-from .errors import Record
 
 # Core scripts, one per unconditional suffix lemma; each reverse lemma is
 # its forward script inverted. A10, A02, A01 and A00 are 9A+3, 9A+2, 9A+1
@@ -101,7 +100,7 @@ _BASE_ROWS = tuple((m, v, (m, v), (e, 4), seq_of(SMALL_TO_FOUR[v]), 0)
                                    (7, 9, 6), (8, 18, 9)))
 
 
-class Claim(Record):
+class Claim:
     """One catalog entry: an id and rows (modulus, residue, start, end,
     script, least). A row holds for A = modulus*s + residue with s >= least:
     its script takes start to end, where a form (m, c) means m*s + c. A's
@@ -112,7 +111,6 @@ class Claim(Record):
     is a label (bench/child.py reads it); only T.a-11 is chained."""
 
     # no __slots__: cached_property keeps _index in the instance dict
-    _fields = ("id", "rows", "inverse_of", "chained")
     model = ModelId.M1
     min_a = 1
 

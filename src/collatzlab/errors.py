@@ -1,34 +1,9 @@
-"""Exception types and the record base class shared across the package.
+"""Exception types shared across the package.
 
 Each error keeps its constructor arguments in ``args``, so it pickles (a
 worker process can hand it back), and builds its message only in
 ``__str__``: a failed replay that nobody reports costs no formatting.
 """
-
-
-class Record:
-    """Equality, hash and repr over the fields a subclass names, in
-    constructor order, in _fields, as a dataclass writes them, and the
-    _asdict of a NamedTuple. A field that holds a list makes it unhashable."""
-
-    __slots__ = ()
-
-    def _values(self):
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def _asdict(self):
-        return dict(zip(self._fields, self._values()))
-
-    def __eq__(self, other):
-        return (self._values() == other._values()
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        pairs = map("{}={!r}".format, self._fields, self._values())
-        return f"{type(self).__qualname__}({', '.join(pairs)})"
 
 
 class CollatzlabError(Exception):

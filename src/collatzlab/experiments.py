@@ -6,7 +6,6 @@ import time
 from typing import NamedTuple
 
 from .actions import ModelId
-from .errors import Record
 from .models import SUCCESSORS, bounded_graph
 from .search import (SearchBounds, Unreachable, bfs, m0_descent, m0_drop,
                      m0_undecided)
@@ -74,20 +73,18 @@ def cycle_census(model: ModelId, max_value: int):
                  for n in m0_undecided((max_value - 1) // 3, max_value))
         cycles = [w[:-1] for w in walks if len(w) > 1 and w[-1] == w[0]]
     else:
-        adjacency = bounded_graph(model, max_value).adjacency
+        adjacency = bounded_graph(model, max_value)
         for x, moves in adjacency.items():
             adjacency[x] = [y for _, y in moves]
         cycles = [c for s in adjacency for c in _circuits(s, adjacency)]
     return sorted(cycles, key=lambda c: (len(c), c))
 
 
-class PhaseResult(Record):
-    __slots__ = _fields = ("phase", "dropped", "reached", "failed")
-
-    def __init__(self, phase: int, dropped: tuple[str, ...], reached: int = 0,
-                 failed: list[int] | None = None):
-        self.phase, self.dropped, self.reached = phase, dropped, reached
-        self.failed = [] if failed is None else failed
+class PhaseResult(NamedTuple):
+    phase: int
+    dropped: tuple[str, ...]
+    reached: int
+    failed: list[int]
 
     @property
     def all_reached(self):
@@ -156,8 +153,8 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
     if max_value < 16:
         raise ValueError(f"max_value must be >= 16, got {max_value}")
     t0 = time.perf_counter()
-    bounds = SearchBounds(max_value=max_value * search_headroom,
-                          max_depth=512, max_states=200_000)
+    cap, depth = max_value * search_headroom, 512   # read per node as locals
+    bounds = SearchBounds(max_value=cap, max_depth=depth, max_states=200_000)
 
     # Every guard of both step functions reads only x mod 6 and x > 1, and
     # each action maps x the same way in both, so x = 1..7 meet every case.
@@ -167,25 +164,26 @@ def delooping_experiment(max_value: int, search_headroom: int = 2**10) -> Deloop
     matches = all(phase3(x) == m0(x) for x in range(1, 8))
 
     # One ascending node loop; bit 1 << i of ok[x] says phase i + 1 accepted
-    # x. The M0 walk from n is legal in every phase and passes only values
-    # >= n before d, so one m0_drop serves all three.
-    phases = [PhaseResult(phase, tuple(f"E{r}" for r in dropped))
-              for phase, dropped in _PHASE_DROPS.items()]
-    runs = list(zip((1, 2, 4), phases, map(_phase_step, _PHASE_DROPS.values())))
+    # x, and failed[i] lists the nodes it did not. The M0 walk from n is
+    # legal in every phase and passes only values >= n before d, so one
+    # m0_drop serves all three.
+    failed = ([], [], [])
+    runs = list(zip((1, 2, 4), failed, map(_phase_step, _PHASE_DROPS.values())))
     ok = bytearray(max_value + 1)
     ok[1] = every = 7
     for n in range(2, max_value + 1):
-        d = m0_drop(n, bounds.max_value, bounds.max_depth)
+        d = m0_drop(n, cap, depth)
         mask = ok[d] if d < n else 0
         if mask != every:
-            for bit, result, step in runs:
+            for bit, misses, step in runs:
                 if mask & bit or _reaches_known(n, step, bounds, ok, bit):
                     mask |= bit
                 else:
-                    result.failed.append(n)
+                    misses.append(n)
         ok[n] = mask
-    for result in phases:
-        result.reached = max_value - len(result.failed)
+    phases = [PhaseResult(phase, tuple(f"E{r}" for r in _PHASE_DROPS[phase]),
+                          max_value - len(misses), misses)
+              for phase, misses in zip(_PHASE_DROPS, failed)]
 
     return DeloopReport(max_value=max_value, headroom=search_headroom,
                         phase3_matches_m0=matches, phases=phases,

@@ -7,8 +7,6 @@ bound) are dropped, not clamped.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .actions import Action, ModelId, action_function
 
 ACTION_ORDER = (Action.T, Action.B, Action.F, Action.D)
@@ -74,25 +72,9 @@ def predecessors(x, model: ModelId):
     return _pred_m1(x)
 
 
-class BoundedGraph(NamedTuple):
-    """Adjacency of one integer model over nodes 1..max_value."""
-
-    model: ModelId
-    max_value: int
-    adjacency: dict
-
-    def __repr__(self):   # without the adjacency
-        return (f"BoundedGraph(model={self.model!r}, "
-                f"max_value={self.max_value!r})")
-
-    def edges(self):
-        for x in range(1, self.max_value + 1):
-            for action, y in self.adjacency[x]:
-                yield (x, action, y)
-
-
-def bounded_graph(model: ModelId, max_value: int) -> BoundedGraph:
-    """Materialize an integer model's graph (M0, MS, M1) on nodes 1..max_value.
+def bounded_graph(model: ModelId, max_value: int) -> dict:
+    """Materialize an integer model's graph (M0, MS, M1) on nodes 1..max_value:
+    the adjacency {x: [(action, y), ...]} for x = 1..max_value, in order.
 
     Edges leading above max_value are dropped.
     """
@@ -101,23 +83,24 @@ def bounded_graph(model: ModelId, max_value: int) -> BoundedGraph:
                          "got m2")
     if max_value < 4:
         raise ValueError(f"max_value must be >= 4, got {max_value}")
-    adjacency = {x: [(action, y) for action, y in successors(x, model)
-                     if y <= max_value]
-                 for x in range(1, max_value + 1)}
-    return BoundedGraph(model=model, max_value=max_value, adjacency=adjacency)
+    return {x: [(action, y) for action, y in successors(x, model)
+                if y <= max_value]
+            for x in range(1, max_value + 1)}
 
 
 F_EDGE_COLOR = "red"
 
 
-def dot_lines(graph: BoundedGraph):
-    """Deterministic DOT lines, each ending in a newline; F-edges in red."""
+def dot_lines(adjacency: dict):
+    """Deterministic DOT lines of a bounded_graph adjacency, each ending in a
+    newline; F-edges in red."""
     yield "digraph collatz {\n"
-    for x in range(1, graph.max_value + 1):
+    for x in adjacency:
         yield f'  {x} [label="{x}"];\n'
-    for x, action, y in graph.edges():
-        attrs = f'label="{action.value}"'
-        if action is Action.F:
-            attrs += f', color="{F_EDGE_COLOR}"'
-        yield f"  {x} -> {y} [{attrs}];\n"
+    for x, moves in adjacency.items():
+        for action, y in moves:
+            attrs = f'label="{action.value}"'
+            if action is Action.F:
+                attrs += f', color="{F_EDGE_COLOR}"'
+            yield f"  {x} -> {y} [{attrs}];\n"
     yield "}\n"

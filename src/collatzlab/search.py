@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 from typing import NamedTuple
 
 from .actions import Action, ActionSeq, ModelId, Path
 from .actions import apply_seq  # noqa: F401  bound for bench/tracer.py
-from .errors import DepthExceeded, Record
+from .errors import DepthExceeded
 from .models import INTEGER_PREDECESSORS, SUCCESSORS, predecessors
 from .models import successors  # noqa: F401  bound for bench/tracer.py
 
@@ -15,7 +16,8 @@ _NO_CAP = float("inf")               # the value cap of an uncapped M0 walk
 _M0_LETTERS = (Action.B, Action.T)   # M0's move out of x, by x & 1
 
 
-class SearchBounds(Record):
+class SearchBounds(namedtuple("SearchBounds",
+                              ("max_value", "max_depth", "max_states"))):
     """Budgets for one bounded search.
 
     max_value caps generated states before they enter the frontier and is
@@ -23,14 +25,13 @@ class SearchBounds(Record):
     set; max_depth caps path length.
     """
 
-    __slots__ = _fields = ("max_value", "max_depth", "max_states")
+    __slots__ = ()
 
-    def __init__(self, max_value: int, max_depth: int = 64,
-                 max_states: int = 1_000_000):
+    def __new__(cls, max_value: int, max_depth: int = 64,
+                max_states: int = 1_000_000):
         if max_value < 1 or max_depth < 1 or max_states < 1:
             raise ValueError("all bounds must be >= 1")
-        self.max_value, self.max_depth = max_value, max_depth
-        self.max_states = max_states
+        return super().__new__(cls, max_value, max_depth, max_states)
 
 
 class Unreachable(NamedTuple):
@@ -94,16 +95,16 @@ def bfs(model: ModelId, step, start: int, accept, bounds: SearchBounds):
     """
     if accept(start):
         return _build_path(model, start, None, start)
+    max_value, max_depth, max_states = bounds
     parents = {start: None}
     frontier = [start]
-    for _ in range(bounds.max_depth):
+    for _ in range(max_depth):
         if not frontier:
             return Unreachable(bound_exhausted=False)
-        frontier, hit = _layer(frontier, step, parents, bounds.max_value,
-                               accept)
+        frontier, hit = _layer(frontier, step, parents, max_value, accept)
         if hit is not None:
             return _build_path(model, start, parents, hit)
-        if len(parents) > bounds.max_states:
+        if len(parents) > max_states:
             return Unreachable(bound_exhausted=True)
     return Unreachable(bound_exhausted=bool(frontier))
 

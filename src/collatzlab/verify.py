@@ -24,40 +24,36 @@ import json
 import time
 from bisect import bisect_right
 from functools import cache
+from typing import NamedTuple
 
 from . import catalog
 from .actions import (ModelId, Path, apply_seq, evaluate_exact,
                       evaluate_form, seq_of, walk_form)
 from .actions import apply  # noqa: F401  bound for bench/tracer.py
-from .errors import DomainViolation, GuardViolation, Record, UnknownClaim
+from .errors import DomainViolation, GuardViolation, UnknownClaim
 from .search import (SearchBounds, Unreachable, bfs_reach,
                      bfs_reach_bidirectional, m0_descent, m0_drop, m0_script)
 
 
-class Failure(Record):
-    __slots__ = _fields = ("input", "step_index", "reason", "trace")
-
-    def __init__(self, input: int, step_index: int | None, reason: str,
-                 trace: list | None = None):
-        self.input, self.step_index, self.reason = input, step_index, reason
-        self.trace = [] if trace is None else trace
+class Failure(NamedTuple):
+    input: int
+    step_index: int | None
+    reason: str
+    trace: tuple | list = ()
 
     def to_dict(self):
         return {**self._asdict(), "trace": [str(v) for v in self.trace]}
 
 
-class VerifyReport(Record):
-    __slots__ = _fields = ("claim_id", "model", "range", "passed", "skipped",
-                           "failures", "bounds", "wall_ms")
-
-    def __init__(self, claim_id: str, model: str, range: tuple[int, int],
-                 passed: int = 0, skipped: int = 0,
-                 failures: list[Failure] | None = None,
-                 bounds: dict | None = None, wall_ms: float = 0.0):
-        self.claim_id, self.model, self.range = claim_id, model, range
-        self.passed, self.skipped, self.wall_ms = passed, skipped, wall_ms
-        self.failures = [] if failures is None else failures
-        self.bounds = {} if bounds is None else bounds
+class VerifyReport(NamedTuple):
+    claim_id: str
+    model: str
+    range: tuple[int, int]
+    passed: int
+    skipped: int
+    failures: list[Failure]
+    bounds: dict
+    wall_ms: float
 
     @property
     def failed(self) -> int:

@@ -217,6 +217,12 @@ GOLDEN_OUTPUTS = [
     # cap checks and the BFS fallback.
     (["dot", "--model", "ms", "--max", "50"], 0,
      "5cd28fc8783c9bc76f9dc0ae3e5549a98d7755d81397a021c8b03f65e906ef15"),
+    # Recorded while bounded_graph still returned a BoundedGraph record and
+    # dot_lines read its edges() generator.
+    (["dot", "--model", "m0", "--max", "50"], 0,
+     "2f3a9de67a04075507d7591b4ac87cf1b6cc0a7279559f8fa4034cc60fa22bb4"),
+    (["dot", "--model", "m1", "--max", "50"], 0,
+     "4fff3b536b7d7f0d8190afdeb55e439b8fa4d897e8e8b0fa811e2dc55bdd0a4a"),
     (["reach", "--model", "m2", "--from", "7", "--to", "1"], 0,
      "e4b135fa18f21efab2565727eebd1e1af911c93e7a127db8f7fd096c7543bd3e"),
     (["verify", "--claim", "T.descend-ms,L.descend-m1,T.edge-loop",

@@ -177,11 +177,12 @@ def test_delooping_rejects_tiny_bound():
 
 def test_streamed_phase3_check_equals_the_edge_set_comparison():
     for max_value in range(16, 301):
-        phase3_edges = {
-            (x, a, y) for x, a, y in bounded_graph(ModelId.MS, max_value).edges()
-            if a is not Action.F or x % 6 not in (1, 4)}
-        edge_sets_equal = phase3_edges == set(
-            bounded_graph(ModelId.M0, max_value).edges())
+        ms, m0 = (bounded_graph(model, max_value)
+                  for model in (ModelId.MS, ModelId.M0))
+        phase3_edges = {(x, a, y) for x, moves in ms.items() for a, y in moves
+                        if a is not Action.F or x % 6 not in (1, 4)}
+        edge_sets_equal = phase3_edges == {
+            (x, a, y) for x, moves in m0.items() for a, y in moves}
         report = delooping_experiment(max_value)
         assert report.phase3_matches_m0 == edge_sets_equal, max_value
 

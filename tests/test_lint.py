@@ -196,6 +196,41 @@ def test_every_export_is_read_in_src_or_bench():
     assert unread_exports(collatzlab.__all__, modules, readers) == []
 
 
+RECORD_METHODS = {"__eq__", "__hash__", "_asdict"}
+
+
+def record_methods(source):
+    """(line, class, name) for every ``def`` of __eq__, __hash__ or _asdict
+    in a class body: a record takes these from NamedTuple. Assigning one,
+    as ``__hash__ = object.__hash__``, is no definition."""
+    return [(node.lineno, cls.name, node.name)
+            for cls in ast.walk(ast.parse(source))
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in RECORD_METHODS]
+
+
+def test_record_method_check_flags_only_methods_defined_in_a_class():
+    source = ("class Record:\n"
+              "    def __eq__(self, other):\n        return True\n"
+              "    def _values(self):\n        return ()\n"
+              "class Letter:\n"
+              "    __hash__ = object.__hash__\n"
+              "    class Inner:\n"
+              "        def _asdict(self):\n            return {}\n"
+              "def __hash__(self):\n    return 0\n")
+    assert record_methods(source) == [(2, "Record", "__eq__"),
+                                      (9, "Inner", "_asdict")]
+
+
+def test_no_class_writes_its_own_equality_hash_or_asdict():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [f"{p.name}:{line}: {cls}.{name}" for p in modules
+            for line, cls, name in record_methods(p.read_text())] == []
+
+
 ENVIRONMENT_READERS = {"environ", "getenv"}
 
 

@@ -119,22 +119,23 @@ def test_every_f_edge_is_e1_or_e4(x):
 
 def test_bounded_graph_drops_out_of_range_edges():
     g = bounded_graph(ModelId.MS, 10)
-    assert all(1 <= x <= 10 and 1 <= y <= 10 for x, _, y in g.edges())
+    assert list(g) == list(range(1, 11))
+    assert all(1 <= y <= 10 for x, moves in g.items() for a, y in moves)
     # 7 -T-> 22 dropped, 7 -F-> 2 kept
-    assert g.adjacency[7] == [(Action.F, 2)]
+    assert g[7] == [(Action.F, 2)]
 
 
 def edges_without(graph, *residues):
-    """The graph's edge set minus the F-edges out of x with x mod 6 in
-    residues."""
-    return {(x, a, y) for x, a, y in graph.edges()
+    """The edge set of a bounded_graph adjacency minus the F-edges out of x
+    with x mod 6 in residues: every edge when no residue is given."""
+    return {(x, a, y) for x, moves in graph.items() for a, y in moves
             if a is not Action.F or x % 6 not in residues}
 
 
 def test_dropping_both_f_classes_recovers_m0():
     for bound in (50, 500):
         stripped = edges_without(bounded_graph(ModelId.MS, bound), 1, 4)
-        assert stripped == set(bounded_graph(ModelId.M0, bound).edges())
+        assert stripped == edges_without(bounded_graph(ModelId.M0, bound))
 
 
 def test_to_dot_is_deterministic_and_marks_f_edges():

@@ -163,6 +163,15 @@ def test_bfs_until():
     assert path.validate()
 
 
+def test_search_bounds_reject_a_zero_bound_by_position_or_keyword():
+    for args, kwargs in (((0,), {}), ((9, 0), {}), ((9, 9, 0), {}),
+                         ((), {"max_value": 0}), ((9,), {"max_depth": 0}),
+                         ((9,), {"max_states": 0})):
+        with pytest.raises(ValueError) as info:
+            SearchBounds(*args, **kwargs)
+        assert str(info.value) == "all bounds must be >= 1", (args, kwargs)
+
+
 def test_all_reach_one_small():
     assert all_reach_one(10**4) == []
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import pytest
 
@@ -44,6 +45,20 @@ def test_failure_payload_is_replayable():
     d = failure.to_dict()
     assert d == {"input": 7, "step_index": 3, "reason": "endpoint mismatch",
                  "trace": ["7", "22", "11"]}
+
+
+def test_every_record_survives_a_pickle_round_trip():
+    from collatzlab.experiments import delooping_experiment
+
+    # the process pool ships Failures and SearchBounds through pickle
+    report = run_any_claim("T.edge-loop", range(1, 21))
+    assert report.failures
+    records = [Failure(7, 3, "endpoint mismatch", [7, 22, 11]), report,
+               *delooping_experiment(100).phases,
+               SearchBounds(max_value=4096, max_depth=12, max_states=50)]
+    for record in records:
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record, record
 
 
 def test_unknown_claim():
@@ -363,11 +378,11 @@ def cluster_oracle(kind, a_range, search_bounds=None, replay=None):
 
     hub_r = CLUSTER_HUB[kind]
     learned = {}
-    report = VerifyReport(claim_id=f"T.cluster-{kind}", model="M1",
-                          range=(a_range.start, a_range[-1]))
+    passed = skipped = 0
+    all_failures = []
     for k in a_range:
         if k < 1:
-            report.skipped += 1
+            skipped += 1
             continue
         failures = []
         for r in CLUSTER_MEMBERS[kind]:
@@ -390,12 +405,12 @@ def cluster_oracle(kind, a_range, search_bounds=None, replay=None):
                                  f"with cap {bounds.max_value}"))
                 else:
                     paths.append(result.actions)
-        for failure in failures:
-            report.failures.append(failure)
-        report.passed += not failures
-    report.bounds = {"max_value": bounds.max_value,
-                     "max_depth": bounds.max_depth}
-    return report.to_dict()
+        all_failures += failures
+        passed += not failures
+    return VerifyReport(f"T.cluster-{kind}", "M1", (a_range.start, a_range[-1]),
+                        passed, skipped, all_failures,
+                        {"max_value": bounds.max_value,
+                         "max_depth": bounds.max_depth}, 0.0).to_dict()
 
 
 @pytest.mark.parametrize("kind, a_range, bounds", [
@@ -493,21 +508,21 @@ def test_cluster_bounds_are_read_at_the_largest_k_of_a_backward_range():
 
 def _per_a_catalog(claim, a_range):
     """Reference: each A checked on its own from Claim.at and apply_seq."""
-    report = VerifyReport(claim_id=claim.id, model="M1",
-                          range=(a_range.start, a_range[-1]))
+    passed = skipped = 0
+    failures = []
     for a in a_range:
         row = claim.at(a)
         if row is None:
-            report.skipped += 1
+            skipped += 1
             continue
         start, expected, script = row
         try:
             witness = apply_seq(script, start, ModelId.M1)
         except (GuardViolation, DomainViolation) as exc:
-            report.failures.append(Failure(a, exc.step_index, str(exc)))
+            failures.append(Failure(a, exc.step_index, str(exc)))
             continue
         if witness.end != expected:
-            report.failures.append(Failure(
+            failures.append(Failure(
                 a, None, f"endpoint {witness.end} != expected {expected}",
                 list(witness.values)))
             continue
@@ -515,34 +530,36 @@ def _per_a_catalog(claim, a_range):
             try:
                 back = apply_seq(inverse_seq(script), witness.end, ModelId.M1)
             except (GuardViolation, DomainViolation) as exc:
-                report.failures.append(Failure(
+                failures.append(Failure(
                     a, exc.step_index, f"cycle-closing replay illegal: {exc}",
                     list(witness.values)))
                 continue
             if back.end != start:
-                report.failures.append(Failure(
+                failures.append(Failure(
                     a, None, f"cycle did not close: {back.end}",
                     list(back.values)))
                 continue
-        report.passed += 1
-    return report.to_dict()
+        passed += 1
+    return VerifyReport(claim.id, "M1", (a_range.start, a_range[-1]), passed,
+                        skipped, failures, {}, 0.0).to_dict()
 
 
 def _per_a_succession(offset, a_range):
     """Reference: each x evaluated on its own with evaluate_exact."""
-    report = VerifyReport(claim_id=f"T.succ{offset}", model="M2",
-                          range=(a_range.start, a_range[-1]))
-    dipped = 0
+    passed = dipped = 0
+    failures = []
     for x in a_range:
         end, flagged = evaluate_exact(SUCCESSION_SEQS[offset], x)
         dipped += bool(flagged)
         if end == x + offset:
-            report.passed += 1
+            passed += 1
         else:
-            report.failures.append(Failure(
+            failures.append(Failure(
                 x, None, f"ended at {end}, expected {x + offset}"))
-    report.bounds = {"nonpositive_intermediate_inputs": dipped}
-    return report.to_dict()
+    return VerifyReport(f"T.succ{offset}", "M2", (a_range.start, a_range[-1]),
+                        passed, 0, failures,
+                        {"nonpositive_intermediate_inputs": dipped},
+                        0.0).to_dict()
 
 
 def _oracle(claim_id, a_range):
@@ -817,7 +834,8 @@ def test_only_the_edge_loop_lacks_a_column_check_and_no_claim_holds_code():
             _registry(build_claims()).items() if column is None] \
         == ["T.descend-ms", "L.descend-m1", "T.edge-loop"]
     for claim in [*build_claims().values(), *CLUSTER_TABLE.values()]:
-        assert set(vars(claim)) >= set(claim._fields), claim.id
+        assert set(vars(claim)) >= {"id", "rows", "inverse_of", "chained"}, \
+            claim.id
         for name, value in vars(claim).items():
             assert not callable(value), (claim.id, name)
 
