@@ -5,7 +5,8 @@ cycle, a traj not at 1 or a stats row of -1 within --max-depth, an
 unreachable reach target, a deloop phase 1 or 3 miss or phase-3/M0
 mismatch) or an output pipe that the reader closed early, 2 usage error.
 Identical invocations produce byte-identical output; timing only appears
-with --timing.
+with --timing. Commands parse flags, raise usage errors and map results to
+exit codes; verify.run_claims runs a verify run and write_reports prints it.
 """
 
 from __future__ import annotations
@@ -116,82 +117,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _search_bounds(args):
-    if args.max_value is None:
-        return None
-    return SearchBounds(max_value=args.max_value, max_depth=args.max_depth or 64)
-
-
-def _emit_reports(reports, fmt, timing, out):
-    if fmt == "json":
-        for report in reports:
-            out.write(report.to_json(include_timing=timing) + "\n")
-    elif fmt == "csv":
-        out.write(verify_mod.CSV_HEADER + "\n")
-        for report in reports:
-            out.write(report.csv_row() + "\n")
-    else:
-        for report in reports:
-            status = "PASS" if report.failed == 0 else "FAIL"
-            out.write(f"{status} {report.claim_id} [{report.model}] "
-                      f"range {report.range[0]}..{report.range[1]}: "
-                      f"{report.passed} pass, {report.failed} fail, "
-                      f"{report.skipped} skipped\n")
-            for failure in report.failures[:10]:
-                out.write(f"  A={failure.input}: {failure.reason}\n")
+    return args.max_value and SearchBounds(args.max_value,
+                                           args.max_depth or 64)
 
 
 def cmd_verify(args, out) -> int:
     if args.max_depth is not None and args.max_value is None:
-        print("error: --max-depth needs --max-value", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--max-depth needs --max-value")
     if args.timing and args.format != "json":
-        print("error: --timing needs --format json", file=sys.stderr)
-        return EXIT_USAGE
-    known = verify_mod.all_claim_ids()
-    if args.claim == "all":
-        ids = known
-    else:
-        ids = [c.strip() for c in args.claim.split(",") if c.strip()]
-        if not ids:
-            print(f"error: no claim id in --claim {args.claim!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        unknown = [c for c in ids if c not in known]
-        if unknown:
-            print(f"unknown claim(s): {', '.join(unknown)}", file=sys.stderr)
-            print("available: " + ", ".join(sorted(known)), file=sys.stderr)
-            return EXIT_USAGE
-    reports = _run_claims(ids, args.a_range, _search_bounds(args),
-                          args.workers)
-    _emit_reports(reports, args.format, args.timing, out)
+        raise ValueError("--timing needs --format json")
+    ids = (verify_mod.all_claim_ids() if args.claim == "all"
+           else [c.strip() for c in args.claim.split(",") if c.strip()])
+    if not ids:
+        raise ValueError(f"no claim id in --claim {args.claim!r}")
+    reports = verify_mod.run_claims(ids, args.a_range, _search_bounds(args),
+                                    args.workers)
+    verify_mod.write_reports(reports, args.format, out, args.timing)
     return EXIT_FINDING if any(r.failed for r in reports) else EXIT_OK
-
-
-def _run_claims(ids, rng, bounds, workers):
-    """One report per claim id: verify.run_any_claim per claim when serial,
-    else a pool of min(workers, CPUs, units) processes gets every (claim
-    id, chunk) unit at once, chunk by chunk, in about 16 batches a process
-    (one message each); each report is built from its chunks in order.
-    Either way every process reads its one cached verify registry."""
-    chunks = verify_mod.chunks(rng)
-    units = [(c, chunk) for chunk in chunks for c in ids]
-    workers = min(workers, os.cpu_count() or 1, len(units))
-    if workers <= 1:
-        return [verify_mod.run_any_claim(c, rng, bounds) for c in ids]
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(verify_mod.run_chunk, *zip(*units),
-                              [bounds] * len(units),
-                              chunksize=max(1, len(units) // (16 * workers))))
-    return [verify_mod.build_report(c, rng, bounds, parts[i::len(ids)])
-            for i, c in enumerate(ids)]
 
 
 def cmd_traj(args, out) -> int:
     if args.verbose and args.format == "csv":
-        print("error: --verbose needs --format text", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--verbose needs --format text")
     path = trajectory(args.n, max_depth=args.max_depth)
     if args.format == "csv":
         out.write("step,value\n")

@@ -33,6 +33,11 @@ class SearchBounds(namedtuple("SearchBounds",
             raise ValueError("all bounds must be >= 1")
         return super().__new__(cls, max_value, max_depth, max_states)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which its _replace calls, skips __new__
+        return cls(*iterable)
+
 
 class Unreachable(NamedTuple):
     """Search ended without a path.

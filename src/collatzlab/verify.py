@@ -14,13 +14,16 @@ state, and each reads the module tables when it runs.
 
 One claim's chunk of CHUNK A is the one unit of work, serial or pooled:
 run_chunk runs it, and build_report builds a claim's report once from its
-chunks in range order. run_any_claim runs both in this process. Every run
-reads one registry, _default_registry(), built once per process.
+chunks in range order. run_any_claim runs both in this process. This
+module owns a whole verify run: run_claims schedules it, serial or pooled,
+and write_reports prints it. Every run reads one registry,
+_default_registry(), built once per process.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from bisect import bisect_right
 from functools import cache
@@ -73,16 +76,6 @@ class VerifyReport(NamedTuple):
         if include_timing:
             out["wall_ms"] = round(self.wall_ms, 3)
         return out
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), separators=(",", ":"))
-
-    def csv_row(self) -> str:
-        return (f"{self.claim_id},{self.model},{self.range[0]},{self.range[1]},"
-                f"{self.passed},{self.failed},{self.skipped}")
-
-
-CSV_HEADER = "claim_id,model,lo,hi,pass,fail,skipped"
 
 
 def _bounds_dict(bounds: SearchBounds | None, a_range) -> dict:
@@ -451,3 +444,50 @@ def run_any_claim(claim_id: str, a_range: range,
     parts = [run_chunk(claim_id, chunk, search_bounds)
              for chunk in chunks(a_range)]
     return build_report(claim_id, a_range, search_bounds, parts)
+
+
+def run_claims(ids, a_range: range, search_bounds: SearchBounds | None = None,
+               workers: int = 1) -> list[VerifyReport]:
+    """One report per id of ids, in order; before any work, UnknownClaim for
+    the first unknown id and ValueError when search_bounds bound none of
+    them. Serial: run_any_claim per id. Pooled: min(workers, CPUs, units)
+    processes get every (id, chunk) unit in about 16 batches a process."""
+    registry = _default_registry()
+    if unknown := [c for c in ids if c not in registry]:
+        raise UnknownClaim(unknown[0], sorted(registry))
+    if search_bounds and {_bounds_dict, _cluster_bounds_dict}.isdisjoint(
+            registry[c][1] for c in ids):
+        raise ValueError("--max-value and --max-depth bound no search of "
+                         + ", ".join(ids))
+    units = [(c, chunk) for chunk in chunks(a_range) for c in ids]
+    workers = min(workers, os.cpu_count() or 1, len(units))
+    if workers <= 1:
+        return [run_any_claim(c, a_range, search_bounds) for c in ids]
+    import concurrent.futures
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(run_chunk, *zip(*units),
+                              [search_bounds] * len(units),
+                              chunksize=max(1, len(units) // (16 * workers))))
+    return [build_report(c, a_range, search_bounds, parts[i::len(ids)])
+            for i, c in enumerate(ids)]
+
+
+def write_reports(reports, fmt: str, out, include_timing: bool = False):
+    """Print reports to out as fmt: a JSON line each (wall_ms only with
+    include_timing), a CSV table, or a text line each and 10 failures."""
+    if fmt == "csv":
+        out.write("claim_id,model,lo,hi,pass,fail,skipped\n")
+    for r in reports:
+        if fmt == "json":
+            out.write(json.dumps(r.to_dict(include_timing),
+                                 separators=(",", ":")) + "\n")
+        elif fmt == "csv":
+            out.write(f"{r.claim_id},{r.model},{r.range[0]},{r.range[1]},"
+                      f"{r.passed},{r.failed},{r.skipped}\n")
+        else:
+            out.write(f"{'FAIL' if r.failed else 'PASS'} {r.claim_id} "
+                      f"[{r.model}] range {r.range[0]}..{r.range[1]}: "
+                      f"{r.passed} pass, {r.failed} fail, "
+                      f"{r.skipped} skipped\n")
+            for failure in r.failures[:10]:
+                out.write(f"  A={failure.input}: {failure.reason}\n")

@@ -57,9 +57,14 @@ def test_verify_csv_format():
                                  "L.10-11,M1,1,5,5,0,0"]
 
 
-def test_verify_unknown_claim_is_usage_error():
-    code, _ = run(["verify", "--claim", "L.bogus", "--range", "1..5"])
-    assert code == 2
+def test_verify_unknown_claim_is_usage_error(capsys):
+    from collatzlab.verify import all_claim_ids
+
+    assert run(["verify", "--claim", "L.bogus,L.10-11,L.nope",
+                "--range", "1..5"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: unknown claim 'L.bogus'; known ids: "
+        + ", ".join(sorted(all_claim_ids())) + "\n")
 
 
 def test_verify_timing_flag_adds_wall_ms():
@@ -306,6 +311,26 @@ GOLDEN_OUTPUTS = [
     (["verify", "--claim", "T.cluster-five", "--range", "1..400",
       "--max-value", "16384", "--max-depth", "20"], 1,
      "7908c097e2ff36d7612765cad892e554ae872b31f63a6dc96e530fc25520417d"),
+    # Recorded while cli still split the run into units and printed the
+    # text format itself: a pool, where the host has two CPUs, builds each
+    # report from chunks with failures in all three; the serial text run
+    # prints the same bytes.
+    (["verify", "--claim", "T.cluster-five,T.descend-ms,L.10-11",
+      "--range", "1..3000", "--max-value", "16384", "--max-depth", "20",
+      "--workers", "2", "--format", "text"], 1,
+     "9acf3596c2a09f2260a1a1b9d7085e6da26525ae3892114187b5aec0807f50ab"),
+    (["verify", "--claim", "T.cluster-five,T.descend-ms,L.10-11",
+      "--range", "1..3000", "--max-value", "16384", "--max-depth", "20",
+      "--workers", "2", "--format", "csv"], 1,
+     "c031b6fd68922893ef73991628da8d4ccebca368f435480eec87d30c76c7b4ae"),
+    (["verify", "--claim", "T.cluster-five,T.descend-ms,L.10-11",
+      "--range", "1..3000", "--max-value", "16384", "--max-depth", "20",
+      "--workers", "2"], 1,
+     "cab8e606e6be62757a975b114dbfecaf9f69f8653c4d15a6656e19523f988df9"),
+    (["verify", "--claim", "T.cluster-five,T.descend-ms,L.10-11",
+      "--range", "1..3000", "--max-value", "16384", "--max-depth", "20",
+      "--format", "text"], 1,
+     "9acf3596c2a09f2260a1a1b9d7085e6da26525ae3892114187b5aec0807f50ab"),
 ]
 
 
@@ -493,7 +518,10 @@ def test_a_flag_that_changes_nothing_is_a_usage_error(capsys):
             (["verify", "--claim", "L.10-11", "--range", "1..5", "--timing",
               "--format", "text"], "--timing needs --format json"),
             (["traj", "27", "--verbose", "--format", "csv"],
-             "--verbose needs --format text")):
+             "--verbose needs --format text"),
+            (["verify", "--claim", "L.10-11", "--range", "1..5",
+              "--max-value", "7", "--max-depth", "2"],
+             "--max-value and --max-depth bound no search of L.10-11")):
         assert run(argv) == (2, ""), argv
         assert capsys.readouterr().err == f"error: {message}\n", argv
 
@@ -503,7 +531,7 @@ def test_verify_max_depth_needs_max_value(capsys):
                       "--max-depth", "3"])
     assert code == 2
     assert text == ""
-    assert "--max-depth needs --max-value" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --max-depth needs --max-value\n"
     # --max-value alone keeps the old depth default of 64
     code, text = run(["verify", "--claim", "L.descend-m1", "--range", "2..3",
                       "--max-value", "1000"])
@@ -521,17 +549,22 @@ def test_verify_cluster_honours_max_depth():
     assert code == 1 and data["pass"] == 0
 
 
-def test_catalog_claims_run_no_search_so_print_no_bounds():
+def test_catalog_claims_run_no_search_so_print_no_bounds(capsys):
     # T.node-loop's odd-A hop is a script now: a value cap of 5 used to
-    # fail A = 3 on the search segment 5 => 1
-    code, text = run(["verify", "--claim", "T.node-loop", "--range", "1..3",
-                      "--max-value", "5"])
-    assert code == 0
-    assert '"bounds":{}' in text and '"pass":3' in text
-    code, text = run(["verify", "--claim", "L.10-11", "--range", "1..5",
-                      "--max-value", "1000"])
-    assert code == 0
-    assert '"bounds":{}' in text
+    # fail A = 3 on the search segment 5 => 1. Alone, a claim that runs no
+    # search rejects the bounds; beside one that searches, it ignores them.
+    assert run(["verify", "--claim", "T.node-loop", "--range", "1..3",
+                "--max-value", "5"]) == (2, "")
+    assert capsys.readouterr().err == \
+        "error: --max-value and --max-depth bound no search of T.node-loop\n"
+    code, text = run(["verify", "--claim", "T.node-loop,T.edge-loop",
+                      "--range", "1..3", "--max-value", "5"])
+    node, edge = map(json.loads, text.splitlines())
+    assert node["bounds"] == {} and node["pass"] == 3 and node["fail"] == 0
+    assert edge["bounds"]["max_value"] == 5
+    code, text = run(["verify", "--claim", "L.10-11,T.edge-loop",
+                      "--range", "1..5", "--max-value", "1000"])
+    assert '"bounds":{}' in text.splitlines()[0]
 
 
 def test_reach_failure_uses_the_shared_tag():
@@ -565,7 +598,8 @@ def test_verify_empty_claim_list_is_usage_error(capsys):
         code, text = run(["verify", "--claim", spec, "--range", "1..5"])
         assert code == 2, spec
         assert text == ""
-        assert "error: no claim id" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: no claim id in --claim {spec!r}\n"
 
 
 # Small argvs for every subcommand, valid and invalid alike.

@@ -362,3 +362,51 @@ def test_only_the_default_registry_builds_the_catalog():
     modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert "catalog.build_claims()" in modules["verify.py"]
     assert build_claims_callers(modules) == []
+
+
+RUN_NAMES = {"run_chunk", "build_report", "chunks", "run_any_claim",
+             "ProcessPoolExecutor", "cpu_count"}
+
+
+def _identifier(node):
+    """The identifier a Name, an Attribute or an import alias names."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    return None
+
+
+def run_leaks(source):
+    """(line, name) for every name of RUN_NAMES in a source and every
+    ``stderr`` a ``cmd_*`` function names: verify schedules and prints a
+    run, and a command raises its usage errors for main to print."""
+    tree = ast.parse(source)
+    in_command = {id(node) for top in tree.body
+                  if isinstance(top, ast.FunctionDef)
+                  and top.name.startswith("cmd_")
+                  for node in ast.walk(top)}
+    return sorted((node.lineno, name) for node in ast.walk(tree)
+                  if (name := _identifier(node)) in RUN_NAMES
+                  or (name == "stderr" and id(node) in in_command))
+
+
+def test_run_leak_check_flags_only_run_names_and_command_stderr():
+    source = ("import os, sys\n"
+              "from .verify import run_chunk as rc, write_reports\n"
+              "def cmd_verify(args, out):\n"
+              "    print('error', file=sys.stderr)\n"
+              "    return verify.run_claims(ids, os.cpu_count())\n"
+              "def main():\n"
+              "    print('error', file=sys.stderr)\n"
+              "def cmd_traj(args, out):\n"
+              "    sys.stderr.write('stderr')\n"
+              "stderr = 'run_any_claim'\n")
+    assert run_leaks(source) == [(2, "run_chunk"), (4, "stderr"),
+                                 (5, "cpu_count"), (9, "stderr")]
+
+
+def test_cli_leaves_the_run_to_verify_and_usage_errors_to_main():
+    assert run_leaks((SRC / "cli.py").read_text()) == []

@@ -172,6 +172,15 @@ def test_search_bounds_reject_a_zero_bound_by_position_or_keyword():
         assert str(info.value) == "all bounds must be >= 1", (args, kwargs)
 
 
+def test_search_bounds_replace_and_make_validate_too():
+    assert SearchBounds(9)._replace(max_depth=3) == SearchBounds(9, 3)
+    for build in (lambda: SearchBounds(9)._replace(max_depth=0),
+                  lambda: SearchBounds._make((0, 0, 0))):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == "all bounds must be >= 1"
+
+
 def test_all_reach_one_small():
     assert all_reach_one(10**4) == []
 

@@ -1,5 +1,6 @@
 """Report schema, the claim registry and its special checks."""
 
+import io
 import json
 import math
 import pickle
@@ -14,15 +15,21 @@ from collatzlab.catalog import (CLUSTER_TABLE, SUCCESSION_SEQS, Claim,
 from collatzlab.errors import DomainViolation, GuardViolation, UnknownClaim
 from collatzlab.models import successors
 from collatzlab.search import SearchBounds, Unreachable, bfs_until
-from collatzlab.verify import (CHUNK, CLUSTER_HUB, CLUSTER_MEMBERS,
-                               CSV_HEADER, Failure, VerifyReport,
-                               all_claim_ids, build_witness,
-                               descending_witness, run_any_claim)
+from collatzlab.verify import (CHUNK, CLUSTER_HUB, CLUSTER_MEMBERS, Failure,
+                               VerifyReport, all_claim_ids, build_witness,
+                               descending_witness, run_any_claim, run_claims,
+                               write_reports)
+
+
+def written(reports, fmt, include_timing=False):
+    out = io.StringIO()
+    write_reports(reports, fmt, out, include_timing)
+    return out.getvalue()
 
 
 def test_report_json_schema():
     report = run_any_claim("L.10-11", range(1, 6))
-    data = json.loads(report.to_json())
+    data = json.loads(written([report], "json"))
     assert set(data) == {"claim_id", "model", "range", "pass", "fail",
                          "skipped", "failures", "bounds"}
     assert data["claim_id"] == "L.10-11"
@@ -31,13 +38,35 @@ def test_report_json_schema():
     assert data["pass"] == 5 and data["fail"] == 0 and data["skipped"] == 0
     # timing is opt-in, never in the default payload
     assert "wall_ms" not in data
-    assert "wall_ms" in json.loads(report.to_json(include_timing=True))
+    assert "wall_ms" in json.loads(written([report], "json", True))
 
 
 def test_report_csv_row():
     report = run_any_claim("L.10-11", range(1, 6))
-    assert CSV_HEADER == "claim_id,model,lo,hi,pass,fail,skipped"
-    assert report.csv_row() == "L.10-11,M1,1,5,5,0,0"
+    assert written([report], "csv").splitlines() == [
+        "claim_id,model,lo,hi,pass,fail,skipped", "L.10-11,M1,1,5,5,0,0"]
+
+
+def test_run_claims_rejects_unknown_ids_and_unread_bounds_before_any_work(
+        monkeypatch):
+    from collatzlab import verify
+
+    ran = []
+    monkeypatch.setattr(verify, "run_any_claim",
+                        lambda *args: ran.append(args))
+    with pytest.raises(UnknownClaim) as info:
+        run_claims(["L.10-11", "L.bogus", "L.nope"], range(1, 6))
+    assert info.value.claim_id == "L.bogus"
+    bounds = SearchBounds(max_value=7, max_depth=2)
+    with pytest.raises(ValueError) as info:
+        run_claims(["L.10-11", "T.succ1"], range(1, 6), bounds)
+    assert str(info.value) == ("--max-value and --max-depth bound no search "
+                               "of L.10-11, T.succ1")
+    assert ran == []
+    # one claim that reads the bounds is enough, and serial runs go through
+    # the module's run_any_claim
+    run_claims(["L.10-11", "T.edge-loop"], range(1, 6), bounds)
+    assert [args[0] for args in ran] == ["L.10-11", "T.edge-loop"]
 
 
 def test_failure_payload_is_replayable():
